@@ -17,9 +17,6 @@ Run via ``make bench-contention``.
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.core.report import format_table
 from repro.dram.contention import contention_config
 from repro.dram.controller import MemoryController
@@ -27,32 +24,7 @@ from repro.dram.crossbar import Crossbar
 from repro.dram.device import get_device
 from repro.dram.simulator import DRAMSimulator
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved.
-
-    Alternating the contenders decorrelates the comparison from slow
-    machine-load drift (e.g. a parallel test process spinning up
-    mid-measurement), which a sequential best-of cannot.
-    """
-    best_a = best_b = float("inf")
-    # A full-suite run leaves a large live heap behind, and a gen-2
-    # collection landing inside a measured region skews a sub-second
-    # A/B comparison; pause the collector for the stopwatch only.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def _stream():
@@ -80,7 +52,7 @@ def test_n1_crossbar_dispatch_within_5_percent():
     # Identical schedules first, then the stopwatch.
     assert crossbar_path().commands == bare_path().commands
 
-    bare_seconds, crossbar_seconds = _interleaved_best_of(
+    bare_seconds, crossbar_seconds = interleaved_best_of(
         5, bare_path, crossbar_path)
 
     print()
@@ -115,7 +87,7 @@ def test_contended_arbitration_stays_per_request():
 
     assert len(contended_path().serviced) == len(stream)
 
-    bare_seconds, contended_seconds = _interleaved_best_of(
+    bare_seconds, contended_seconds = interleaved_best_of(
         5, bare_path, contended_path)
 
     print()

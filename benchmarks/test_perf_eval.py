@@ -18,8 +18,6 @@ Run via ``make bench-eval``.
 
 from __future__ import annotations
 
-import gc
-import time
 from functools import partial
 
 from repro.core.engine import (
@@ -35,29 +33,7 @@ from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.mapping.catalog import TABLE1_MAPPINGS
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved.
-
-    Alternating the contenders decorrelates the comparison from slow
-    machine-load drift; the collector is paused so a gen-2 collection
-    landing inside a measured region cannot skew the ratio.
-    """
-    best_a = best_b = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
@@ -85,7 +61,7 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
     assert [p.edp_js.hex() for p in vector_points] \
         == [p.edp_js.hex() for p in scalar_points]
 
-    scalar_seconds, vector_seconds = _interleaved_best_of(
+    scalar_seconds, vector_seconds = interleaved_best_of(
         5, lambda: sweep(scalar_chunk), lambda: sweep(vector_chunk))
 
     speedup = scalar_seconds / vector_seconds
@@ -124,7 +100,7 @@ def test_funnel_wall_clock_does_not_regress(alexnet_layers):
     assert vector_result.points == scalar_result.points
     assert vector_result.best() == scalar_result.best()
 
-    scalar_seconds, vector_seconds = _interleaved_best_of(
+    scalar_seconds, vector_seconds = interleaved_best_of(
         5, scalar_path, vector_path)
 
     ratio = vector_seconds / scalar_seconds

@@ -17,37 +17,12 @@ Run via ``make bench-kernel``.
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.core.report import format_table
 from repro.dram.characterize import characterize
 from repro.dram.device import DEVICE_REGISTRY, get_device
 from repro.dram.kernel import characterize_batch
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved.
-
-    Alternating the contenders decorrelates the comparison from slow
-    machine-load drift; the collector is paused so a gen-2 collection
-    landing inside a measured region cannot skew the ratio.
-    """
-    best_a = best_b = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def test_kernel_at_least_10x_faster_than_simulator():
@@ -71,7 +46,7 @@ def test_kernel_at_least_10x_faster_than_simulator():
     for fast, slow in zip(kernel_path(), simulator_path()):
         assert fast == slow
 
-    simulator_seconds, kernel_seconds = _interleaved_best_of(
+    simulator_seconds, kernel_seconds = interleaved_best_of(
         3, simulator_path, kernel_path)
 
     speedup = simulator_seconds / kernel_seconds
@@ -111,7 +86,7 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
     for result, expected in zip(batch.values(), per_triple_path()):
         assert result == expected
 
-    per_triple_seconds, batch_seconds = _interleaved_best_of(
+    per_triple_seconds, batch_seconds = interleaved_best_of(
         5, per_triple_path, batch_path)
 
     speedup = per_triple_seconds / batch_seconds

@@ -17,9 +17,6 @@ Run via ``make bench-policies``.
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
@@ -32,32 +29,7 @@ from repro.dram.policies import (
 )
 from repro.dram.simulator import DRAMSimulator
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved.
-
-    Alternating the contenders decorrelates the comparison from slow
-    machine-load drift (e.g. a parallel test process spinning up
-    mid-measurement), which a sequential best-of cannot.
-    """
-    best_a = best_b = float("inf")
-    # A full-suite run leaves a large live heap behind, and a gen-2
-    # collection landing inside a measured region skews a sub-second
-    # A/B comparison; pause the collector for the stopwatch only.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def test_controller_dispatch_within_5_percent():
@@ -82,7 +54,7 @@ def test_controller_dispatch_within_5_percent():
     # Identical schedules first, then the stopwatch.
     assert list(policy_path().commands) == raw_path()._commands
 
-    raw_seconds, policy_seconds = _interleaved_best_of(
+    raw_seconds, policy_seconds = interleaved_best_of(
         5, raw_path, policy_path)
 
     print()
@@ -121,7 +93,7 @@ def test_characterize_dse_path_within_5_percent(alexnet_layers):
     explicit_result = pipeline(DEFAULT_CONTROLLER_CONFIG)
     assert explicit_result.points == default_result.points
 
-    default_seconds, explicit_seconds = _interleaved_best_of(
+    default_seconds, explicit_seconds = interleaved_best_of(
         4, lambda: pipeline(None),
         lambda: pipeline(DEFAULT_CONTROLLER_CONFIG))
 

@@ -14,36 +14,13 @@ evaluations.  Run via ``make bench-strategies``.
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_preset
 from repro.workloads import zoo
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved (load-drift proof)."""
-    best_a = best_b = float("inf")
-    # A full-suite run leaves a large live heap behind, and a gen-2
-    # collection landing inside a measured region skews a sub-second
-    # A/B comparison; pause the collector for the stopwatch only.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
@@ -70,7 +47,7 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
     assert funnel.evaluated_points * 10 <= exhaustive.evaluated_points, \
         "funnel must evaluate >=10x fewer points exactly"
 
-    exhaustive_seconds, funnel_seconds = _interleaved_best_of(
+    exhaustive_seconds, funnel_seconds = interleaved_best_of(
         3,
         lambda: exhaustive_engine.explore_network(network),
         lambda: funnel_engine.explore_network(network))
@@ -117,7 +94,7 @@ def test_analytical_scoring_is_a_fraction_of_exact_evaluation():
         return engine.explore_network(network)
 
     score()  # warm the analytical memo
-    scoring_seconds, exact_seconds = _interleaved_best_of(
+    scoring_seconds, exact_seconds = interleaved_best_of(
         3, score, evaluate)
     ratio = exact_seconds / scoring_seconds
     print(f"\nanalytical scoring {scoring_seconds * 1e3:.1f} ms vs "

@@ -10,39 +10,13 @@ output.  Run via ``make bench-workloads``.
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_preset
 from repro.workloads import zoo
 
-
-def _interleaved_best_of(runs: int, func_a, func_b):
-    """Best-of timings with A/B runs interleaved.
-
-    Alternating the contenders decorrelates the comparison from slow
-    machine-load drift, which a sequential best-of cannot; the
-    collector is paused so a gen-2 pass over a full-suite heap cannot
-    land inside a measured region.
-    """
-    best_a = best_b = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(runs):
-            start = time.perf_counter()
-            func_a()
-            best_a = min(best_a, time.perf_counter() - start)
-            start = time.perf_counter()
-            func_b()
-            best_b = min(best_b, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_a, best_b
+from ._timing import interleaved_best_of
 
 
 def test_lowering_is_microseconds(benchmark):
@@ -71,7 +45,7 @@ def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
     graph_result = graph_engine.explore_network(network)
     assert graph_result.points == direct_result.points
 
-    direct_seconds, graph_seconds = _interleaved_best_of(
+    direct_seconds, graph_seconds = interleaved_best_of(
         7, lambda: list_engine.explore_network(alexnet_layers),
         lambda: graph_engine.explore_network(network))
 

@@ -12,11 +12,12 @@ candidate partitionings the DSE explores.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DseError
 from ..units import ceil_div
 from .layer import ConvLayer
 
@@ -39,6 +40,22 @@ class BufferConfig:
 
 #: The paper's Table-II buffer configuration.
 TABLE2_BUFFERS = BufferConfig()
+
+
+# Tile byte sizes, shared by TilingConfig and enumerate_tilings.
+def _ifms_tile_bytes(layer: ConvLayer, th: int, tw: int, ti: int) -> int:
+    tile_h = (th - 1) * layer.stride + layer.kernel_height
+    tile_w = (tw - 1) * layer.stride + layer.kernel_width
+    return ti * tile_h * tile_w * layer.bytes_per_element
+
+
+def _wghs_tile_bytes(layer: ConvLayer, tj: int, ti: int) -> int:
+    return (ti * tj * layer.kernel_height * layer.kernel_width
+            * layer.bytes_per_element)
+
+
+def _ofms_tile_bytes(layer: ConvLayer, th: int, tw: int, tj: int) -> int:
+    return th * tw * tj * layer.bytes_per_element
 
 
 @dataclass(frozen=True)
@@ -82,18 +99,15 @@ class TilingConfig:
 
     def ifms_tile_bytes(self, layer: ConvLayer) -> int:
         """Bytes of the ifms tile feeding one (Th, Tw, Ti) block."""
-        tile_h = (self.th - 1) * layer.stride + layer.kernel_height
-        tile_w = (self.tw - 1) * layer.stride + layer.kernel_width
-        return self.ti * tile_h * tile_w * layer.bytes_per_element
+        return _ifms_tile_bytes(layer, self.th, self.tw, self.ti)
 
     def wghs_tile_bytes(self, layer: ConvLayer) -> int:
         """Bytes of the (Ti, Tj, P, Q) weight tile."""
-        return (self.ti * self.tj * layer.kernel_height
-                * layer.kernel_width * layer.bytes_per_element)
+        return _wghs_tile_bytes(layer, self.tj, self.ti)
 
     def ofms_tile_bytes(self, layer: ConvLayer) -> int:
         """Bytes of the (Th, Tw, Tj) ofms tile."""
-        return self.th * self.tw * self.tj * layer.bytes_per_element
+        return _ofms_tile_bytes(layer, self.th, self.tw, self.tj)
 
     def fits(self, layer: ConvLayer, buffers: BufferConfig) -> bool:
         """Algorithm 1 line 9: do all three tiles fit their buffers?"""
@@ -135,79 +149,64 @@ def _candidate_steps(bound: int) -> List[int]:
 def enumerate_tilings(
     layer: ConvLayer,
     buffers: BufferConfig = TABLE2_BUFFERS,
-    only_maximal: bool = True,
-    limit: Optional[int] = None,
 ) -> List[TilingConfig]:
-    """Candidate tilings for the DSE (Algorithm 1, step 1a).
+    """Buffer-maximal candidate tilings for the DSE (Algorithm 1, step 1a).
 
     Step sizes are drawn from powers of two (plus the full extent) per
-    dimension and filtered by the buffer constraint.
-
-    Parameters
-    ----------
-    layer:
-        Layer to partition.
-    buffers:
-        On-chip buffer capacities.
-    only_maximal:
-        Keep only tilings where no single step can be raised to the
-        next candidate without violating a buffer -- dominated tilings
-        move strictly less data per fetch at the same trip counts or
-        worse, so pruning them loses nothing.
-    limit:
-        Optional hard cap on the number of returned tilings.
+    dimension.  A tiling is kept if it fits the buffers and no single
+    step can be raised to the next candidate without violating a
+    buffer -- dominated tilings move strictly less data per fetch at
+    the same trip counts or worse, so pruning them loses nothing.
+    Every tile grows with every step, so the kept tilings are the
+    frontier of the fitting ones, walked here on integers.  They come
+    in grid order (``Th`` outermost, ``Ti`` innermost), which decides
+    EDP ties downstream.
 
     Raises
     ------
     repro.errors.DseError
         If no candidate fits the buffers.
     """
-    from ..errors import DseError
+    th_steps = _candidate_steps(layer.out_height)
+    tw_steps = _candidate_steps(layer.out_width)
+    tj_steps = _candidate_steps(layer.out_channels_per_group)
+    ti_steps = _candidate_steps(layer.in_channels_per_group)
 
-    th_candidates = _candidate_steps(layer.out_height)
-    tw_candidates = _candidate_steps(layer.out_width)
-    tj_candidates = _candidate_steps(layer.out_channels_per_group)
-    ti_candidates = _candidate_steps(layer.in_channels_per_group)
+    # Ti scales the ifms and wghs tiles linearly and Tj the ofms tile, so
+    # each buffer admits a prefix of that step's candidates.
+    def n_fitting(steps: List[int], capacity: int, unit_bytes: int) -> int:
+        return bisect.bisect_right(steps, capacity // unit_bytes)
 
-    fitting: List[TilingConfig] = []
-    for th, tw, tj, ti in itertools.product(
-            th_candidates, tw_candidates, tj_candidates, ti_candidates):
-        tiling = TilingConfig(th=th, tw=tw, tj=tj, ti=ti)
-        if tiling.fits(layer, buffers):
-            fitting.append(tiling)
-    if not fitting:
+    wghs_ti = [n_fitting(ti_steps, buffers.wghs_bytes,
+                         _wghs_tile_bytes(layer, tj, 1)) for tj in tj_steps]
+
+    def ti_counts(th: int, tw: int) -> List[int]:
+        """How many Ti candidates fit, per Tj up to the first Tj whose
+        ofms or wghs tile overflows (0 where the ifms tile does)."""
+        ifms_ti = n_fitting(ti_steps, buffers.ifms_bytes,
+                            _ifms_tile_bytes(layer, th, tw, 1))
+        ofms_tj = n_fitting(tj_steps, buffers.ofms_bytes,
+                            _ofms_tile_bytes(layer, th, tw, 1))
+        return [min(ifms_ti, n_ti) for n_ti in wghs_ti[:ofms_tj] if n_ti]
+
+    counts = {(h, w): ti_counts(th, tw)
+              for h, th in enumerate(th_steps)
+              for w, tw in enumerate(tw_steps)}
+    maximal: List[TilingConfig] = []
+    for (h, w), row in counts.items():
+        # Only the largest fitting Ti can be maximal: kept iff it no
+        # longer fits once Tj, Th or Tw grows to the next candidate.
+        for j, (n_ti, *grown) in enumerate(itertools.zip_longest(
+                row, row[1:], counts.get((h + 1, w), []),
+                counts.get((h, w + 1), []), fillvalue=0)):
+            if n_ti > max(grown):
+                maximal.append(TilingConfig(
+                    th=th_steps[h], tw=tw_steps[w], tj=tj_steps[j],
+                    ti=ti_steps[n_ti - 1]))
+    if not maximal:
         raise DseError(
             f"no tiling of {layer.name} fits the buffers "
             f"({buffers.ifms_bytes}/{buffers.wghs_bytes}/"
             f"{buffers.ofms_bytes} B); the layer's smallest tile is "
             "already too large")
-
-    if only_maximal:
-        def next_step(value: int, candidates: List[int]) -> Optional[int]:
-            larger = [c for c in candidates if c > value]
-            return min(larger) if larger else None
-
-        maximal = []
-        for tiling in fitting:
-            grown_any = False
-            for field_name, candidates in (
-                    ("th", th_candidates), ("tw", tw_candidates),
-                    ("tj", tj_candidates), ("ti", ti_candidates)):
-                bigger = next_step(getattr(tiling, field_name), candidates)
-                if bigger is None:
-                    continue
-                grown = TilingConfig(**{
-                    **{"th": tiling.th, "tw": tiling.tw,
-                       "tj": tiling.tj, "ti": tiling.ti},
-                    field_name: bigger,
-                })
-                if grown.fits(layer, buffers):
-                    grown_any = True
-                    break
-            if not grown_any:
-                maximal.append(tiling)
-        fitting = maximal
-
-    if limit is not None:
-        fitting = fitting[:limit]
-    return fitting
+    return maximal

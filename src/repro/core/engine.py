@@ -138,8 +138,8 @@ from .strategies import StrategyRun, get_strategy
 DEFAULT_CHUNK_SIZE = 256
 
 #: Process-wide memo of admissible tilings per (layer, buffers): the
-#: buffer-maximal enumeration is pure and dominates context builds on
-#: big networks.
+#: buffer-maximal enumeration is pure, so the funnel's two phases and
+#: repeated explorations of a layer enumerate it once.
 _ADMISSIBLE_TILINGS_MEMO = LRUMemo(4096)
 
 
@@ -388,10 +388,9 @@ def _build_context(
     per_point = len(architectures) * len(schemes) * len(policies)
     for layer in layers:
         if tilings is None:
-            # Candidate enumeration is pure in (layer, buffers) and by
-            # far the most expensive part of context construction on
-            # big networks; memoize it so repeated explorations (and
-            # the funnel's two phases) enumerate once.
+            # Candidate enumeration is pure in (layer, buffers);
+            # memoize it so repeated explorations (and the funnel's two
+            # phases) enumerate once.
             admissible: Tuple[TilingConfig, ...] = \
                 _ADMISSIBLE_TILINGS_MEMO.get_or_compute(
                     (layer, buffers),
@@ -973,10 +972,11 @@ class ExplorationEngine:
             nonlocal completed_points, completed_chunks, best_edp
             completed_points += len(points)
             completed_chunks += 1
-            for point in points:
-                if best_edp is None or point.edp_js < best_edp:
-                    best_edp = point.edp_js
+            # Only the progress snapshot reads the running best EDP.
             if self.progress is not None:
+                for point in points:
+                    if best_edp is None or point.edp_js < best_edp:
+                        best_edp = point.edp_js
                 self.progress(ExplorationProgress(
                     completed_points=completed_points,
                     total_points=total_points,
