@@ -52,15 +52,23 @@ bench-kernel:
 bench-eval:
 	$(PYTHON) -m pytest benchmarks/test_perf_eval.py -q
 
-## line-coverage floor for the cycle-level DRAM model (requires
-## pytest-cov; CI installs it)
+## the coverage targets need pytest-cov, which CI installs.  Without it
+## they print one line and succeed, unless $CI is set (GitHub Actions
+## sets it), where a missing plugin must still fail the floor.
+COV_GUARD = $(PYTHON) -c "import pytest_cov" 2>/dev/null \
+	|| [ -n "$$CI" ] \
+	|| { echo "$@: pytest-cov is not installed, coverage skipped"; exit 0; };
+
+## line-coverage floor for the cycle-level DRAM model
 cov:
+	@$(COV_GUARD) \
 	$(PYTHON) -m pytest tests/dram -q --cov=repro.dram \
 		--cov-report=term-missing --cov-fail-under=85
 
 ## line-coverage floor for the exploration stack (engine, strategies,
-## sweeps, reporting; requires pytest-cov; CI installs it)
+## sweeps, reporting)
 cov-core:
+	@$(COV_GUARD) \
 	$(PYTHON) -m pytest tests/core tests/integration -q \
 		--cov=repro.core --cov-report=term-missing \
 		--cov-fail-under=80

@@ -428,9 +428,12 @@ def cmd_dse(args: argparse.Namespace) -> int:
 def cmd_traffic(args: argparse.Namespace) -> int:
     """DRAM traffic per scheduling scheme for each layer.
 
-    Byte counts are device-independent; with ``--device`` each cell
-    also shows the burst count on that device's interface (bytes per
-    burst differ across generations).
+    Each layer is reported under the tiling its row names: the first
+    buffer-maximal tiling in grid order (``enumerate_tilings(layer)[0]``,
+    the one with the smallest Th), not the min-EDP one.  Byte counts
+    are device-independent; with ``--device`` each cell also shows the
+    burst count on that device's interface (bytes per burst differ
+    across generations).
     """
     device = _device(args.device) if args.device else None
     # --scheduler/--row-policy are accepted for interface uniformity
@@ -439,7 +442,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     rows = []
     for layer in _layers(args):
         tiling = enumerate_tilings(layer)[0]
-        row = [layer.name]
+        row = [layer.name,
+               f"{tiling.th}/{tiling.tw}/{tiling.tj}/{tiling.ti}"]
         for scheme in CONCRETE_SCHEMES:
             traffic = layer_traffic(layer, tiling, scheme)
             cell = format_bytes(traffic.total_bytes)
@@ -454,7 +458,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         title += (f" on {device.name} "
                   f"({device.organization.bytes_per_burst} B/burst)")
     print(format_table(
-        ["layer"] + [s.value for s in CONCRETE_SCHEMES],
+        ["layer", "tiling Th/Tw/Tj/Ti"]
+        + [s.value for s in CONCRETE_SCHEMES],
         rows, title=title))
     return 0
 

@@ -18,7 +18,7 @@ ofms-dependent loop, partial sums bounce through DRAM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from .layer import ConvLayer
 from .scheduling import (
@@ -150,17 +150,23 @@ def layer_traffic(
 def best_concrete_scheme(
     layer: ConvLayer,
     tiling: TilingConfig,
+    traffic_of: Callable[[ConvLayer, TilingConfig, ReuseScheme],
+                         LayerTraffic] = layer_traffic,
 ) -> Tuple[ReuseScheme, LayerTraffic]:
     """The concrete scheme moving the fewest DRAM bytes (adaptive-reuse).
 
     Ties break in the paper's enumeration order (ifms, wghs, ofms).
+    ``traffic_of`` computes each scheme's traffic; pass a memoized
+    :func:`layer_traffic` (such as
+    :meth:`repro.core.engine.EvaluationCache.traffic`) to reuse
+    traffic already computed for the concrete schemes.
     """
     from .scheduling import CONCRETE_SCHEMES
 
     best_scheme = None
     best_traffic = None
     for scheme in CONCRETE_SCHEMES:
-        traffic = layer_traffic(layer, tiling, scheme)
+        traffic = traffic_of(layer, tiling, scheme)
         if best_traffic is None \
                 or traffic.total_bytes < best_traffic.total_bytes:
             best_scheme = scheme

@@ -10,7 +10,7 @@ costs measured on the cycle-level simulator (Fig. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..dram.characterize import (
     CharacterizationResult,
@@ -31,6 +31,9 @@ from ..units import edp_joule_seconds
 from .adaptive import resolve_adaptive
 from .conditions import AccessCost, ZERO_COST, run_cost
 
+#: Data types of a layer's cost breakdown, in ``type_costs`` order.
+DATA_TYPES = ("ifms", "wghs", "ofms")
+
 
 @dataclass(frozen=True)
 class LayerEDP:
@@ -46,8 +49,13 @@ class LayerEDP:
         DRAM access cycles per Eq. 2, accumulated over all tiles.
     tck_ns:
         Clock period used to convert cycles to time.
-    by_type:
-        Per-data-type cost breakdown.
+    type_costs:
+        Per-data-type cost breakdown as six floats: cycles, then nJ,
+        for ifms, wghs and ofms in that order (:attr:`by_type` is the
+        named view).  Flat floats make a design point two objects,
+        this result and its :class:`~repro.core.dse.DsePoint`, where a
+        dict of three :class:`AccessCost` made it six; the vector
+        kernel builds hundreds of thousands of points per run.
     resolved_scheme:
         The concrete scheme used (differs from the requested scheme
         only for adaptive-reuse).
@@ -57,8 +65,15 @@ class LayerEDP:
     energy_nj: float
     cycles: float
     tck_ns: float
-    by_type: Dict[str, AccessCost]
+    type_costs: Tuple[float, float, float, float, float, float]
     resolved_scheme: ReuseScheme
+
+    @property
+    def by_type(self) -> Dict[str, AccessCost]:
+        """Per-data-type cost breakdown, keyed ifms, wghs, ofms."""
+        costs = self.type_costs
+        return {name: AccessCost(costs[2 * i], costs[2 * i + 1])
+                for i, name in enumerate(DATA_TYPES)}
 
     @property
     def latency_ns(self) -> float:
@@ -179,20 +194,20 @@ def layer_edp(
         traffic: LayerTraffic = cache.traffic(layer, tiling, resolved)
     else:
         traffic = layer_traffic(layer, tiling, resolved)
-    by_type: Dict[str, AccessCost] = {}
+    type_costs = []
     total = ZERO_COST
-    for name, type_traffic in traffic.by_type().items():
+    for type_traffic in traffic.by_type().values():
         cost = _data_type_cost(
             type_traffic, policy, organization, characterization,
             cache=cache)
-        by_type[name] = cost
+        type_costs += (cost.cycles, cost.energy_nj)
         total = total + cost
     return LayerEDP(
         layer_name=layer.name,
         energy_nj=total.energy_nj,
         cycles=total.cycles,
         tck_ns=characterization.tck_ns,
-        by_type=by_type,
+        type_costs=tuple(type_costs),
         resolved_scheme=resolved,
     )
 

@@ -97,7 +97,7 @@ from ..cnn.tiling import (
     enumerate_tilings,
 )
 from ..caching import LRUMemo
-from ..cnn.traffic import LayerTraffic, layer_traffic
+from ..cnn.traffic import LayerTraffic, best_concrete_scheme, layer_traffic
 from ..dram.architecture import DRAMArchitecture
 from ..dram.characterize import (
     CharacterizationCache,
@@ -121,7 +121,6 @@ from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
 from ..workloads.network import Network, as_layers
-from .adaptive import resolve_adaptive
 from .dse import DsePoint, DseResult
 from .edp import layer_edp
 from .eval_kernel import (
@@ -193,10 +192,18 @@ class EvaluationCache:
         tiling: TilingConfig,
         scheme: ReuseScheme,
     ) -> ReuseScheme:
-        """Memoized adaptive-scheme resolution."""
+        """Memoized adaptive-scheme resolution.
+
+        Concrete schemes pass through without a memo lookup;
+        ``ADAPTIVE_REUSE`` is resolved per ``(layer, tiling)`` from the
+        memoized traffic of each concrete scheme, which the grid needs
+        anyway.
+        """
+        if scheme is not ReuseScheme.ADAPTIVE_REUSE:
+            return scheme
         return self.adaptive_memo.get_or_compute(
-            (layer, tiling, scheme),
-            lambda: resolve_adaptive(layer, tiling, scheme))
+            (layer, tiling),
+            lambda: best_concrete_scheme(layer, tiling, self.traffic)[0])
 
     def traffic(
         self,

@@ -21,7 +21,10 @@ contiguous index range as numpy batches instead:
    fetched through ``CharacterizationCache.get_many``
    (:meth:`~repro.dram.characterize.CharacterizationResult.cost_vectors`)
    and folded with the counts into dense ``[arch, policy, length]``
-   cost tables; per-point work is then pure gather + multiply-add.
+   cost tables, one policy at a time over every architecture at once;
+   per-point work is then pure gather + multiply-add, and each point
+   becomes two objects (a ``DsePoint`` and its ``LayerEDP``, whose
+   per-type breakdown is a flat tuple of floats).
 
 Bit-for-bit identity with the scalar path
 -----------------------------------------
@@ -80,11 +83,7 @@ from ..dram.architecture import DRAMArchitecture
 from ..errors import DseError
 from ..mapping.counts import count_transitions_batch
 from ..mapping.dims import Dim
-from .conditions import (
-    AccessCost,
-    DIM_TO_CONDITION,
-    INITIAL_ACCESS_CONDITION,
-)
+from .conditions import DIM_TO_CONDITION, INITIAL_ACCESS_CONDITION
 from .dse import DsePoint
 from .edp import LayerEDP
 
@@ -144,30 +143,30 @@ class _LayerTables:
         organization = context.organization
         schemes = context.schemes
         tilings = grid.tilings
-        n_schemes, n_tilings = len(schemes), len(tilings)
-        n_types = 3  # ifms / wghs / ofms, in by_type() order
 
         #: resolved[scheme_idx][tiling_idx] — the concrete scheme.
-        self.resolved = [[None] * n_tilings for _ in range(n_schemes)]
-        raw_lengths = np.zeros((n_schemes, n_tilings, n_types),
-                               dtype=np.int64)
-        self.read_tiles = np.zeros((n_schemes, n_tilings, n_types))
-        self.write_tiles = np.zeros((n_schemes, n_tilings, n_types))
-        lengths_seen = set()
-        for s, scheme in enumerate(schemes):
-            for t, tiling in enumerate(tilings):
+        self.resolved = []
+        # (tile accesses, read tiles, write tiles) per (scheme, tiling,
+        # data type), data types in by_type() order.
+        traffic_rows = []
+        for scheme in schemes:
+            resolved_row = []
+            for tiling in tilings:
                 resolved = cache.resolve_scheme(grid.layer, tiling, scheme)
                 traffic = cache.traffic(grid.layer, tiling, resolved)
-                self.resolved[s][t] = resolved
-                for y, type_traffic in enumerate(
-                        traffic.by_type().values()):
-                    n_accesses = organization.accesses_for_bytes(
-                        type_traffic.tile_bytes)
-                    raw_lengths[s, t, y] = n_accesses
-                    self.read_tiles[s, t, y] = type_traffic.read_tiles
-                    self.write_tiles[s, t, y] = type_traffic.write_tiles
-                    if n_accesses:
-                        lengths_seen.add(n_accesses)
+                resolved_row.append(resolved)
+                for type_traffic in traffic.by_type().values():
+                    traffic_rows.append((
+                        organization.accesses_for_bytes(
+                            type_traffic.tile_bytes),
+                        type_traffic.read_tiles,
+                        type_traffic.write_tiles))
+            self.resolved.append(resolved_row)
+        traffic_table = np.array(traffic_rows, dtype=np.float64).reshape(
+            len(schemes), len(tilings), 3, 3)
+        raw_lengths = traffic_table[..., 0].astype(np.int64)
+        self.read_tiles = traffic_table[..., 1]
+        self.write_tiles = traffic_table[..., 2]
 
         # Length-id 0 is the reserved zero-length run (zero cost);
         # over-capacity lengths poison their (scheme, tiling) cells —
@@ -175,64 +174,55 @@ class _LayerTables:
         # reference loop would.
         capacity = min(
             policy.capacity(organization) for policy in context.policies)
-        ok_lengths = sorted(n for n in lengths_seen if n <= capacity)
-        over = {n for n in lengths_seen if n > capacity}
-        id_of = {n: i + 1 for i, n in enumerate(ok_lengths)}
+        in_range = (raw_lengths > 0) & (raw_lengths <= capacity)
+        # Sorted distinct lengths; not np.unique, whose first call
+        # imports numpy.ma (~30 ms of every fresh CLI process).
+        ok_lengths = np.array(
+            sorted(set(raw_lengths[in_range].tolist())), dtype=np.int64)
+        self.length_id = np.where(
+            in_range, np.searchsorted(ok_lengths, raw_lengths) + 1, 0)
+        self.cap_poison = (raw_lengths > capacity).any(axis=2)
         n_lengths = len(ok_lengths) + 1
-        self.length_id = np.zeros((n_schemes, n_tilings, n_types),
-                                  dtype=np.int64)
-        self.cap_poison = np.zeros((n_schemes, n_tilings), dtype=bool)
-        for s in range(n_schemes):
-            for t in range(n_tilings):
-                for y in range(n_types):
-                    n_accesses = int(raw_lengths[s, t, y])
-                    if n_accesses in over:
-                        self.cap_poison[s, t] = True
-                    elif n_accesses:
-                        self.length_id[s, t, y] = id_of[n_accesses]
 
-        # Cost tables [arch, policy, length_id]; column 0 stays 0.0.
+        # Cost tables [arch, policy, length_id], three views of one
+        # array; length-id column 0 stays 0.0.
         policies = context.policies
         architectures = context.architectures
-        n_policies, n_archs = len(policies), len(architectures)
-        self.cycles = np.zeros((n_archs, n_policies, n_lengths))
-        self.read_nj = np.zeros((n_archs, n_policies, n_lengths))
-        self.write_nj = np.zeros((n_archs, n_policies, n_lengths))
+        costs = np.zeros((3, len(architectures), len(policies), n_lengths))
+        self.cycles, self.read_nj, self.write_nj = costs
         #: wrap_poison[policy_idx, length_id] — rank/channel loops
         #: wrapped, so condition-merge order is data-dependent.
-        self.wrap_poison = np.zeros((n_policies, n_lengths), dtype=bool)
-        length_array = np.asarray(ok_lengths, dtype=np.int64)
+        self.wrap_poison = np.zeros((len(policies), n_lengths), dtype=bool)
+        # Per-condition (cycles, read nJ, write nJ) columns of shape
+        # [3, arch, 1]: each broadcast below folds one loop dimension's
+        # counts for every architecture at once, and every element
+        # still sums its terms in run_cost's left-to-right order.
+        columns = {
+            condition: np.array(
+                [cost_vectors[architecture][condition]
+                 for architecture in architectures],
+                dtype=np.float64).T[:, :, None]
+            for condition in cost_vectors[architectures[0]]
+        }
         for p, policy in enumerate(policies):
             counts = count_transitions_batch(
-                policy, organization, length_array)
+                policy, organization, ok_lengths)
             n_intra = len(policy.loop_order)
             if counts[n_intra:].any():
                 self.wrap_poison[p, 1:] = counts[n_intra:].any(axis=0)
             row_position = policy.loop_order.index(Dim.ROW)
             row_zero = counts[row_position] == 0
-            for a, architecture in enumerate(architectures):
-                vectors = cost_vectors[architecture]
-                acc_c = np.zeros(len(ok_lengths))
-                acc_r = np.zeros(len(ok_lengths))
-                acc_w = np.zeros(len(ok_lengths))
-                for position, dim in enumerate(policy.loop_order):
-                    count = counts[position].astype(np.float64)
-                    if dim is Dim.ROW:
-                        # Initial access merged into the row-conflict
-                        # slot wherever the row loop wrapped.
-                        count = count + np.where(row_zero, 0.0, 1.0)
-                    c, r, w = vectors[DIM_TO_CONDITION[dim]]
-                    acc_c = acc_c + count * c
-                    acc_r = acc_r + count * r
-                    acc_w = acc_w + count * w
-                # ... and appended as the last term where it did not.
-                c, r, w = vectors[INITIAL_ACCESS_CONDITION]
-                acc_c = np.where(row_zero, acc_c + 1 * c, acc_c)
-                acc_r = np.where(row_zero, acc_r + 1 * r, acc_r)
-                acc_w = np.where(row_zero, acc_w + 1 * w, acc_w)
-                self.cycles[a, p, 1:] = acc_c
-                self.read_nj[a, p, 1:] = acc_r
-                self.write_nj[a, p, 1:] = acc_w
+            acc = np.zeros((3, len(architectures), n_lengths - 1))
+            for position, dim in enumerate(policy.loop_order):
+                count = counts[position].astype(np.float64)
+                if dim is Dim.ROW:
+                    # Initial access merged into the row-conflict
+                    # slot wherever the row loop wrapped.
+                    count = count + np.where(row_zero, 0.0, 1.0)
+                acc = acc + count * columns[DIM_TO_CONDITION[dim]]
+            # ... and appended as the last term where it did not.
+            costs[:, :, p, 1:] = np.where(
+                row_zero, acc + columns[INITIAL_ACCESS_CONDITION], acc)
 
         self.any_poison = bool(
             self.cap_poison.any() or self.wrap_poison.any())
@@ -367,22 +357,22 @@ class ChunkEvaluator:
         # cycles = (CYC * read_tiles) + (CYC * write_tiles) and
         # energy = (RNJ * read_tiles) + (WNJ * write_tiles), with the
         # layer total left-associated over ifms, wghs, ofms.
-        type_cycles = []
-        type_energy = []
+        type_costs = []  # LayerEDP.type_costs order: cycles, nJ per type
         for y in range(3):
             length = tables.length_id[s_idx, t_idx, y]
             reads = tables.read_tiles[s_idx, t_idx, y]
             writes = tables.write_tiles[s_idx, t_idx, y]
             cyc = tables.cycles[a_idx, p_idx, length]
-            type_cycles.append(cyc * reads + cyc * writes)
-            type_energy.append(
+            type_costs.append(cyc * reads + cyc * writes)
+            type_costs.append(
                 tables.read_nj[a_idx, p_idx, length] * reads
                 + tables.write_nj[a_idx, p_idx, length] * writes)
-        cycles = (type_cycles[0] + type_cycles[1]) + type_cycles[2]
-        energy = (type_energy[0] + type_energy[1]) + type_energy[2]
+        cycles = (type_costs[0] + type_costs[2]) + type_costs[4]
+        energy = (type_costs[1] + type_costs[3]) + type_costs[5]
 
         # Materialize Python floats once (bitwise-identical doubles),
-        # then build the same frozen dataclasses the scalar path does.
+        # then build the same frozen dataclasses the scalar path does,
+        # with positional arguments in field order (the cheapest call).
         layer_name = grid.layer.name
         architectures = context.architectures
         schemes = context.schemes
@@ -390,36 +380,18 @@ class ChunkEvaluator:
         tilings = grid.tilings
         resolved = tables.resolved
         tck_ns = tables.tck_ns
-        layer_edp, dse_point, access_cost = LayerEDP, DsePoint, AccessCost
-        points: List[DsePoint] = []
-        append = points.append
-        for s, t, p, a, cyc, en, c0, e0, c1, e1, c2, e2 in zip(
+        layer_edp, dse_point = LayerEDP, DsePoint
+        return [
+            dse_point(layer_name, architectures[a], schemes[s],
+                      policies[p], tilings[t],
+                      layer_edp(layer_name, en, cyc, tck_ns[a], costs,
+                                resolved[s][t]))
+            for s, t, p, a, cyc, en, costs in zip(
                 s_idx.tolist(), t_idx.tolist(),
                 p_idx.tolist(), a_idx.tolist(),
                 cycles.tolist(), energy.tolist(),
-                type_cycles[0].tolist(), type_energy[0].tolist(),
-                type_cycles[1].tolist(), type_energy[1].tolist(),
-                type_cycles[2].tolist(), type_energy[2].tolist()):
-            append(dse_point(
-                layer_name=layer_name,
-                architecture=architectures[a],
-                scheme=schemes[s],
-                policy=policies[p],
-                tiling=tilings[t],
-                result=layer_edp(
-                    layer_name=layer_name,
-                    energy_nj=en,
-                    cycles=cyc,
-                    tck_ns=tck_ns[a],
-                    by_type={
-                        "ifms": access_cost(c0, e0),
-                        "wghs": access_cost(c1, e1),
-                        "ofms": access_cost(c2, e2),
-                    },
-                    resolved_scheme=resolved[s][t],
-                ),
-            ))
-        return points
+                zip(*[column.tolist() for column in type_costs]))
+        ]
 
 
 def make_chunk_evaluator(context, cache, eval_model: str,

@@ -67,13 +67,13 @@ def layer_edp_via_walk(
     if characterization is None:
         characterization = characterize_preset(architecture)
     traffic = layer_traffic(layer, tiling, resolved)
-    by_type = {}
+    type_costs = []
     total = ZERO_COST
-    for name, type_traffic in traffic.by_type().items():
+    for type_traffic in traffic.by_type().values():
         tile_accesses = organization.accesses_for_bytes(
             type_traffic.tile_bytes)
         if tile_accesses == 0:
-            by_type[name] = ZERO_COST
+            type_costs += (ZERO_COST.cycles, ZERO_COST.energy_nj)
             continue
         classification = classify_walk(
             policy, organization, architecture, tile_accesses)
@@ -86,13 +86,13 @@ def layer_edp_via_walk(
             write = walk_cost(classification, characterization,
                               RequestKind.WRITE)
             cost = cost + write.scaled(type_traffic.write_tiles)
-        by_type[name] = cost
+        type_costs += (cost.cycles, cost.energy_nj)
         total = total + cost
     return LayerEDP(
         layer_name=layer.name,
         energy_nj=total.energy_nj,
         cycles=total.cycles,
         tck_ns=characterization.tck_ns,
-        by_type=by_type,
+        type_costs=tuple(type_costs),
         resolved_scheme=resolved,
     )

@@ -34,18 +34,21 @@ INTRA_CHIP_DIMS = (Dim.COLUMN, Dim.BANK, Dim.SUBARRAY, Dim.ROW)
 OUTER_DIMS = (Dim.RANK, Dim.CHANNEL)
 
 
+#: The :class:`DRAMOrganization` attribute holding each extent.
+_SIZE_ATTRIBUTE = {
+    Dim.COLUMN: "bursts_per_row",
+    Dim.BANK: "banks_per_chip",
+    Dim.SUBARRAY: "subarrays_per_bank",
+    Dim.ROW: "rows_per_subarray",
+    Dim.RANK: "ranks_per_channel",
+    Dim.CHANNEL: "channels",
+}
+
+
 def dim_size(dim: Dim, organization: DRAMOrganization) -> int:
     """Extent of ``dim`` in ``organization``.
 
     ``COLUMN`` counts burst slots (the granularity of one access), not
     raw column addresses.
     """
-    sizes = {
-        Dim.COLUMN: organization.bursts_per_row,
-        Dim.BANK: organization.banks_per_chip,
-        Dim.SUBARRAY: organization.subarrays_per_bank,
-        Dim.ROW: organization.rows_per_subarray,
-        Dim.RANK: organization.ranks_per_channel,
-        Dim.CHANNEL: organization.channels,
-    }
-    return sizes[dim]
+    return getattr(organization, _SIZE_ATTRIBUTE[dim])

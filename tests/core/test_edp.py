@@ -105,3 +105,38 @@ class TestNetworkEDP:
         result = network_edp(small_net, tilings, ReuseScheme.OFMS_REUSE,
                              DRMAP, DRAMArchitecture.DDR3)
         assert set(result.per_layer) == {l.name for l in small_net}
+
+
+class TestCompactBreakdown:
+    """Vector-kernel points keep their per-type breakdown as six floats."""
+
+    @pytest.fixture(scope="class")
+    def vector_points(self, conv2, tiling):
+        pytest.importorskip("numpy")
+        from repro.core.engine import ExplorationEngine
+        return ExplorationEngine(jobs=1, eval_model="vector").explore_layer(
+            conv2, tilings=[tiling]).points
+
+    def test_type_costs_is_a_flat_float_tuple(self, vector_points):
+        from repro.core.conditions import AccessCost
+        for point in vector_points:
+            costs = point.result.type_costs
+            assert type(costs) is tuple and len(costs) == 6
+            assert all(type(value) is float for value in costs)
+            for value in vars(point.result).values():
+                assert not isinstance(value, (dict, AccessCost))
+
+    def test_points_hash(self, vector_points):
+        assert len(set(vector_points)) == len(vector_points)
+
+    def test_by_type_matches_scalar_layer_edp(self, conv2, vector_points):
+        def hex_breakdown(result):
+            return [(name, cost.cycles.hex(), cost.energy_nj.hex())
+                    for name, cost in result.by_type.items()]
+
+        for point in vector_points:
+            scalar = layer_edp(conv2, point.tiling, point.scheme,
+                               point.policy, point.architecture)
+            assert [name for name, _, _ in hex_breakdown(point.result)] \
+                == ["ifms", "wghs", "ofms"]
+            assert hex_breakdown(point.result) == hex_breakdown(scalar)

@@ -103,7 +103,7 @@ class TestDeterminism:
                 tiling=TilingConfig(1, 1, 1, 1),
                 result=LayerEDP(
                     layer_name="L", energy_nj=1.0, cycles=1.0,
-                    tck_ns=1.0, by_type={},
+                    tck_ns=1.0, type_costs=(0.0,) * 6,
                     resolved_scheme=ReuseScheme.IFMS_REUSE))
 
         first, second = point(MAPPING_1), point(MAPPING_2)
@@ -222,6 +222,30 @@ class TestCaching:
         # means hits dominate misses on both memos.
         assert counts.hits > counts.misses
         assert traffic.hits > traffic.misses
+
+    def test_resolve_scheme_matches_resolve_adaptive(self):
+        """The memoized resolution (from memoized traffic) equals the
+        reference, for every scheme and admissible tiling of the
+        distinct layers of AlexNet and MobileNetV2 at 64 KB.  The
+        scalar and vector paths share this memo, so the differential
+        suite cannot see a fault here."""
+        from repro.cnn.scheduling import ALL_SCHEMES
+        from repro.cnn.tiling import BufferConfig, enumerate_tilings
+        from repro.core.adaptive import resolve_adaptive
+        from repro.workloads import get_workload
+
+        buffers = BufferConfig(64 * 1024, 64 * 1024, 64 * 1024)
+        layers = dict.fromkeys(
+            alexnet() + get_workload("mobilenetv2").lower())
+        cache = EvaluationCache()
+        checked = 0
+        for layer in layers:
+            for tiling in enumerate_tilings(layer, buffers):
+                for scheme in ALL_SCHEMES:
+                    assert cache.resolve_scheme(layer, tiling, scheme) \
+                        == resolve_adaptive(layer, tiling, scheme)
+                    checked += 1
+        assert checked > 1000
 
     def test_evaluation_cache_clear(self, tiny_layer):
         cache = EvaluationCache()

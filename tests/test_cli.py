@@ -148,6 +148,17 @@ class TestTraffic:
         for scheme in ("ifms-reuse", "wghs-reuse", "ofms-reuse"):
             assert scheme in out
 
+    def test_traffic_names_its_tiling(self, capsys):
+        """Rows carry the tiling they were computed under: the first
+        buffer-maximal one in grid order."""
+        code, out = run_cli(capsys, "traffic", "--model", "alexnet",
+                            "--layer", "CONV1")
+        assert code == 0
+        assert "tiling Th/Tw/Tj/Ti" in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("CONV1"))
+        assert row.split()[1] == "8/55/96/3"
+
     def test_traffic_with_device_shows_bursts(self, capsys):
         code, out = run_cli(capsys, "traffic", "--model", "lenet5",
                             "--device", "hbm2")
