@@ -16,7 +16,7 @@ from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_preset
 from repro.workloads import zoo
 
-from ._timing import interleaved_best_of
+from ._timing import paired_median_ratio
 
 
 def test_lowering_is_microseconds(benchmark):
@@ -45,13 +45,13 @@ def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
     graph_result = graph_engine.explore_network(network)
     assert graph_result.points == direct_result.points
 
-    direct_seconds, graph_seconds = interleaved_best_of(
-        7, lambda: list_engine.explore_network(alexnet_layers),
+    direct_seconds, graph_seconds, ratio = paired_median_ratio(
+        15, lambda: list_engine.explore_network(alexnet_layers),
         lambda: graph_engine.explore_network(network))
 
     print()
     print(format_table(
-        ["path", "best of 7 [s]", "points"],
+        ["path", "best of 15 [s]", "points"],
         [
             ["direct layer list", f"{direct_seconds:.3f}",
              str(len(direct_result.points))],
@@ -59,12 +59,12 @@ def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
              str(len(graph_result.points))],
         ],
         title="AlexNet full-network DSE: layer list vs graph IR"))
-    overhead = graph_seconds / direct_seconds - 1.0
-    print(f"graph-lowering overhead: {overhead * 100:+.2f}%")
+    print(f"graph-lowering overhead (median of 15 paired runs): "
+          f"{(ratio - 1.0) * 100:+.2f}%")
 
-    assert graph_seconds < direct_seconds * 1.05, (
-        f"graph path {graph_seconds:.3f}s exceeds 105% of the direct "
-        f"path {direct_seconds:.3f}s")
+    assert ratio < 1.05, (
+        f"graph path takes {ratio:.3f}x the direct path's time "
+        f"(median of 15 paired runs), over the 1.05x bound")
 
 
 def test_network_analysis_is_cheap(benchmark):
