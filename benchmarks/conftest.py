@@ -17,7 +17,7 @@ import pytest
 from repro.cnn.models import alexnet
 from repro.core.dse import explore_layer
 from repro.dram.architecture import ALL_ARCHITECTURES
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 
 #: Fig.-9 x-axis labels.
 ALEXNET_LAYER_NAMES = [
@@ -34,7 +34,7 @@ def alexnet_layers():
 @pytest.fixture(scope="session")
 def characterizations():
     """Fig.-1 characterization of all four architectures."""
-    return {arch: characterize_preset(arch) for arch in ALL_ARCHITECTURES}
+    return {arch: characterize_cached(arch) for arch in ALL_ARCHITECTURES}
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ ballpark:
   at 3x — arbitration is per-request bookkeeping, not per-cycle
   simulation, so fan-out may not change the complexity class.
 
-Run via ``make bench-contention``.
+Run via ``make bench-gates``.
 """
 
 from __future__ import annotations

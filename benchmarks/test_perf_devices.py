@@ -11,14 +11,15 @@ from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import (
     CharacterizationCache,
     DEFAULT_CHARACTERIZATION_CACHE,
-    characterize_device,
+    characterize_all,
 )
 from repro.dram.device import DEVICE_REGISTRY
+from repro.dram.scenario import Scenario
 
 
 def _characterize_everything():
     return {
-        profile.name: characterize_device(profile)
+        profile.name: characterize_all(Scenario(profile))
         for profile in DEVICE_REGISTRY
     }
 
@@ -35,7 +36,7 @@ def test_all_devices_characterize(benchmark):
     assert result.keys() == first.keys()
     assert DEFAULT_CHARACTERIZATION_CACHE.stats.misses == misses_before, (
         "cached cross-device sweep recharacterized a device; the "
-        "shared cache should serve every (profile, architecture) pair")
+        "shared cache should serve every (scenario, architecture) pair")
 
 
 def test_cache_isolates_devices(benchmark):
@@ -44,10 +45,10 @@ def test_cache_isolates_devices(benchmark):
         cache = CharacterizationCache()
         for profile in DEVICE_REGISTRY:
             for architecture in profile.supported_architectures:
-                cache.get(architecture, device=profile)
+                cache.get(architecture, Scenario(profile))
         for profile in DEVICE_REGISTRY:
             for architecture in profile.supported_architectures:
-                cache.get(architecture, device=profile)
+                cache.get(architecture, Scenario(profile))
         return cache
 
     cache = benchmark(sweep_twice)

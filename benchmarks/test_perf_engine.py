@@ -20,7 +20,7 @@ from repro.core.report import format_table, improvement_percent
 from repro.cnn.scheduling import ALL_SCHEMES
 from repro.cnn.tiling import TABLE2_BUFFERS, enumerate_tilings
 from repro.dram.architecture import ALL_ARCHITECTURES
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 from repro.mapping.catalog import TABLE1_MAPPINGS
 
 
@@ -30,7 +30,7 @@ def _seed_explore_network(layers) -> DseResult:
     for layer in layers:
         tilings = enumerate_tilings(layer, TABLE2_BUFFERS)
         for architecture in ALL_ARCHITECTURES:
-            characterization = characterize_preset(architecture)
+            characterization = characterize_cached(architecture)
             for scheme in ALL_SCHEMES:
                 for policy in TABLE1_MAPPINGS:
                     for tiling in tilings:
@@ -54,7 +54,7 @@ def test_engine_beats_seed_serial_dse(alexnet_layers, benchmark):
     # Warm the characterization cache so both contenders measure pure
     # exploration, not the one-off Fig.-1 micro-experiments.
     for architecture in ALL_ARCHITECTURES:
-        characterize_preset(architecture)
+        characterize_cached(architecture)
 
     start = time.perf_counter()
     seed_result = _seed_explore_network(alexnet_layers)

@@ -13,7 +13,7 @@ path that returns different bits is a bug, not a speedup):
   backend's wall clock stays within 10% of the scalar backend's, and
   both produce identical points.
 
-Run via ``make bench-eval``.
+Run via ``make bench-gates``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.core.report import format_table
 from repro.cnn.scheduling import ALL_SCHEMES
 from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
+from repro.dram.scenario import DEFAULT_SCENARIO
 from repro.mapping.catalog import TABLE1_MAPPINGS
 
 from ._timing import interleaved_best_of
@@ -41,7 +42,8 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
     """Full AlexNet/DDR3 exhaustive grid, chunked as the engine does."""
     context = _build_context(
         alexnet_layers, None, ALL_SCHEMES, TABLE1_MAPPINGS,
-        TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+        TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+        DEFAULT_CHARACTERIZATION_CACHE)
     cache = EvaluationCache()
     scalar_chunk = partial(_evaluate_range, context, cache)
     vector_chunk = ChunkEvaluator(context, cache, scalar_chunk)

@@ -12,7 +12,7 @@ path that returns different numbers is a bug, not a speedup):
   stream synthesis, classification and the architecture-invariant
   micro-experiment walks across the grid slice.
 
-Run via ``make bench-kernel``.
+Run via ``make bench-gates``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.report import format_table
 from repro.dram.characterize import characterize
 from repro.dram.device import DEVICE_REGISTRY, get_device
 from repro.dram.kernel import characterize_batch
+from repro.dram.scenario import Scenario
 
 from ._timing import interleaved_best_of
 
@@ -67,7 +68,7 @@ def test_kernel_at_least_10x_faster_than_simulator():
 def test_batch_at_least_2x_faster_than_per_triple_kernel():
     """Whole-registry batch vs one kernel call per (device, arch)."""
     items = [
-        (device, architecture)
+        (Scenario(device), architecture)
         for device in DEVICE_REGISTRY
         for architecture in device.supported_architectures
     ]
@@ -77,8 +78,9 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
 
     def per_triple_path():
         return [
-            characterize(architecture, device=device, model="kernel")
-            for device, architecture in items
+            characterize(architecture, device=scenario.device,
+                         model="kernel")
+            for scenario, architecture in items
         ]
 
     # Identical numbers first, then the stopwatch.

@@ -10,10 +10,11 @@ each on the median time ratio of 15 back-to-back runs:
   directly — exactly what the old ``run()`` body did), at identical
   command traces;
 * at the pipeline level, the AlexNet DDR3 characterize+DSE path with
-  the controller config threaded explicitly end to end against the
-  default-argument path, at identical exploration records.
+  an explicitly built Scenario (device, controller and channel)
+  threaded end to end against the default-argument path, at identical
+  exploration records.
 
-Run via ``make bench-policies``.
+Run via ``make bench-gates``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
+from repro.dram.contention import contention_config
 from repro.dram.controller import MemoryController
 from repro.dram.device import get_device
-from repro.dram.policies import (
-    DEFAULT_CONTROLLER_CONFIG,
-    controller_config,
-)
+from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 
 from ._timing import paired_median_ratio
@@ -72,44 +72,46 @@ def test_controller_dispatch_within_5_percent():
 
 
 def test_characterize_dse_path_within_5_percent(alexnet_layers):
-    """AlexNet DDR3 characterize+DSE: explicit config vs defaults."""
-    device = get_device("ddr3-1600-2gb-x8")
+    """AlexNet DDR3 characterize+DSE: explicit Scenario vs defaults."""
+    explicit = Scenario(get_device("ddr3-1600-2gb-x8"),
+                        controller_config("fcfs", "open"),
+                        contention_config(requestors=1))
 
-    def pipeline(controller):
+    def pipeline(scenario):
         # A private cache per run so each contender pays the full
         # characterize cost, exactly like a cold process would.  The
         # scalar evaluation backend keeps the denominator large enough
-        # that this 5% bound measures config threading, not timer
+        # that this 5% bound measures scenario threading, not timer
         # noise (the vector kernel is gated in test_perf_eval.py).
         cache = CharacterizationCache()
         engine = ExplorationEngine(characterization_cache=cache,
                                    eval_model="scalar")
+        scenario_argument = {} if scenario is None \
+            else {"scenario": scenario}
         return engine.explore_network(
             alexnet_layers,
             architectures=(DRAMArchitecture.DDR3,),
-            device=device,
-            controller=controller)
+            **scenario_argument)
 
     default_result = pipeline(None)
-    explicit_result = pipeline(DEFAULT_CONTROLLER_CONFIG)
+    explicit_result = pipeline(explicit)
     assert explicit_result.points == default_result.points
 
     default_seconds, explicit_seconds, ratio = paired_median_ratio(
-        15, lambda: pipeline(None),
-        lambda: pipeline(DEFAULT_CONTROLLER_CONFIG))
+        15, lambda: pipeline(None), lambda: pipeline(explicit))
 
     print()
     print(format_table(
         ["path", "best of 15 [s]", "points"],
         [["default arguments", f"{default_seconds:.3f}",
           str(len(default_result.points))],
-         ["explicit ControllerConfig", f"{explicit_seconds:.3f}",
+         ["explicit Scenario", f"{explicit_seconds:.3f}",
           str(len(explicit_result.points))]],
-        title="AlexNet DDR3 characterize+DSE: config threading"))
-    print(f"config-threading overhead (median of 15 paired runs): "
+        title="AlexNet DDR3 characterize+DSE: scenario threading"))
+    print(f"scenario-threading overhead (median of 15 paired runs): "
           f"{(ratio - 1.0) * 100:+.2f}%")
     assert ratio < 1.05, (
-        f"explicit-config path takes {ratio:.3f}x the default path's "
+        f"explicit-scenario path takes {ratio:.3f}x the default path's "
         f"time (median of 15 paired runs), over the 1.05x bound")
 
 

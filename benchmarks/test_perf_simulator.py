@@ -10,20 +10,23 @@ from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import TilingConfig
 from repro.cnn.trace import generate_layer_trace
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.device import default_device
 from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
 from repro.dram.simulator import DRAMSimulator
 from repro.mapping.catalog import DRMAP
 
 
 def test_controller_throughput_hits(benchmark):
-    simulator = DRAMSimulator.from_preset(DRAMArchitecture.DDR3)
+    simulator = DRAMSimulator.from_profile(
+        default_device(), DRAMArchitecture.DDR3)
     stream = simulator.sequential_reads(0, 0, 0, count=2000)
     result = benchmark(simulator.run, stream)
     assert result.trace.row_hits == 1999
 
 
 def test_controller_throughput_conflicts(benchmark):
-    simulator = DRAMSimulator.from_preset(DRAMArchitecture.SALP_MASA)
+    simulator = DRAMSimulator.from_profile(
+        default_device(), DRAMArchitecture.SALP_MASA)
     stream = simulator.round_robin_subarray_reads(bank=0, count=2000)
     result = benchmark(simulator.run, stream)
     assert result.total_cycles > 0

@@ -9,7 +9,7 @@ VGG-class DSE it must deliver
   ~20x fewer exact evaluations, minus the analytical scoring pass),
 
 plus a >=10x reduction in exact (cycle-accurate-characterized)
-evaluations.  Run via ``make bench-strategies``.
+evaluations.  Run via ``make bench-gates``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import ALL_ARCHITECTURES
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 from repro.workloads import zoo
 
 from ._timing import interleaved_best_of
@@ -27,7 +27,7 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
     # Warm the characterization cache: both contenders measure pure
     # exploration, exactly as in a multi-scenario sweep.
     for architecture in ALL_ARCHITECTURES:
-        characterize_preset(architecture)
+        characterize_cached(architecture)
     network = zoo.vgg16()
 
     # Pinned to the scalar evaluation backend: this gate measures the
@@ -78,12 +78,13 @@ def test_analytical_scoring_is_a_fraction_of_exact_evaluation():
     from repro.cnn.scheduling import ALL_SCHEMES
     from repro.cnn.tiling import TABLE2_BUFFERS
     from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
+    from repro.dram.scenario import DEFAULT_SCENARIO
     from repro.mapping.catalog import TABLE1_MAPPINGS
 
     network = zoo.alexnet()
     context = _build_context(
         network, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-        None, None, DEFAULT_CHARACTERIZATION_CACHE)
+        DEFAULT_SCENARIO, None, DEFAULT_CHARACTERIZATION_CACHE)
     engine = ExplorationEngine(jobs=1)
     engine.explore_network(network)  # warm evaluation memos
 

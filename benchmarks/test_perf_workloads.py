@@ -5,7 +5,7 @@ of a hand-built ``List[ConvLayer]``.  Lowering is a few hundred
 dataclass constructions — microseconds against the seconds the
 Algorithm-1 grid costs — so the graph path must stay within 5% of the
 direct layer-list path on the full AlexNet network DSE, at identical
-output.  Run via ``make bench-workloads``.
+output.  Run via ``make bench-gates``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import ALL_ARCHITECTURES
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 from repro.workloads import zoo
 
 from ._timing import paired_median_ratio
@@ -29,7 +29,7 @@ def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
     # Warm the characterization cache so both contenders measure pure
     # exploration.
     for architecture in ALL_ARCHITECTURES:
-        characterize_preset(architecture)
+        characterize_cached(architecture)
     network = zoo.alexnet()
 
     # Pinned to the scalar evaluation backend: the gate bounds the

@@ -23,6 +23,7 @@ from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import device_names, get_device
 from repro.dram.policies import all_controller_configs
+from repro.dram.scenario import Scenario
 from repro.workloads import get_workload, workload_names
 
 
@@ -53,8 +54,8 @@ def main() -> None:
         winners = []
         for config in configs:
             result = explore_layer(
-                layer, architectures=(architecture,), device=device,
-                controller=config)
+                layer, architectures=(architecture,),
+                scenario=Scenario(device, config))
             winners.append(result.best().policy.name)
         stable = "yes" if len(set(winners)) == 1 else "NO"
         rows.append([layer.name] + winners + [stable])

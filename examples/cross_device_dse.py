@@ -22,6 +22,7 @@ from repro.core.dse import explore_layer
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import device_names, get_device
+from repro.dram.scenario import Scenario
 
 
 def parse_args() -> argparse.Namespace:
@@ -54,7 +55,7 @@ def main() -> None:
         for layer in alexnet():
             result = explore_layer(
                 layer, architectures=(architecture,), jobs=args.jobs,
-                device=device)
+                scenario=Scenario(device))
             best[device.name][layer.name] = result.best()
 
     rows = []

@@ -27,8 +27,9 @@ from repro.core.dse import explore_network
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.core.strategies import strategy_names
-from repro.dram.characterize import characterize_device
+from repro.dram.characterize import characterize_all
 from repro.dram.device import device_names, get_device
+from repro.dram.scenario import Scenario
 from repro.workloads import get_workload, workload_names
 
 
@@ -56,9 +57,10 @@ def main() -> None:
     network = get_workload(args.model)
     for device_name in args.devices:
         device = get_device(device_name)
+        scenario = Scenario(device)
         # Warm the characterization cache so every strategy measures
         # pure search, as in a multi-scenario sweep.
-        characterize_device(device)
+        characterize_all(scenario)
 
         results = {}
         timings = {}
@@ -71,7 +73,7 @@ def main() -> None:
                 strategy_options=options)
             start = time.perf_counter()
             results[name] = explore_network(
-                network, engine=engine, device=device)
+                network, engine=engine, scenario=scenario)
             timings[name] = time.perf_counter() - start
 
         truth = results["exhaustive"].best().edp_js

@@ -21,6 +21,7 @@ from repro.dram import (
     DRAMSimulator,
     DDR3_1600_2GB_X8,
     characterize,
+    default_device,
 )
 from repro.mapping import DRMAP, MAPPING_2
 
@@ -35,7 +36,8 @@ def main() -> None:
         trace = generate_layer_trace(
             layer, tiling, scheme, policy, DDR3_1600_2GB_X8)
         for architecture in ALL_ARCHITECTURES:
-            simulator = DRAMSimulator.from_preset(architecture)
+            simulator = DRAMSimulator.from_profile(
+                default_device(), architecture)
             simulated = simulator.run(trace)
             modelled = layer_edp(
                 layer, tiling, scheme, policy, architecture,

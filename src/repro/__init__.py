@@ -63,6 +63,7 @@ from .dram.policies import (
     row_policy_names,
     scheduler_names,
 )
+from .dram.scenario import DEFAULT_SCENARIO, Scenario
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -96,27 +97,25 @@ def quick_layer_edp(
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     tiling: TilingConfig = None,
-    device: DeviceProfile = None,
-    controller: ControllerConfig = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> LayerEDP:
     """One-call EDP estimate for a layer with sensible defaults.
 
     Uses the Table-II buffers and, unless a tiling is given, the
-    buffer-maximal tiling with the lowest EDP.  ``device`` selects a
-    DRAM device profile (default: the paper's Table-II device);
-    ``controller`` a memory-controller configuration (default: the
-    paper's FCFS/open-row Table-II controller).
+    buffer-maximal tiling with the lowest EDP.  ``scenario`` selects
+    the DRAM device, memory controller and channel (default: the
+    paper's Table-II scenario).
     """
     from .cnn.tiling import enumerate_tilings
     from .core.edp import layer_edp
 
     if tiling is not None:
         return layer_edp(layer, tiling, scheme, policy, architecture,
-                         device=device, controller=controller)
+                         scenario=scenario)
     best = None
     for candidate in enumerate_tilings(layer):
         result = layer_edp(layer, candidate, scheme, policy, architecture,
-                           device=device, controller=controller)
+                           scenario=scenario)
         if best is None or result.edp_js < best.edp_js:
             best = result
     return best
@@ -129,6 +128,7 @@ __all__ = [
     "ConvLayer",
     "ConvOp",
     "DEFAULT_CONTROLLER_CONFIG",
+    "DEFAULT_SCENARIO",
     "DEVICE_REGISTRY",
     "DRAMArchitecture",
     "DepthwiseConvOp",
@@ -144,6 +144,7 @@ __all__ = [
     "PoolOp",
     "ReproError",
     "ReuseScheme",
+    "Scenario",
     "SchedulingError",
     "TensorSpec",
     "TilingConfig",

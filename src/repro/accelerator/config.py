@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS
 from ..dram.architecture import DRAMArchitecture
-from ..dram.presets import organization_for
+from ..dram.device import default_device
 from ..dram.spec import DRAMOrganization
 from ..errors import ConfigurationError
 
@@ -43,7 +43,9 @@ class AcceleratorConfig:
     @property
     def dram_organization(self) -> DRAMOrganization:
         """DRAM geometry matching the configured architecture."""
-        return organization_for(self.dram_architecture)
+        device = default_device()
+        device.require_architecture(self.dram_architecture)
+        return device.organization
 
     @property
     def peak_macs_per_second(self) -> float:

@@ -50,9 +50,7 @@ cost tables for every registered device.
 ``--scheduler`` / ``--row-policy`` select the memory-controller
 configuration (see ``repro policies``); the defaults are the paper's
 Table-II controller, ``fcfs`` and ``open``.  Non-default
-configurations are flagged in the table titles; DRAM traffic volumes
-are controller-independent, so ``traffic`` accepts the flags for
-interface uniformity but its byte counts never change.
+configurations are flagged in the table titles.
 
 ``--requestors`` / ``--arbiter`` select the channel-contention
 configuration (see ``repro arbiters``): how many tagged request
@@ -62,6 +60,12 @@ drives the bare controller, command-for-command identical to the
 pre-contention CLI; contended runs are flagged in the table titles and
 ``characterize`` additionally prints the per-requestor accounting
 table.
+
+``characterize``, ``edp`` and ``dse`` share this option group
+(``--device``, ``--scheduler``, ``--row-policy``, ``--requestors``,
+``--arbiter``), which selects one :class:`repro.dram.scenario.Scenario`.
+DRAM traffic volumes depend on none of it, so ``traffic`` takes only
+``--device``, which adds per-device burst counts.
 
 ``dse`` runs on the sharded :mod:`repro.core.engine`:
 
@@ -91,7 +95,7 @@ table.
 Characterizations are persisted to an on-disk store (default
 ``~/.cache/repro``, override with ``--cache-dir`` or the
 ``REPRO_CACHE_DIR`` environment variable) keyed by a hash of the full
-device/architecture/controller spec, so repeated CLI runs warm-start
+scenario and architecture spec, so repeated CLI runs warm-start
 instead of re-simulating; ``--no-disk-cache`` disables it and ``repro
 cache {stats,clear}`` inspects or empties it.  Results are identical
 with and without the store.
@@ -100,6 +104,7 @@ with and without the store.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -109,24 +114,15 @@ from .cnn.traffic import layer_traffic
 from .core.dse import explore_layer
 from .core.report import format_table
 from .dram.architecture import DRAMArchitecture
-from .dram.characterize import characterize_device
-from .dram.device import (
-    DEVICE_REGISTRY,
-    DeviceProfile,
-    default_device,
-    get_device,
-)
-from .dram.contention import (
-    ContentionConfig,
-    arbiter_names,
-    contention_config,
-)
+from .dram.characterize import characterize_all
+from .dram.contention import arbiter_names, contention_config
+from .dram.device import DEVICE_REGISTRY, default_device, get_device
 from .dram.policies import (
-    ControllerConfig,
     controller_config,
     row_policy_names,
     scheduler_names,
 )
+from .dram.scenario import Scenario
 from .errors import ConfigurationError
 from .mapping.catalog import TABLE1_MAPPINGS, mapping_by_index
 from .units import format_bytes
@@ -143,25 +139,18 @@ def _architecture(name: str) -> DRAMArchitecture:
         ) from None
 
 
-def _device(name: Optional[str]) -> DeviceProfile:
-    """Resolve ``--device`` (default: the paper's device)."""
-    if name is None:
-        return default_device()
-    return get_device(name)
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The :class:`Scenario` the scenario option group selects.
 
-
-def _controller(args: argparse.Namespace) -> ControllerConfig:
-    """Resolve ``--scheduler``/``--row-policy`` to a config."""
-    return controller_config(
-        scheduler=getattr(args, "scheduler", "fcfs"),
-        row_policy=getattr(args, "row_policy", "open"))
-
-
-def _contention(args: argparse.Namespace) -> ContentionConfig:
-    """Resolve ``--requestors``/``--arbiter`` to a config."""
-    return contention_config(
-        requestors=getattr(args, "requestors", 1),
-        arbiter=getattr(args, "arbiter", "round-robin"))
+    ``--device`` defaults to the paper's device; ``characterize
+    --device all`` also starts from it and swaps in each registered
+    device itself.
+    """
+    name = args.device
+    return Scenario(
+        default_device() if name in (None, "all") else get_device(name),
+        controller_config(args.scheduler, args.row_policy),
+        contention_config(args.requestors, args.arbiter))
 
 
 def _configure_store(args: argparse.Namespace):
@@ -194,26 +183,6 @@ def _strategy_options(args: argparse.Namespace):
     if strategy == "funnel":
         options["top_fraction"] = topk / 100.0
     return strategy, seed, options
-
-
-def _title_suffix(
-    config: ControllerConfig,
-    channel: Optional[ContentionConfig] = None,
-) -> str:
-    """Table-title tag for non-default controller/contention configs.
-
-    Empty for the default (Table-II) controller and the default single
-    requestor, so default output stays byte-identical to the
-    pre-policy, pre-contention CLI.
-    """
-    tags = []
-    if not config.is_default:
-        tags.append(config.label)
-    if channel is not None and not channel.is_default:
-        tags.append(channel.label)
-    if not tags:
-        return ""
-    return f" [{', '.join(tags)}]"
 
 
 def _workload(args: argparse.Namespace):
@@ -249,13 +218,13 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     """Print the Fig.-1 per-condition costs."""
     _configure_store(args)
     requested = _architecture(args.arch) if args.arch else None
-    config = _controller(args)
-    channel = _contention(args)
+    scenario = _scenario(args)
     model = getattr(args, "model", "auto")
     if model == "kernel":
         from .dram.kernel import kernel_ineligibility
 
-        reason = kernel_ineligibility(config, channel)
+        reason = kernel_ineligibility(scenario.controller,
+                                      scenario.contention)
         if reason is not None:
             print(f"warning: model 'kernel' cannot characterize "
                   f"{reason}; falling back to the simulator",
@@ -273,42 +242,39 @@ def cmd_characterize(args: argparse.Namespace) -> int:
                     f"no registered device supports architecture "
                     f"{requested.value!r}")
     else:
-        devices = [_device(args.device)]
+        devices = [scenario.device]
         if requested is not None:
             devices[0].require_architecture(requested)
     rows = []
     contended = []
-    for device in devices:
+    for profile in devices:
+        here = dataclasses.replace(scenario, device=profile)
         if requested is not None:
             architectures = (requested,)
         else:
-            architectures = device.supported_architectures
+            architectures = profile.supported_architectures
         if model == "analytical":
             from .dram.characterize import characterize_analytical
 
             results = {
-                architecture: characterize_analytical(
-                    architecture, device=device, controller=config,
-                    contention=channel)
+                architecture: characterize_analytical(architecture, here)
                 for architecture in architectures
             }
         else:
-            results = characterize_device(
-                device, architectures, controller=config,
-                contention=channel, model=model)
+            results = characterize_all(here, architectures, model=model)
         for architecture in architectures:
             result = results[architecture]
             for name, cycles, read_nj, write_nj in result.rows():
-                rows.append([device.name, architecture.value, name,
+                rows.append([profile.name, architecture.value, name,
                              f"{cycles:.1f}", f"{read_nj:.2f}",
                              f"{write_nj:.2f}"])
             if result.requestor_stats:
-                contended.append((device, architecture, result))
+                contended.append((profile, architecture, result))
     print(format_table(
         ["device", "architecture", "condition", "cycles", "read nJ",
          "write nJ"],
         rows, title="Per-access DRAM costs (paper Fig. 1)"
-                    + _title_suffix(config, channel)))
+                    + scenario.tag))
     for device, architecture, result in contended:
         from .core.report import requestor_stats_table
 
@@ -317,7 +283,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             result.requestor_stats,
             title=f"Per-requestor accounting on {architecture.value} "
                   f"({device.name}, steady-state streams)"
-                  + _title_suffix(config, channel)))
+                  + scenario.tag))
     return 0
 
 
@@ -325,18 +291,15 @@ def cmd_edp(args: argparse.Namespace) -> int:
     """Per-mapping EDP for one layer (best tiling each)."""
     _configure_store(args)
     architecture = _architecture(args.arch)
-    device = _device(args.device)
-    device.require_architecture(architecture)
-    config = _controller(args)
-    channel = _contention(args)
+    scenario = _scenario(args)
+    scenario.device.require_architecture(architecture)
     scheme = ReuseScheme(args.scheme)
     policies = ([mapping_by_index(args.mapping)] if args.mapping
                 else list(TABLE1_MAPPINGS))
     for layer in _layers(args):
         result = explore_layer(
             layer, architectures=(architecture,), schemes=(scheme,),
-            policies=policies, device=device, controller=config,
-            contention=channel)
+            policies=policies, scenario=scenario)
         rows = []
         for policy in policies:
             best = result.best(policy=policy)
@@ -350,9 +313,9 @@ def cmd_edp(args: argparse.Namespace) -> int:
             ["mapping", "energy [mJ]", "latency [ms]", "EDP [J*s]"],
             rows,
             title=f"{layer.name} on {architecture.value} "
-                  f"({device.name}), "
+                  f"({scenario.device.name}), "
                   f"{scheme.value} (best tiling per mapping)"
-                  + _title_suffix(config, channel)))
+                  + scenario.tag))
         print()
     return 0
 
@@ -363,10 +326,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
     _configure_store(args)
     architecture = _architecture(args.arch)
-    device = _device(args.device)
-    device.require_architecture(architecture)
-    config = _controller(args)
-    channel = _contention(args)
+    scenario = _scenario(args)
+    scenario.device.require_architecture(architecture)
     strategy, seed, options = _strategy_options(args)
     if args.jobs < 0:
         raise SystemExit(f"--jobs must be >= 0, got {args.jobs}")
@@ -389,7 +350,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     for layer in _layers(args):
         result = explore_layer(
             layer, architectures=(architecture,), engine=engine,
-            device=device, controller=config, contention=channel)
+            scenario=scenario)
         best = result.best()
         total += best.edp_js
         evaluated += result.evaluated_points
@@ -412,7 +373,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
         ["layer", "mapping", "schedule", "tiling Th/Tw/Tj/Ti",
          "min EDP [J*s]"],
         rows, title=f"Algorithm 1 on {architecture.value} "
-                    f"({device.name})" + _title_suffix(config, channel)
+                    f"({scenario.device.name})" + scenario.tag
                     + strategy_suffix))
     if strategy != "exhaustive":
         line = (f"strategy {strategy}: {evaluated}/{grid_points} design "
@@ -435,10 +396,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     burst count on that device's interface (bytes per burst differ
     across generations).
     """
-    device = _device(args.device) if args.device else None
-    # --scheduler/--row-policy are accepted for interface uniformity
-    # (argparse constrains them to registered names); traffic volumes
-    # are controller-independent, so they affect nothing here.
+    device = get_device(args.device) if args.device else None
     rows = []
     for layer in _layers(args):
         tiling = enumerate_tilings(layer)[0]
@@ -603,13 +561,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="DRMap reproduction command-line interface")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_controller_arguments(subparser: argparse.ArgumentParser
-                                 ) -> None:
-        """``--scheduler``/``--row-policy`` pair.
+    def add_scenario_arguments(
+        subparser: argparse.ArgumentParser,
+        device_help: str = "device profile name (default: "
+                           "ddr3-1600-2gb-x8)",
+    ) -> None:
+        """The option group :func:`_scenario` reads.
 
-        Choices derive from the policy registry, so new policies
-        appear without touching the CLI.
+        ``--device``, the ``--scheduler``/``--row-policy`` controller
+        pair and the ``--requestors``/``--arbiter`` channel pair.
+        Scheduler, row-policy and arbiter choices derive from their
+        registries, so new policies appear without touching the CLI.
         """
+        subparser.add_argument("--device", default=None,
+                               help=device_help)
         subparser.add_argument(
             "--scheduler", default="fcfs",
             choices=scheduler_names(),
@@ -620,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=row_policy_names(),
             help="row-buffer policy (default: open, the paper's "
                  "Table-II policy)")
-
-    def add_contention_arguments(subparser: argparse.ArgumentParser
-                                 ) -> None:
-        """``--requestors``/``--arbiter`` pair.
-
-        Arbiter choices derive from the contention registry, so new
-        arbiters appear without touching the CLI.
-        """
         subparser.add_argument(
             "--requestors", type=int, default=1,
             help="request streams sharing the channel (default: 1, "
@@ -655,10 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--arch", default=None,
                         help="one architecture (default: every "
                              "architecture the device supports)")
-    p_char.add_argument("--device", default=None,
-                        help="device profile name, or 'all' for every "
-                             "registered device (default: "
-                             "ddr3-1600-2gb-x8)")
     p_char.add_argument(
         "--model", default="auto",
         choices=("auto", "simulator", "analytical", "kernel"),
@@ -666,8 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
              "the closed-form analytical model, the vectorized batch "
              "kernel, or 'auto' (kernel when the configuration is "
              "eligible, simulator otherwise; the default)")
-    add_controller_arguments(p_char)
-    add_contention_arguments(p_char)
+    add_scenario_arguments(
+        p_char, "device profile name, or 'all' for every registered "
+                "device (default: ddr3-1600-2gb-x8)")
     add_cache_arguments(p_char)
     p_char.set_defaults(func=cmd_characterize)
 
@@ -699,11 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_edp.add_argument("--mapping", type=int, default=None,
                        choices=range(1, 7),
                        help="Table-I index (default: all six)")
-    p_edp.add_argument("--device", default=None,
-                       help="device profile name (default: "
-                            "ddr3-1600-2gb-x8)")
-    add_controller_arguments(p_edp)
-    add_contention_arguments(p_edp)
+    add_scenario_arguments(p_edp)
     add_cache_arguments(p_edp)
     p_edp.set_defaults(func=cmd_edp)
 
@@ -719,11 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument(
         "--chunk-size", type=int, default=None,
         help="grid points per shard (default: 256)")
-    p_dse.add_argument("--device", default=None,
-                       help="device profile name (default: "
-                            "ddr3-1600-2gb-x8)")
-    add_controller_arguments(p_dse)
-    add_contention_arguments(p_dse)
+    add_scenario_arguments(p_dse)
     add_cache_arguments(p_dse)
     from .core.strategies import strategy_names
 
@@ -760,7 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_traffic.add_argument("--device", default=None,
                            help="device profile name: adds per-device "
                                 "burst counts")
-    add_controller_arguments(p_traffic)
     p_traffic.set_defaults(func=cmd_traffic)
 
     p_models = subparsers.add_parser(

@@ -33,10 +33,7 @@ from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ALL_SCHEMES, ReuseScheme
 from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS, TilingConfig
 from ..dram.architecture import DRAMArchitecture
-from ..dram.contention import ContentionConfig
-from ..dram.device import DeviceProfile
-from ..dram.policies import ControllerConfig
-from ..dram.spec import DRAMOrganization
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..errors import DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.policy import MappingPolicy
@@ -176,15 +173,12 @@ def explore_layer(
     schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
     policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
     buffers: BufferConfig = TABLE2_BUFFERS,
-    organization: Optional[DRAMOrganization] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     tilings: Optional[Iterable[TilingConfig]] = None,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     engine=None,
     eval_model: str = "auto",
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
     strategy=None,
     seed: Optional[int] = None,
     strategy_options: Optional[dict] = None,
@@ -193,6 +187,11 @@ def explore_layer(
 
     Parameters
     ----------
+    scenario:
+        DRAM device, memory controller and channel the
+        characterizations are measured under (default: the paper's
+        Table-II scenario); every requested architecture must be in
+        the device's capability set.
     tilings:
         Candidate tilings; by default the buffer-maximal power-of-two
         grid of :func:`repro.cnn.tiling.enumerate_tilings`.
@@ -209,18 +208,6 @@ def explore_layer(
         :class:`repro.core.engine.ExplorationEngine`); ignored when a
         pre-built ``engine`` is passed.  Results are bit-for-bit
         identical across backends.
-    device:
-        DRAM device profile to explore on (default: the paper's
-        Table-II device); every requested architecture must be in its
-        capability set.
-    controller:
-        Memory-controller configuration (scheduler + row policy) the
-        characterizations are measured under (default: the paper's
-        FCFS/open-row Table-II controller).
-    contention:
-        Channel-contention configuration (requestor count + arbiter)
-        the characterizations are measured under (default: the single
-        uncontended requestor).
     strategy / seed / strategy_options:
         Search strategy (a registered name — ``exhaustive``,
         ``random``, ``greedy-refine``, ``funnel`` — or a
@@ -232,9 +219,8 @@ def explore_layer(
     tilings_seq = None if tilings is None else list(tilings)
     return eng.explore_layer(
         layer, architectures=architectures, schemes=schemes,
-        policies=policies, buffers=buffers, organization=organization,
-        tilings=tilings_seq, device=device, controller=controller,
-        contention=contention, strategy=strategy, seed=seed,
+        policies=policies, buffers=buffers, scenario=scenario,
+        tilings=tilings_seq, strategy=strategy, seed=seed,
         strategy_options=strategy_options)
 
 

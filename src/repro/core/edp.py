@@ -18,8 +18,7 @@ from ..dram.characterize import (
 )
 from ..dram.architecture import DRAMArchitecture
 from ..dram.commands import RequestKind
-from ..dram.device import DeviceProfile, resolve_device
-from ..dram.policies import ControllerConfig
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..dram.spec import DRAMOrganization
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ReuseScheme
@@ -157,23 +156,21 @@ def layer_edp(
     scheme: ReuseScheme,
     policy: MappingPolicy,
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
     characterization: Optional[CharacterizationResult] = None,
     cache=None,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> LayerEDP:
     """EDP of one layer for one (tiling, scheme, mapping, architecture).
 
     ``ADAPTIVE_REUSE`` resolves to the concrete scheme minimizing the
     layer's DRAM traffic before costing.
 
-    ``device`` selects the DRAM device profile (default: the paper's
-    Table-II device); ``organization`` overrides its geometry.  The
-    device's capability set must include ``architecture``.
-    ``controller`` selects the memory-controller configuration the
-    per-condition costs are measured under (default: FCFS/open-row);
-    it is ignored when a pre-measured ``characterization`` is given.
+    ``scenario`` selects the device (whose geometry the mapping is
+    counted on; its capability set must include ``architecture``),
+    the memory controller and the channel the per-condition costs are
+    measured under (default: the paper's Table-II scenario).  Only
+    the geometry is read when a pre-measured ``characterization`` is
+    given.
 
     ``cache`` optionally supplies an
     :class:`repro.core.engine.EvaluationCache`; the policy-independent
@@ -181,15 +178,13 @@ def layer_edp(
     then memoized across calls, which the Algorithm-1 grid reuses
     24-fold per tiling.
     """
-    profile = resolve_device(device, organization)
-    organization = profile.organization
+    organization = scenario.device.organization
     if cache is not None:
         resolved = cache.resolve_scheme(layer, tiling, scheme)
     else:
         resolved = resolve_adaptive(layer, tiling, scheme)
     if characterization is None:
-        characterization = characterize_cached(
-            architecture, device=profile, controller=controller)
+        characterization = characterize_cached(architecture, scenario)
     if cache is not None:
         traffic: LayerTraffic = cache.traffic(layer, tiling, resolved)
     else:
@@ -218,19 +213,15 @@ def network_edp(
     scheme: ReuseScheme,
     policy: MappingPolicy,
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> NetworkEDP:
-    """EDP of a whole network with per-layer tilings."""
-    profile = resolve_device(device, organization)
-    characterization = characterize_cached(
-        architecture, device=profile, controller=controller)
+    """EDP of a whole network with per-layer tilings under ``scenario``."""
+    characterization = characterize_cached(architecture, scenario)
     per_layer: Dict[str, LayerEDP] = {}
     for layer in layers:
         per_layer[layer.name] = layer_edp(
             layer, tilings[layer.name], scheme, policy, architecture,
             characterization=characterization,
-            device=profile,
+            scenario=scenario,
         )
     return NetworkEDP(per_layer=per_layer)

@@ -15,8 +15,8 @@ intermediate per point.  This module is the scalable replacement:
 2. **Characterization caching** — the Fig.-1 per-condition costs are
    fetched through the process-wide LRU
    :class:`repro.dram.characterize.CharacterizationCache`, keyed on
-   ``(profile, architecture)``, so ``characterize`` runs once per
-   device configuration instead of once per design point.
+   ``(scenario, architecture)``, so ``characterize`` runs once per
+   device, controller and channel instead of once per design point.
 3. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
    the policy-independent intermediates of the EDP model: DRAM traffic
    per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and the
@@ -104,17 +104,7 @@ from ..dram.characterize import (
     CharacterizationResult,
     DEFAULT_CHARACTERIZATION_CACHE,
 )
-from ..dram.contention import (
-    DEFAULT_CONTENTION_CONFIG,
-    ContentionConfig,
-    resolve_contention,
-)
-from ..dram.device import DeviceProfile, resolve_device
-from ..dram.policies import (
-    DEFAULT_CONTROLLER_CONFIG,
-    ControllerConfig,
-    resolve_controller,
-)
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..dram.spec import DRAMOrganization
 from ..errors import DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
@@ -280,21 +270,16 @@ class ExplorationContext:
     architectures: Tuple[DRAMArchitecture, ...]
     schemes: Tuple[ReuseScheme, ...]
     policies: Tuple[MappingPolicy, ...]
-    device: DeviceProfile
+    #: Device, controller and channel the characterizations were
+    #: measured under; pickled with the context so worker processes
+    #: share the exact provenance.
+    scenario: Scenario
     characterizations: Dict[DRAMArchitecture, CharacterizationResult]
     offsets: Tuple[int, ...]  # layers[i].offset, precomputed for decode
     #: Workload graph the layers were lowered from, when the caller
     #: passed a :class:`repro.workloads.Network`; shipped to workers
     #: with the rest of the context so provenance survives pickling.
     workload: Optional[Network] = None
-    #: Memory-controller configuration the characterizations were
-    #: measured under; pickled with the context so worker processes
-    #: share the exact controller provenance.
-    controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG
-    #: Channel-contention configuration the characterizations were
-    #: measured under (requestor count + arbiter); pickled with the
-    #: context for the same provenance reason.
-    contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG
     #: Search strategy driving the exploration (provenance: shipped to
     #: workers and recorded on the result).
     strategy: str = "exhaustive"
@@ -305,7 +290,7 @@ class ExplorationContext:
     @property
     def organization(self) -> DRAMOrganization:
         """Geometry the grid is evaluated on (the device's)."""
-        return self.device.organization
+        return self.scenario.device.organization
 
     @property
     def total_points(self) -> int:
@@ -360,36 +345,29 @@ def _build_context(
     schemes: Sequence[ReuseScheme],
     policies: Sequence[MappingPolicy],
     buffers: BufferConfig,
-    organization: Optional[DRAMOrganization],
+    scenario: Scenario,
     tilings: Optional[Sequence[TilingConfig]],
     characterization_cache: CharacterizationCache,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
     strategy: str = "exhaustive",
     seed: Optional[int] = None,
 ) -> ExplorationContext:
     """Validate the grid and pre-compute everything shards share.
 
-    The resolved :class:`DeviceProfile` (with ``organization`` folded
-    in), :class:`ControllerConfig` and :class:`ContentionConfig` are
-    embedded in the context, so worker processes reconstruct the exact
-    device, controller and channel deterministically from the pickled
-    context alone.  ``architectures=None`` selects the device's
-    capability set; an explicit sequence must be within it.
+    The :class:`~repro.dram.scenario.Scenario` is embedded in the
+    context, so worker processes reconstruct the exact device,
+    controller and channel deterministically from the pickled context
+    alone.  ``architectures=None`` selects the device's capability
+    set; an explicit sequence must be within it.
 
     ``layers`` may be a :class:`repro.workloads.Network`; it is
     lowered to the 7-dim loop nests here and kept on the context.
     """
     workload = layers if isinstance(layers, Network) else None
     layers = as_layers(layers)
-    profile = resolve_device(device, organization)
-    config = resolve_controller(controller)
-    channel = resolve_contention(contention)
     if architectures is None:
-        architectures = profile.supported_architectures
+        architectures = scenario.device.supported_architectures
     for architecture in architectures:
-        profile.require_architecture(architecture)
+        scenario.device.require_architecture(architecture)
     grids: List[_LayerGrid] = []
     offset = 0
     per_point = len(architectures) * len(schemes) * len(policies)
@@ -420,19 +398,16 @@ def _build_context(
     # are characterized in a single amortized kernel pass instead of
     # one simulator walk each (semantics identical to per-arch get).
     characterizations = characterization_cache.get_many(
-        architectures, device=profile, controller=config,
-        contention=channel)
+        architectures, scenario)
     return ExplorationContext(
         layers=tuple(grids),
         architectures=tuple(architectures),
         schemes=tuple(schemes),
         policies=tuple(policies),
-        device=profile,
+        scenario=scenario,
         characterizations=characterizations,
         offsets=tuple(grid.offset for grid in grids),
         workload=workload,
-        controller=config,
-        contention=channel,
         strategy=strategy,
         seed=seed,
     )
@@ -473,7 +448,7 @@ def _evaluate_range(
             layer, tiling, scheme, policy, architecture,
             characterization=context.characterizations[architecture],
             cache=cache,
-            device=context.device,
+            scenario=context.scenario,
         )
         points.append(DsePoint(
             layer_name=layer.name,
@@ -723,11 +698,8 @@ class ExplorationEngine:
         schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
-        organization: Optional[DRAMOrganization] = None,
+        scenario: Scenario = DEFAULT_SCENARIO,
         tilings: Optional[Sequence[TilingConfig]] = None,
-        device: Optional[DeviceProfile] = None,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
         strategy=None,
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
@@ -735,9 +707,8 @@ class ExplorationEngine:
         """Algorithm 1 for one layer; full exploration record."""
         return self.explore_network(
             [layer], architectures=architectures, schemes=schemes,
-            policies=policies, buffers=buffers, organization=organization,
-            tilings=tilings, device=device, controller=controller,
-            contention=contention, strategy=strategy, seed=seed,
+            policies=policies, buffers=buffers, scenario=scenario,
+            tilings=tilings, strategy=strategy, seed=seed,
             strategy_options=strategy_options)
 
     def explore_network(
@@ -747,11 +718,8 @@ class ExplorationEngine:
         schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
-        organization: Optional[DRAMOrganization] = None,
+        scenario: Scenario = DEFAULT_SCENARIO,
         tilings: Optional[Sequence[TilingConfig]] = None,
-        device: Optional[DeviceProfile] = None,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
         strategy=None,
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
@@ -761,14 +729,11 @@ class ExplorationEngine:
         ``layers`` is a ``Sequence[ConvLayer]`` or a
         :class:`repro.workloads.Network` — a network lowers to its
         7-dim loop nests (traffic-only ops contribute no grid points)
-        and rides along in the pickled context.  ``device`` selects
-        the DRAM device profile (default: the paper's Table-II
-        device); every architecture in ``architectures`` must be in
-        its capability set.  ``controller`` selects the
-        memory-controller configuration the characterizations are
-        measured under (default: the paper's FCFS/open-row) and
-        ``contention`` the channel contention (default: one
-        uncontended requestor).
+        and rides along in the pickled context.  ``scenario`` selects
+        the DRAM device, memory controller and channel the
+        characterizations are measured under (default: the paper's
+        Table-II scenario); every architecture in ``architectures``
+        must be in the device's capability set.
         ``strategy`` / ``seed`` / ``strategy_options`` override the
         engine's search strategy for this call; under the default
         exhaustive strategy the returned points are in the serial
@@ -778,8 +743,7 @@ class ExplorationEngine:
         """
         search, run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers,
-            organization, tilings, device, controller, contention,
-            strategy, seed, strategy_options)
+            scenario, tilings, strategy, seed, strategy_options)
         shards: Dict[int, List[DsePoint]] = {}
         serial_before = self.evaluation_cache.stats
         for start, points in shard_iter:
@@ -806,11 +770,8 @@ class ExplorationEngine:
         schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
-        organization: Optional[DRAMOrganization] = None,
+        scenario: Scenario = DEFAULT_SCENARIO,
         tilings: Optional[Sequence[TilingConfig]] = None,
-        device: Optional[DeviceProfile] = None,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
         strategy=None,
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
@@ -825,8 +786,7 @@ class ExplorationEngine:
         """
         _search, run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers,
-            organization, tilings, device, controller, contention,
-            strategy, seed, strategy_options)
+            scenario, tilings, strategy, seed, strategy_options)
         reduced = ReducedExploration()
         serial_before = self.evaluation_cache.stats
         for start, points in shard_iter:
@@ -858,11 +818,8 @@ class ExplorationEngine:
         schemes,
         policies,
         buffers,
-        organization,
+        scenario,
         tilings,
-        device,
-        controller,
-        contention,
         strategy,
         seed,
         strategy_options,
@@ -876,9 +833,8 @@ class ExplorationEngine:
         search, run_seed = self._resolve_strategy(
             strategy, seed, strategy_options)
         context = _build_context(
-            layers, architectures, schemes, policies, buffers,
-            organization, tilings, self.characterization_cache,
-            device=device, controller=controller, contention=contention,
+            layers, architectures, schemes, policies, buffers, scenario,
+            tilings, self.characterization_cache,
             strategy=search.name, seed=run_seed)
         run = StrategyRun(
             strategy=search.name,

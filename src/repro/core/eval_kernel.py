@@ -429,11 +429,10 @@ def batch_scores(context, cache) -> Optional[List[float]]:
 
     cost_vectors = {
         architecture: analytical_characterization(
-            architecture, device=context.device,
-            controller=context.controller).cost_vectors()
+            architecture, context.scenario).cost_vectors()
         for architecture in context.architectures
     }
-    tck_ns = context.device.timings.tck_ns
+    tck_ns = context.scenario.device.timings.tck_ns
     fingerprint = _cost_fingerprint(context, cost_vectors)
     scores: List[float] = []
     for grid in context.layers:

@@ -319,12 +319,11 @@ def analytical_scores(context, cache,
 
     characterizations = {
         architecture: analytical_characterization(
-            architecture, device=context.device,
-            controller=context.controller)
+            architecture, context.scenario)
         for architecture in context.architectures
     }
     organization = context.organization
-    tck_ns = context.device.timings.tck_ns
+    tck_ns = context.scenario.device.timings.tck_ns
     scores: List[float] = []
     for grid in context.layers:
         # Per (tiling, scheme): the data-type runs (accesses per tile

@@ -9,10 +9,11 @@ batch sweep to whole workload graphs from the
 give downstream users a one-call sensitivity analysis for their own
 design points.
 
-All sweeps accept a ``device`` profile (default: the paper's Table-II
-device), route their DRAM characterizations through the process-wide
+All sweeps accept a ``scenario`` (default: the paper's Table-II
+device, controller and channel), route their DRAM characterizations
+through the process-wide
 :data:`repro.dram.characterize.DEFAULT_CHARACTERIZATION_CACHE` (keyed
-on ``(profile, architecture)``) and share one
+on ``(scenario, architecture)``) and share one
 :class:`repro.core.engine.EvaluationCache`, so comparing two policies
 at one sweep value characterizes the device once — the seed version
 re-ran the simulator micro-experiments for every policy at every
@@ -36,10 +37,7 @@ from ..cnn.scheduling import ReuseScheme
 from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS, enumerate_tilings
 from ..dram.architecture import DRAMArchitecture
 from ..dram.characterize import characterize_cached
-from ..dram.contention import ContentionConfig
-from ..dram.device import DeviceProfile, resolve_device
-from ..dram.policies import ControllerConfig
-from ..dram.spec import DRAMOrganization
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..mapping.catalog import DRMAP, MAPPING_2
 from ..mapping.policy import MappingPolicy
 from .edp import layer_edp
@@ -79,16 +77,12 @@ def _min_edp(
     layer: ConvLayer,
     policy: MappingPolicy,
     architecture: DRAMArchitecture,
-    device: DeviceProfile,
+    scenario: Scenario,
     buffers: BufferConfig,
     scheme: ReuseScheme,
-    organization: Optional[DRAMOrganization] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
     strategy=None,
     seed: Optional[int] = None,
 ) -> float:
-    profile = resolve_device(device, organization)
     if strategy is not None and strategy != "exhaustive":
         # Non-exhaustive search: route the one-policy slice through
         # the strategy-driven engine (the funnel/random/greedy floors
@@ -97,13 +91,10 @@ def _min_edp(
 
         result = explore_layer(
             layer, architectures=(architecture,), schemes=(scheme,),
-            policies=(policy,), buffers=buffers, device=profile,
-            controller=controller, contention=contention,
+            policies=(policy,), buffers=buffers, scenario=scenario,
             strategy=strategy, seed=seed)
         return result.best().edp_js
-    characterization = characterize_cached(
-        architecture, device=profile, controller=controller,
-        contention=contention)
+    characterization = characterize_cached(architecture, scenario)
     cache = _evaluation_cache()
     best: Optional[float] = None
     for tiling in enumerate_tilings(layer, buffers):
@@ -111,7 +102,7 @@ def _min_edp(
             layer, tiling, scheme, policy, architecture,
             characterization=characterization,
             cache=cache,
-            device=profile)
+            scenario=scenario)
         if best is None or result.edp_js < best:
             best = result.edp_js
     if best is None:
@@ -119,14 +110,25 @@ def _min_edp(
     return best
 
 
+def _sweep_point(parameter: str, value, layers, architecture, scenario,
+                 buffers, scheme, strategy, seed) -> SweepPoint:
+    """DRMap's and Mapping-2's min EDP, summed over ``layers``."""
+    drmap = worst = 0.0
+    for layer in layers:
+        drmap += _min_edp(layer, DRMAP, architecture, scenario, buffers,
+                          scheme, strategy, seed)
+        worst += _min_edp(layer, MAPPING_2, architecture, scenario,
+                          buffers, scheme, strategy, seed)
+    return SweepPoint(parameter=parameter, value=value,
+                      drmap_edp_js=drmap, worst_edp_js=worst)
+
+
 def sweep_subarrays(
     layer: ConvLayer,
     subarray_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
     architecture: DRAMArchitecture = DRAMArchitecture.SALP_MASA,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     strategy=None,
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
@@ -135,25 +137,14 @@ def sweep_subarrays(
     More subarrays give SALP more parallelism to exploit -- and give
     bad mappings more subarray boundaries to trip over.
     """
-    profile = resolve_device(device)
-    points = []
-    for count in subarray_counts:
-        organization = profile.organization.with_subarrays(count)
-        points.append(SweepPoint(
-            parameter="subarrays_per_bank",
-            value=count,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, organization=organization,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, organization=organization,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    organization = scenario.device.organization
+    return [
+        _sweep_point(
+            "subarrays_per_bank", count, (layer,), architecture,
+            scenario.with_organization(organization.with_subarrays(count)),
+            TABLE2_BUFFERS, scheme, strategy, seed)
+        for count in subarray_counts
+    ]
 
 
 def sweep_buffers(
@@ -161,34 +152,20 @@ def sweep_buffers(
     sizes_kb: Sequence[int] = (16, 32, 64, 128, 256),
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     strategy=None,
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs on-chip buffer capacity (all three buffers together)."""
-    profile = resolve_device(device)
-    points = []
-    for size_kb in sizes_kb:
-        buffers = BufferConfig(
-            ifms_bytes=size_kb * 1024,
-            wghs_bytes=size_kb * 1024,
-            ofms_bytes=size_kb * 1024,
-        )
-        points.append(SweepPoint(
-            parameter="buffer_kb",
-            value=size_kb,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile, buffers, scheme,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile, buffers,
-                scheme, controller=controller,
-                contention=contention, strategy=strategy, seed=seed),
-        ))
-    return points
+    return [
+        _sweep_point(
+            "buffer_kb", size_kb, (layer,), architecture, scenario,
+            BufferConfig(ifms_bytes=size_kb * 1024,
+                         wghs_bytes=size_kb * 1024,
+                         ofms_bytes=size_kb * 1024),
+            scheme, strategy, seed)
+        for size_kb in sizes_kb
+    ]
 
 
 def sweep_precision(
@@ -196,9 +173,7 @@ def sweep_precision(
     bytes_per_element: Sequence[int] = (1, 2, 4),
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     strategy=None,
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
@@ -206,23 +181,13 @@ def sweep_precision(
 
     ``layer_factory(bpe)`` must build the layer at the given precision.
     """
-    profile = resolve_device(device)
-    points = []
-    for bpe in bytes_per_element:
-        layer = layer_factory(bpe)
-        points.append(SweepPoint(
-            parameter="bytes_per_element",
-            value=bpe,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    return [
+        _sweep_point(
+            "bytes_per_element", bpe, (layer_factory(bpe),),
+            architecture, scenario, TABLE2_BUFFERS, scheme, strategy,
+            seed)
+        for bpe in bytes_per_element
+    ]
 
 
 def sweep_batch(
@@ -230,30 +195,17 @@ def sweep_batch(
     batches: Sequence[int] = (1, 2, 4, 8),
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     strategy=None,
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs batch size (activations scale, weights amortize)."""
-    profile = resolve_device(device)
-    points = []
-    for batch in batches:
-        layer = layer_factory(batch)
-        points.append(SweepPoint(
-            parameter="batch",
-            value=batch,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    return [
+        _sweep_point(
+            "batch", batch, (layer_factory(batch),), architecture,
+            scenario, TABLE2_BUFFERS, scheme, strategy, seed)
+        for batch in batches
+    ]
 
 
 def sweep_network_batch(
@@ -261,10 +213,8 @@ def sweep_network_batch(
     batches: Sequence[int] = (1, 2, 4, 8),
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
-    device: Optional[DeviceProfile] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     buffers: BufferConfig = TABLE2_BUFFERS,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
     strategy=None,
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
@@ -278,30 +228,15 @@ def sweep_network_batch(
     """
     from ..workloads.registry import get_workload
 
-    profile = resolve_device(device)
     points = []
     for batch in batches:
         if callable(workload):
             network = workload(batch=batch)
         else:
             network = get_workload(workload, batch=batch)
-        drmap_total = 0.0
-        worst_total = 0.0
-        for layer in network.lower():
-            drmap_total += _min_edp(
-                layer, DRMAP, architecture, profile, buffers, scheme,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed)
-            worst_total += _min_edp(
-                layer, MAPPING_2, architecture, profile, buffers,
-                scheme, controller=controller,
-                contention=contention, strategy=strategy, seed=seed)
-        points.append(SweepPoint(
-            parameter=f"{network.name}:batch",
-            value=batch,
-            drmap_edp_js=drmap_total,
-            worst_edp_js=worst_total,
-        ))
+        points.append(_sweep_point(
+            f"{network.name}:batch", batch, network.lower(),
+            architecture, scenario, buffers, scheme, strategy, seed))
     return points
 
 

@@ -22,11 +22,10 @@ from ..cnn.traffic import layer_traffic
 from ..dram.architecture import DRAMArchitecture
 from ..dram.characterize import (
     CharacterizationResult,
-    characterize_preset,
+    characterize_cached,
 )
 from ..dram.commands import RequestKind
-from ..dram.presets import DDR3_1600_2GB_X8
-from ..dram.spec import DRAMOrganization
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..mapping.policy import MappingPolicy
 from ..mapping.walk import WalkClassification, classify_walk
 from .adaptive import resolve_adaptive
@@ -55,17 +54,18 @@ def layer_edp_via_walk(
     scheme: ReuseScheme,
     policy: MappingPolicy,
     architecture: DRAMArchitecture,
-    organization: DRAMOrganization = DDR3_1600_2GB_X8,
     characterization: Optional[CharacterizationResult] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> LayerEDP:
     """Layer EDP with state-aware per-tile access classification.
 
     Mirrors :func:`repro.core.edp.layer_edp` exactly, substituting the
     walk classification for the closed-form loop-wrap counts.
     """
+    organization = scenario.device.organization
     resolved = resolve_adaptive(layer, tiling, scheme)
     if characterization is None:
-        characterization = characterize_preset(architecture)
+        characterization = characterize_cached(architecture, scenario)
     traffic = layer_traffic(layer, tiling, resolved)
     type_costs = []
     total = ZERO_COST

@@ -31,8 +31,6 @@ from .characterize import (
     characterize_all,
     characterize_analytical,
     characterize_cached,
-    characterize_device,
-    characterize_preset,
 )
 from .contention import (
     ArbiterKind,
@@ -89,11 +87,8 @@ from .policies import (
     scheduler_names,
 )
 from .power import CurrentParameters, DDR3_1600_2GB_X8_CURRENTS, EnergyModel
-from .presets import (
-    DDR3_1600_2GB_X8,
-    TINY_ORGANIZATION,
-    organization_for,
-)
+from .presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
+from .scenario import DEFAULT_SCENARIO, Scenario
 from .simulator import DRAMSimulator, SimulationResult
 from .spec import DRAMOrganization
 from .timing import DDR3_1066_TIMINGS, DDR3_1600_TIMINGS, TimingParameters
@@ -135,6 +130,7 @@ __all__ = [
     "DEFAULT_CONTENTION_CONFIG",
     "DEFAULT_CONTROLLER_CONFIG",
     "DEFAULT_DEVICE_NAME",
+    "DEFAULT_SCENARIO",
     "DEVICE_REGISTRY",
     "DRAMArchitecture",
     "DeviceProfile",
@@ -150,6 +146,7 @@ __all__ = [
     "RequestorStats",
     "RowPolicyKind",
     "SALP_ARCHITECTURES",
+    "Scenario",
     "SchedulerKind",
     "ServicedRequest",
     "SimulationResult",
@@ -170,8 +167,6 @@ __all__ = [
     "characterize_all",
     "characterize_analytical",
     "characterize_cached",
-    "characterize_device",
-    "characterize_preset",
     "default_cache_dir",
     "default_device",
     "device_names",
@@ -180,7 +175,6 @@ __all__ = [
     "get_device",
     "get_row_policy",
     "get_scheduler",
-    "organization_for",
     "per_requestor_stats",
     "register_device",
     "read_command_trace",

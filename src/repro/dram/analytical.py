@@ -2,8 +2,9 @@
 
 The cycle-level simulator measures the paper's Fig.-1 per-condition
 costs by running micro-experiment streams — tens of milliseconds per
-``(device, architecture, controller)``.  This module derives the same
-five :class:`~repro.dram.characterize.AccessCondition` costs directly
+architecture and :class:`~repro.dram.scenario.Scenario`.  This module
+derives the same five
+:class:`~repro.dram.characterize.AccessCondition` costs directly
 from a :class:`~repro.dram.device.DeviceProfile`'s JEDEC timing and
 IDD current parameters, in closed form, with no simulation at all.
 
@@ -54,7 +55,7 @@ and re-evaluates only the top candidates with exact characterization.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..caching import LRUMemo
 from .architecture import ArchitectureBehavior, DRAMArchitecture, behavior_of
@@ -64,35 +65,27 @@ from .characterize import (
     ConditionCost,
 )
 from .commands import RequestKind
-from .device import DeviceProfile, resolve_device
-from .policies import ControllerConfig, RowPolicyKind, resolve_controller
+from .policies import RowPolicyKind
 from .power import EnergyModel
-from .spec import DRAMOrganization
+from .scenario import DEFAULT_SCENARIO, Scenario
 
 
 class AnalyticalModel:
-    """Closed-form Fig.-1 costs for one device + controller.
+    """Closed-form Fig.-1 costs for one scenario's device + controller.
 
     Parameters
     ----------
-    device:
-        Device profile (default: the paper's Table-II device).
-    organization:
-        Optional geometry override of the profile (sweep use).
-    controller:
-        Memory-controller configuration (default: FCFS/open-row).
-        Only the row policy enters the formulas; see the module
-        docstring for the approximation notes.
+    scenario:
+        Device and memory-controller configuration (default: the
+        paper's Table-II device under FCFS/open-row).  Only the row
+        policy of the controller enters the formulas, and the channel
+        contention not at all; see the module docstring for the
+        approximation notes.
     """
 
-    def __init__(
-        self,
-        device: Optional[DeviceProfile] = None,
-        organization: Optional[DRAMOrganization] = None,
-        controller: Optional[ControllerConfig] = None,
-    ) -> None:
-        self.device = resolve_device(device, organization)
-        self.controller = resolve_controller(controller)
+    def __init__(self, scenario: Scenario = DEFAULT_SCENARIO) -> None:
+        self.device = scenario.device
+        self.controller = scenario.controller
         self.organization = self.device.organization
         self.timings = self.device.timings
         self.energy_model = EnergyModel(
@@ -296,16 +289,16 @@ class AnalyticalModel:
         )
 
 
-#: Process-wide memo of analytical characterizations, keyed like the
-#: simulator cache on ``(profile, architecture, controller)``.
+#: Process-wide memo of analytical characterizations, keyed on
+#: ``(device, architecture, controller)``: the model is
+#: contention-blind, so scenarios differing only in their channel
+#: share one entry.
 _ANALYTICAL_MEMO = LRUMemo(256)
 
 
 def analytical_characterization(
     architecture: DRAMArchitecture,
-    device: Optional[DeviceProfile] = None,
-    organization: Optional[DRAMOrganization] = None,
-    controller: Optional[ControllerConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> CharacterizationResult:
     """Memoized closed-form characterization of one configuration.
 
@@ -313,19 +306,14 @@ def analytical_characterization(
     :func:`repro.dram.characterize.characterize_cached` that never
     touches the cycle-level simulator.
     """
-    profile = resolve_device(device, organization)
-    config = resolve_controller(controller)
     return _ANALYTICAL_MEMO.get_or_compute(
-        (profile, architecture, config),
-        lambda: AnalyticalModel(
-            device=profile, controller=config
-        ).characterization(architecture))
+        (scenario.device, architecture, scenario.controller),
+        lambda: AnalyticalModel(scenario).characterization(architecture))
 
 
 def compare_to_simulator(
     architecture: DRAMArchitecture,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> Dict[AccessCondition, Dict[str, float]]:
     """Per-condition relative errors of the model vs the simulator.
 
@@ -336,11 +324,8 @@ def compare_to_simulator(
     """
     from .characterize import characterize_cached
 
-    profile = resolve_device(device)
-    exact = characterize_cached(
-        architecture, device=profile, controller=controller)
-    model = analytical_characterization(
-        architecture, device=profile, controller=controller)
+    exact = characterize_cached(architecture, scenario)
+    model = analytical_characterization(architecture, scenario)
 
     def rel(a: float, b: float) -> float:
         if b == 0:

@@ -50,6 +50,7 @@ from .policies import (
     ControllerConfig,
     resolve_controller,
 )
+from .scenario import DEFAULT_SCENARIO, Scenario
 from .simulator import DRAMSimulator
 from .spec import DRAMOrganization
 
@@ -396,15 +397,13 @@ class CharacterizationCache:
     Characterizing one architecture runs eight micro-experiment streams
     plus two isolated requests on the cycle-level simulator — tens of
     milliseconds each, which dominates small sweeps when repeated per
-    design point.  This cache keys results on the triple
-    ``(profile, architecture, controller)`` — a :class:`DeviceProfile`
-    captures geometry, timings and currents, so two devices sharing a
-    geometry but differing in speed grade or IDD currents can never
-    collide, and a :class:`ControllerConfig` captures the scheduler
-    and row policy, so policy variants can never be served the default
-    controller's costs — and evicts least-recently-used entries beyond
-    ``maxsize``.  Both
-    read and write costs are measured in one pass, so the request kind
+    design point.  This cache keys results on ``(scenario,
+    architecture)`` — a :class:`~repro.dram.scenario.Scenario` captures
+    the device's geometry, timings and currents, the controller's
+    scheduler and row policy and the channel's requestors and arbiter,
+    so no two configurations that differ anywhere can collide — and
+    evicts least-recently-used entries beyond ``maxsize``.  Both read
+    and write costs are measured in one pass, so the request kind
     needs no key component.  Hits and misses are additionally counted
     per device name (:meth:`device_stats`).
 
@@ -478,23 +477,12 @@ class CharacterizationCache:
     def get(
         self,
         architecture: DRAMArchitecture,
-        organization: Optional[DRAMOrganization] = None,
-        device: Optional[DeviceProfile] = None,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
+        scenario: Scenario = DEFAULT_SCENARIO,
         model: str = "auto",
     ) -> CharacterizationResult:
-        """Characterization of ``architecture`` on a device.
+        """Characterization of ``architecture`` under ``scenario``.
 
-        ``device=None`` selects the paper's Table-II device; a
-        non-``None`` ``organization`` overrides the profile's geometry
-        (the sweeps vary geometry at a fixed speed grade).  The
-        device's capability set must include ``architecture``.
-        ``controller`` selects the memory-controller configuration
-        (default: FCFS/open-row) and ``contention`` the channel
-        contention (default: one uncontended requestor); both are part
-        of the cache key — a ``(profile, architecture)`` key would
-        silently serve one configuration's costs to another.  Results
+        The scenario's device must support ``architecture``.  Results
         are computed on first use and served from the cache — as the
         *same object* — afterwards.
 
@@ -505,22 +493,17 @@ class CharacterizationCache:
         kernel-produced entry is a valid hit for a simulator request
         and vice versa.
         """
-        profile = resolve_device(device, organization)
-        profile.require_architecture(architecture)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
-        return self._get(profile, architecture, config, channel, model)
+        scenario.device.require_architecture(architecture)
+        return self._get(scenario, architecture, model)
 
     def _get(
         self,
-        profile: DeviceProfile,
+        scenario: Scenario,
         architecture: DRAMArchitecture,
-        config: ControllerConfig,
-        channel: ContentionConfig,
         model: str,
         precomputed: Optional[CharacterizationResult] = None,
     ) -> CharacterizationResult:
-        """Resolved-parameter lookup; ``precomputed`` skips computing.
+        """Validated lookup; ``precomputed`` skips computing.
 
         ``precomputed`` is a result the caller already obtained for
         this exact key (a batch kernel pass or an early store load);
@@ -532,34 +515,30 @@ class CharacterizationCache:
             if precomputed is not None:
                 return precomputed
             if self.store is not None:
-                stored = self.store.load(
-                    profile, architecture, config, channel)
+                stored = self.store.load(scenario, architecture)
                 if stored is not None:
                     return stored
             result = characterize(
-                architecture, device=profile, controller=config,
-                contention=channel, model=model)
+                architecture, device=scenario.device,
+                controller=scenario.controller,
+                contention=scenario.contention, model=model)
             if self.store is not None:
-                self.store.save(
-                    result, profile, architecture, config, channel)
+                self.store.save(result, scenario, architecture)
             return result
 
         result, hit = self._memo.get_or_compute_flagged(
-            (profile, architecture, config, channel), compute)
-        counters = self._per_device.setdefault(profile.name, [0, 0])
+            (scenario, architecture), compute)
+        counters = self._per_device.setdefault(scenario.device.name, [0, 0])
         counters[0 if hit else 1] += 1
         return result
 
     def get_many(
         self,
         architectures,
-        organization: Optional[DRAMOrganization] = None,
-        device: Optional[DeviceProfile] = None,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
+        scenario: Scenario = DEFAULT_SCENARIO,
         model: str = "auto",
     ) -> Dict[DRAMArchitecture, CharacterizationResult]:
-        """Characterizations of several architectures on one device.
+        """Characterizations of several architectures in one scenario.
 
         Semantically identical to one :meth:`get` per architecture —
         same keys, same store traffic, same counters — but the
@@ -570,20 +549,17 @@ class CharacterizationCache:
         the architecture-invariant micro-experiment runs instead of
         paying per-architecture setup.
         """
-        profile = resolve_device(device, organization)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
         architectures = tuple(architectures)
         for architecture in architectures:
-            profile.require_architecture(architecture)
+            scenario.device.require_architecture(architecture)
         precomputed: Dict[DRAMArchitecture, CharacterizationResult] = {}
         if model != "simulator":
             from .kernel import characterize_batch, kernel_supported
             need = [
                 architecture for architecture in architectures
-                if self._memo.peek(
-                    (profile, architecture, config, channel)) is None
-            ] if kernel_supported(config, channel) else []
+                if self._memo.peek((scenario, architecture)) is None
+            ] if kernel_supported(scenario.controller,
+                                  scenario.contention) else []
             # Only worth (and only safe to) front-run the per-key miss
             # path when at least two keys would otherwise compute:
             # once the store pass runs here, every remaining miss must
@@ -593,8 +569,7 @@ class CharacterizationCache:
                 if self.store is not None:
                     still = []
                     for architecture in need:
-                        stored = self.store.load(
-                            profile, architecture, config, channel)
+                        stored = self.store.load(scenario, architecture)
                         if stored is not None:
                             precomputed[architecture] = stored
                         else:
@@ -602,25 +577,22 @@ class CharacterizationCache:
                     need = still
                 if need:
                     batch = characterize_batch(
-                        [(profile, architecture, config, channel)
-                         for architecture in need])
+                        [(scenario, architecture) for architecture in need])
                     for architecture in need:
-                        result = batch[
-                            (profile, architecture, config, channel)]
+                        result = batch[(scenario, architecture)]
                         precomputed[architecture] = result
                         if self.store is not None:
-                            self.store.save(result, profile,
-                                            architecture, config, channel)
+                            self.store.save(result, scenario, architecture)
         return {
             architecture: self._get(
-                profile, architecture, config, channel, model,
+                scenario, architecture, model,
                 precomputed=precomputed.get(architecture))
             for architecture in architectures
         }
 
 
-#: Process-wide default cache; :func:`characterize_preset`,
-#: :func:`characterize_cached`, the sweeps and the DSE engine all share
+#: Process-wide default cache; :func:`characterize_cached`,
+#: :func:`characterize_all`, the sweeps and the DSE engine all share
 #: it, so any two call sites asking for the same configuration pay for
 #: characterization once.
 DEFAULT_CHARACTERIZATION_CACHE = CharacterizationCache()
@@ -628,32 +600,23 @@ DEFAULT_CHARACTERIZATION_CACHE = CharacterizationCache()
 
 def characterize_cached(
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     model: str = "auto",
 ) -> CharacterizationResult:
     """Characterize through the process-wide LRU cache.
 
-    Like :func:`characterize` but keyed on ``(profile, architecture,
-    controller, contention)`` so repeated requests — e.g. one per
-    design point of a sweep — hit the simulator only once per
-    configuration.  ``model`` selects the backend on a miss; it is
-    not part of the key (kernel and simulator results are exactly
-    interchangeable).
+    Like :func:`characterize` but keyed on ``(scenario,
+    architecture)`` so repeated requests — e.g. one per design point
+    of a sweep — hit the simulator only once per configuration.
+    ``model`` selects the backend on a miss; it is not part of the key
+    (kernel and simulator results are exactly interchangeable).
     """
-    return DEFAULT_CHARACTERIZATION_CACHE.get(
-        architecture, organization, device=device, controller=controller,
-        contention=contention, model=model)
+    return DEFAULT_CHARACTERIZATION_CACHE.get(architecture, scenario, model)
 
 
 def characterize_analytical(
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
 ) -> CharacterizationResult:
     """Closed-form characterization (no simulation).
 
@@ -664,69 +627,34 @@ def characterize_analytical(
     the DSE engine) is model-agnostic.  Used by the ``funnel`` search
     strategy's pruning phase.
 
-    The closed-form model is contention-blind: it scores the
-    *uncontended* channel regardless of ``contention`` (the parameter
-    is accepted for signature parity).  Funnel pruning therefore ranks
-    candidates by uncontended cost and the exact verification phase
-    applies the contended simulation — an explicit, documented
-    approximation.
+    The closed-form model is contention-blind: it reads the
+    scenario's device and controller and scores the *uncontended*
+    channel whatever ``scenario.contention`` says.  Funnel pruning
+    therefore ranks candidates by uncontended cost and the exact
+    verification phase applies the contended simulation — an
+    explicit, documented approximation.
     """
     from .analytical import analytical_characterization
 
-    del contention  # contention-blind by design; see docstring
-    return analytical_characterization(
-        architecture, device=device, organization=organization,
-        controller=controller)
-
-
-def characterize_preset(architecture: DRAMArchitecture
-                        ) -> CharacterizationResult:
-    """Cached characterization of the Table-II preset configuration.
-
-    .. deprecated::
-        Use :func:`characterize_cached` with an explicit ``device``;
-        this is equivalent to ``device=default_device()``.
-    """
-    return DEFAULT_CHARACTERIZATION_CACHE.get(architecture)
-
-
-def characterize_device(
-    device: DeviceProfile,
-    architectures: Optional[tuple] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
-) -> Dict[DRAMArchitecture, CharacterizationResult]:
-    """Cached Fig.-1 characterization of one device.
-
-    By default every architecture in the device's capability set is
-    characterized; an explicit ``architectures`` sequence is validated
-    against that set.  ``controller`` selects the memory-controller
-    configuration (default: the paper's FCFS/open-row) and
-    ``contention`` the channel contention (default: uncontended).
-    Cold architectures are computed in one batched kernel pass when
-    the configuration is kernel-eligible (see
-    :meth:`CharacterizationCache.get_many`).
-    """
-    if architectures is None:
-        architectures = device.supported_architectures
-    return DEFAULT_CHARACTERIZATION_CACHE.get_many(
-        architectures, device=device, controller=controller,
-        contention=contention, model=model)
+    return analytical_characterization(architecture, scenario)
 
 
 def characterize_all(
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
+    architectures: Optional[Tuple[DRAMArchitecture, ...]] = None,
     model: str = "auto",
 ) -> Dict[DRAMArchitecture, CharacterizationResult]:
-    """Fig.-1 characterization for every supported architecture.
+    """Cached Fig.-1 characterization of one scenario's device.
 
-    With the default device and controller this is the paper's Fig. 1:
-    all four architectures on DDR3-1600 2 Gb x8 under FCFS/open-row.
+    By default every architecture in the device's capability set is
+    characterized; an explicit ``architectures`` sequence is validated
+    against that set.  With the default scenario this is the paper's
+    Fig. 1: all four architectures on DDR3-1600 2 Gb x8 under
+    FCFS/open-row.  Cold architectures are computed in one batched
+    kernel pass when the configuration is kernel-eligible (see
+    :meth:`CharacterizationCache.get_many`).
     """
-    profile = resolve_device(device)
-    return characterize_device(
-        profile, controller=controller, contention=contention,
-        model=model)
+    if architectures is None:
+        architectures = scenario.device.supported_architectures
+    return DEFAULT_CHARACTERIZATION_CACHE.get_many(
+        architectures, scenario, model)

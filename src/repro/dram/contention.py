@@ -390,7 +390,7 @@ def requestor_tag(index: int) -> str:
 
 def split_stream(
     requests: Iterable[Request],
-    config: ContentionConfig = None,
+    config: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
 ) -> List[List[Request]]:
     """Split a flat request stream into per-requestor streams.
 
@@ -398,7 +398,6 @@ def split_stream(
     so the trace accounting can attribute completions; requests that
     already carry a tag keep it.
     """
-    config = resolve_contention(config)
     materialized = list(requests)
     streams: List[List[Request]] = [
         [] for _ in range(config.requestors)]

@@ -161,9 +161,9 @@ class DeviceProfile:
                           ) -> "DeviceProfile":
         """A copy of this profile on a different geometry.
 
-        Used by sensitivity sweeps (e.g. varying subarrays per bank) so
-        the characterization cache can keep keying on
-        ``(profile, architecture)`` for ad-hoc geometries too.
+        Used by sensitivity sweeps (e.g. varying subarrays per bank,
+        through :meth:`repro.dram.scenario.Scenario.with_organization`)
+        so the characterization cache keys ad-hoc geometries too.
         """
         if organization == self.organization:
             return self
@@ -397,18 +397,7 @@ def default_device() -> DeviceProfile:
     return DEVICE_REGISTRY.get(DEFAULT_DEVICE_NAME)
 
 
-def resolve_device(
-    device: Optional[DeviceProfile] = None,
-    organization: Optional[DRAMOrganization] = None,
-) -> DeviceProfile:
-    """Normalize the common ``(device, organization)`` parameter pair.
-
-    ``device=None`` selects the default device.  A non-``None``
-    ``organization`` overrides the profile's geometry (sweeps vary the
-    geometry of a fixed speed grade), keeping timings/currents and the
-    capability set.
-    """
-    profile = device if device is not None else default_device()
-    if organization is not None:
-        profile = profile.with_organization(organization)
-    return profile
+def resolve_device(device: Optional[DeviceProfile] = None
+                   ) -> DeviceProfile:
+    """Normalize an optional profile (``None`` means the default)."""
+    return device if device is not None else default_device()

@@ -67,14 +67,19 @@ from ..errors import ConfigurationError
 from .architecture import ArchitectureBehavior, DRAMArchitecture, behavior_of
 from .bank import NEVER
 from .commands import RequestKind
-from .contention import ContentionConfig, resolve_contention
-from .device import DeviceProfile, resolve_device
+from .contention import (
+    DEFAULT_CONTENTION_CONFIG,
+    ContentionConfig,
+    resolve_contention,
+)
+from .device import DeviceProfile
 from .policies import (
     DEFAULT_CONTROLLER_CONFIG,
     ControllerConfig,
     resolve_controller,
 )
 from .power import EnergyModel
+from .scenario import Scenario
 from .spec import DRAMOrganization
 from .timing import TimingParameters
 
@@ -197,8 +202,8 @@ def classify_stream(stream: np.ndarray) -> Tuple[np.ndarray, ...]:
 # ----------------------------------------------------------------------
 
 def kernel_ineligibility(
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG,
+    contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
     refresh_enabled: bool = False,
 ) -> Optional[str]:
     """Why the kernel cannot serve this configuration, or ``None``.
@@ -207,23 +212,21 @@ def kernel_ineligibility(
     exactly and nothing else: default FCFS/open-row controller, one
     uncontended requestor, refresh off.
     """
-    config = resolve_controller(controller)
-    channel = resolve_contention(contention)
-    if config != DEFAULT_CONTROLLER_CONFIG:
-        return (f"controller {config.label!r} (the kernel models the "
+    if controller != DEFAULT_CONTROLLER_CONFIG:
+        return (f"controller {controller.label!r} (the kernel models the "
                 f"default {DEFAULT_CONTROLLER_CONFIG.label!r} controller "
                 "only)")
-    if channel.requestors != 1:
-        return (f"{channel.requestors} requestors (the kernel models the "
-                "uncontended channel only)")
+    if contention.requestors != 1:
+        return (f"{contention.requestors} requestors (the kernel models "
+                "the uncontended channel only)")
     if refresh_enabled:
         return "refresh enabled (the kernel never issues REF commands)"
     return None
 
 
 def kernel_supported(
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG,
+    contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
     refresh_enabled: bool = False,
 ) -> bool:
     """True when the kernel reproduces this configuration bit-for-bit."""
@@ -647,7 +650,9 @@ class KernelCharacterizer:
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
     ) -> None:
-        reason = kernel_ineligibility(controller, contention)
+        self.controller = resolve_controller(controller)
+        self.contention = resolve_contention(contention)
+        reason = kernel_ineligibility(self.controller, self.contention)
         if reason is not None:
             raise ConfigurationError(
                 f"kernel characterization cannot model {reason}")
@@ -658,8 +663,6 @@ class KernelCharacterizer:
         self.device_name = device_name
         self.short_count = short_count
         self.long_count = long_count
-        self.controller = resolve_controller(controller)
-        self.contention = resolve_contention(contention)
         self._pre_nj = energy_model.precharge_nj()
         self._act0_nj = energy_model.activation_nj(0)
         self._col_nj = {
@@ -885,61 +888,48 @@ class KernelCharacterizer:
 # Grid-slice batching
 # ----------------------------------------------------------------------
 
-def _normalize_item(item) -> tuple:
-    """(profile, architecture, controller, contention) of a batch item."""
-    parts = tuple(item) + (None, None)
-    device, architecture, controller, contention = parts[:4]
-    if isinstance(device, str):
-        from .device import get_device
-        device = get_device(device)
-    profile = resolve_device(device)
-    profile.require_architecture(architecture)
-    return (profile, architecture, resolve_controller(controller),
-            resolve_contention(contention))
-
-
 def characterize_batch(
-    items: Iterable,
+    items: Iterable[Tuple[Scenario, DRAMArchitecture]],
     short_count: int = 64,
     long_count: int = 320,
-) -> Dict[tuple, CharacterizationResult]:
+) -> Dict[Tuple[Scenario, DRAMArchitecture], CharacterizationResult]:
     """Characterize a grid slice in one amortized kernel pass.
 
-    ``items`` yields ``(device, architecture)`` pairs — optionally
-    extended to ``(device, architecture, controller, contention)`` —
-    where ``device`` is a :class:`DeviceProfile`, a registry name or
-    ``None`` for the Table-II default.  Items sharing a device profile
-    share one :class:`KernelCharacterizer` (one synthesis, one
-    classification, shared micro-experiment runs), which is where the
-    batch's speedup over per-triple calls comes from.  Items that are
-    not kernel-eligible are routed to the object simulator, so a mixed
-    grid slice stays a single call.
+    ``items`` yields ``(scenario, architecture)`` pairs; each
+    scenario's device must support its architecture.  Items sharing a
+    scenario share one :class:`KernelCharacterizer` (one synthesis,
+    one classification, shared micro-experiment runs), which is where
+    the batch's speedup over per-pair calls comes from.  Items that
+    are not kernel-eligible are routed to the object simulator, so a
+    mixed grid slice stays a single call.
 
-    Returns ``{(profile, architecture, controller, contention):
-    CharacterizationResult}`` covering every distinct normalized item.
+    Returns ``{(scenario, architecture): CharacterizationResult}``
+    covering every distinct item.
     """
-    results: Dict[tuple, CharacterizationResult] = {}
-    characterizers: Dict[tuple, KernelCharacterizer] = {}
-    for item in items:
-        key = _normalize_item(item)
+    results: Dict[Tuple[Scenario, DRAMArchitecture],
+                  CharacterizationResult] = {}
+    characterizers: Dict[Scenario, KernelCharacterizer] = {}
+    for scenario, architecture in items:
+        key = (scenario, architecture)
         if key in results:
             continue
-        profile, architecture, config, channel = key
-        if kernel_ineligibility(config, channel) is None:
-            engine_key = (profile, config, channel)
-            engine = characterizers.get(engine_key)
+        profile = scenario.device
+        profile.require_architecture(architecture)
+        if kernel_supported(scenario.controller, scenario.contention):
+            engine = characterizers.get(scenario)
             if engine is None:
-                engine = characterizers[engine_key] = \
+                engine = characterizers[scenario] = \
                     KernelCharacterizer.from_profile(
                         profile, short_count=short_count,
                         long_count=long_count,
-                        controller=config, contention=channel)
+                        controller=scenario.controller,
+                        contention=scenario.contention)
             results[key] = engine.characterize(architecture)
         else:
             from .characterize import characterize
             results[key] = characterize(
                 architecture, short_count=short_count,
                 long_count=long_count, device=profile,
-                controller=config, contention=channel,
-                model="simulator")
+                controller=scenario.controller,
+                contention=scenario.contention, model="simulator")
     return results

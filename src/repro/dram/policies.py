@@ -33,10 +33,10 @@ decide *what* to do, the architecture flags decide *how fast* the
 resulting command sequence may run.
 
 The frozen :class:`ControllerConfig` value is hashable and picklable:
-it travels in characterization cache keys (``(profile, architecture,
-controller)``) and in the pickled
-:class:`repro.core.engine.ExplorationContext`, so policy variants can
-never be served a stale default-config characterization.
+as a field of :class:`repro.dram.scenario.Scenario` it travels in
+characterization cache keys (``(scenario, architecture)``) and in the
+pickled :class:`repro.core.engine.ExplorationContext`, so policy
+variants can never be served a stale default-config characterization.
 
 Example
 -------

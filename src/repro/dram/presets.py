@@ -21,7 +21,6 @@ architecture behaviour flags differ.
 
 from __future__ import annotations
 
-from .architecture import DRAMArchitecture
 from .spec import DRAMOrganization
 
 #: The paper's 2 Gb x8 geometry with 8 subarrays per bank (Table II).
@@ -50,20 +49,3 @@ TINY_ORGANIZATION = DRAMOrganization(
     burst_length=8,
 )
 
-
-def organization_for(
-    architecture: DRAMArchitecture,
-    device=None,
-) -> DRAMOrganization:
-    """Geometry of ``device`` (default: the Table-II device), after
-    checking that the device supports ``architecture``.
-
-    Architectures never change the geometry — SALP differs only in
-    behaviour flags (see module docstring) — but a device may not model
-    every architecture, so the capability set is enforced here.
-    """
-    from .device import resolve_device
-
-    profile = resolve_device(device)
-    profile.require_architecture(architecture)
-    return profile.organization

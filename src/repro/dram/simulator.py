@@ -120,22 +120,6 @@ class DRAMSimulator:
         overrides.setdefault("currents", device.currents)
         return cls(architecture=architecture, **overrides)
 
-    @classmethod
-    def from_preset(
-        cls,
-        architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
-        **overrides,
-    ) -> "DRAMSimulator":
-        """Build a simulator for a Table-II configuration.
-
-        .. deprecated::
-            Use :meth:`from_profile` with an explicit device; this is
-            equivalent to ``from_profile(default_device(), ...)``.
-        """
-        from .device import default_device
-        return cls.from_profile(
-            default_device(), architecture=architecture, **overrides)
-
     # ------------------------------------------------------------------
     # Running traces
     # ------------------------------------------------------------------

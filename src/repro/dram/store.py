@@ -1,8 +1,9 @@
 """Persistent on-disk store for DRAM characterizations.
 
-Characterizing one ``(device, architecture, controller)`` runs eight
-micro-experiment streams plus two isolated requests on the cycle-level
-simulator.  The in-process LRU
+Characterizing one architecture under one
+:class:`~repro.dram.scenario.Scenario` runs eight micro-experiment
+streams plus two isolated requests on the cycle-level simulator.  The
+in-process LRU
 (:class:`repro.dram.characterize.CharacterizationCache`) already
 de-duplicates that inside one process; this module persists the
 results across processes, so repeated CLI runs warm-start instead of
@@ -13,10 +14,11 @@ Layout and invalidation
 Each entry is one JSON file under the store root (default
 ``~/.cache/repro``, overridable via the ``REPRO_CACHE_DIR``
 environment variable or the CLI's ``--cache-dir``).  The filename is
-the SHA-256 **spec hash** of the complete configuration — every field
-of the device profile's organization / timings / currents, the
-architecture, the controller configuration, the channel-contention
-configuration and the store format version.  Any parameter change (a
+the SHA-256 **spec hash** of the complete configuration — the
+scenario's :meth:`~repro.dram.scenario.Scenario.spec` (every field of
+the device profile's organization / timings / currents, the
+architecture, the controller configuration and the channel-contention
+configuration) plus the store format version.  Any parameter change (a
 re-tuned timing, a new geometry, a different row policy, a different
 requestor count or arbiter) therefore hashes to a different file:
 stale entries are never served, they are simply orphaned (and removed
@@ -33,7 +35,6 @@ concurrent CLI invocations at worst redo a simulation.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -48,13 +49,8 @@ from .characterize import (
     CharacterizationResult,
     ConditionCost,
 )
-from .contention import (
-    ContentionConfig,
-    RequestorStats,
-    resolve_contention,
-)
-from .device import DeviceProfile
-from .policies import ControllerConfig
+from .contention import RequestorStats
+from .scenario import Scenario
 
 #: Bump when the serialized payload shape changes; old entries are
 #: invalidated by the hash.  Version 2 added the channel-contention
@@ -76,46 +72,17 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
-def _spec_payload(
-    profile: DeviceProfile,
-    architecture: DRAMArchitecture,
-    controller: ControllerConfig,
-    contention: Optional[ContentionConfig] = None,
-) -> dict:
-    """Canonical JSON-able description of one configuration."""
-    channel = resolve_contention(contention)
-    return {
-        "version": STORE_FORMAT_VERSION,
-        "device_name": profile.name,
-        "organization": dataclasses.asdict(profile.organization),
-        "timings": dataclasses.asdict(profile.timings),
-        "currents": dataclasses.asdict(profile.currents),
-        "architecture": architecture.value,
-        "controller": {
-            "scheduler": controller.scheduler.value,
-            "row_policy": controller.row_policy.value,
-            "reorder_window": controller.reorder_window,
-            "timeout_cycles": controller.timeout_cycles,
-        },
-        "contention": {
-            "requestors": channel.requestors,
-            "arbiter": channel.arbiter.value,
-            "assignment": channel.assignment.value,
-            "in_flight_limit": channel.in_flight_limit,
-            "age_limit": channel.age_limit,
-        },
-    }
+def _spec_payload(scenario: Scenario,
+                  architecture: DRAMArchitecture) -> dict:
+    """The scenario's spec of ``architecture``, format-versioned."""
+    return {"version": STORE_FORMAT_VERSION,
+            **scenario.spec(architecture)}
 
 
-def spec_hash(
-    profile: DeviceProfile,
-    architecture: DRAMArchitecture,
-    controller: ControllerConfig,
-    contention: Optional[ContentionConfig] = None,
-) -> str:
+def spec_hash(scenario: Scenario, architecture: DRAMArchitecture) -> str:
     """SHA-256 over the canonical spec: the store key."""
     canonical = json.dumps(
-        _spec_payload(profile, architecture, controller, contention),
+        _spec_payload(scenario, architecture),
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -157,20 +124,16 @@ class CharacterizationStore:
 
     def load(
         self,
-        profile: DeviceProfile,
+        scenario: Scenario,
         architecture: DRAMArchitecture,
-        controller: ControllerConfig,
-        contention: Optional[ContentionConfig] = None,
     ) -> Optional[CharacterizationResult]:
         """The stored result for this exact spec, or ``None``.
 
         Unreadable or mismatching entries (hash collisions, hand-edited
         files, format drift) are treated as misses.
         """
-        channel = resolve_contention(contention)
-        spec = _spec_payload(profile, architecture, controller, channel)
-        path = self._path(
-            spec_hash(profile, architecture, controller, channel))
+        spec = _spec_payload(scenario, architecture)
+        path = self._path(spec_hash(scenario, architecture))
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
@@ -206,8 +169,8 @@ class CharacterizationStore:
                 costs=costs,
                 tck_ns=float(payload["tck_ns"]),
                 device_name=payload["device_name"],
-                controller=controller,
-                contention=channel,
+                controller=scenario.controller,
+                contention=scenario.contention,
                 requestor_stats=requestor_stats,
             )
         except (KeyError, TypeError, ValueError):
@@ -219,14 +182,11 @@ class CharacterizationStore:
     def save(
         self,
         result: CharacterizationResult,
-        profile: DeviceProfile,
+        scenario: Scenario,
         architecture: DRAMArchitecture,
-        controller: ControllerConfig,
-        contention: Optional[ContentionConfig] = None,
     ) -> Optional[Path]:
         """Persist ``result`` atomically; ``None`` if the write failed."""
-        channel = resolve_contention(contention)
-        spec = _spec_payload(profile, architecture, controller, channel)
+        spec = _spec_payload(scenario, architecture)
         payload = {
             "spec": spec,
             "device_name": result.device_name,
@@ -252,8 +212,7 @@ class CharacterizationStore:
                 for stats in result.requestor_stats
             ],
         }
-        path = self._path(
-            spec_hash(profile, architecture, controller, channel))
+        path = self._path(spec_hash(scenario, architecture))
         temp_name = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)

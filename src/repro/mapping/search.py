@@ -25,8 +25,7 @@ from ..dram.characterize import (
     characterize_cached,
 )
 from ..dram.commands import RequestKind
-from ..dram.device import DeviceProfile, resolve_device
-from ..dram.spec import DRAMOrganization
+from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from .counts import count_transitions
 from .dims import Dim, INTRA_CHIP_DIMS
 from .policy import MappingPolicy
@@ -88,16 +87,16 @@ COST_MODELS = ("simulator", "analytical")
 
 def _characterization_for(
     architecture: DRAMArchitecture,
-    profile: DeviceProfile,
+    scenario: Scenario,
     model: str,
 ) -> CharacterizationResult:
     """Per-condition costs from the selected cost-model backend."""
     if model == "simulator":
-        return characterize_cached(architecture, device=profile)
+        return characterize_cached(architecture, scenario)
     if model == "analytical":
         from ..dram.analytical import analytical_characterization
 
-        return analytical_characterization(architecture, device=profile)
+        return analytical_characterization(architecture, scenario)
     from ..errors import ConfigurationError
 
     raise ConfigurationError(
@@ -124,27 +123,27 @@ def score_policy(
     policy: MappingPolicy,
     n_accesses: int,
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
     characterization: Optional[CharacterizationResult] = None,
     kind: RequestKind = RequestKind.READ,
-    device: Optional[DeviceProfile] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     model: str = "simulator",
 ) -> ScoredPolicy:
     """Cost one policy for a contiguous run of ``n_accesses``.
 
+    The run is counted on the geometry of ``scenario``'s device.
     ``model`` selects the per-condition cost backend when no explicit
     ``characterization`` is given: ``"simulator"`` (cycle-accurate,
-    cached) or ``"analytical"`` (the closed-form model of
+    cached, under the scenario's controller and channel) or
+    ``"analytical"`` (the closed-form model of
     :mod:`repro.dram.analytical` — no simulation).
     """
     from ..core.conditions import run_cost
 
-    profile = resolve_device(device, organization)
-    organization = profile.organization
     if characterization is None:
         characterization = _characterization_for(
-            architecture, profile, model)
-    counts = count_transitions(policy, organization, n_accesses)
+            architecture, scenario, model)
+    counts = count_transitions(
+        policy, scenario.device.organization, n_accesses)
     cost = run_cost(counts, characterization, kind)
     return ScoredPolicy(
         policy=policy, cycles=cost.cycles, energy_nj=cost.energy_nj)
@@ -154,8 +153,7 @@ def rank_policies(
     n_accesses: int,
     architecture: DRAMArchitecture,
     policies: Optional[Sequence[MappingPolicy]] = None,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     model: str = "simulator",
 ) -> List[ScoredPolicy]:
     """All policies sorted by ascending EDP score.
@@ -167,12 +165,11 @@ def rank_policies(
     """
     if policies is None:
         policies = candidate_policies("all")
-    profile = resolve_device(device, organization)
-    characterization = _characterization_for(architecture, profile, model)
+    characterization = _characterization_for(architecture, scenario, model)
     scored = [
         score_policy(policy, n_accesses, architecture,
                      characterization=characterization,
-                     device=profile)
+                     scenario=scenario)
         for policy in policies
     ]
     return sorted(scored, key=lambda s: s.edp_score)
@@ -181,21 +178,18 @@ def rank_policies(
 def best_policy_for(
     n_accesses: int,
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     model: str = "simulator",
 ) -> ScoredPolicy:
     """The minimum-EDP-cost permutation for a run of ``n_accesses``."""
     return rank_policies(
-        n_accesses, architecture, organization=organization,
-        device=device, model=model)[0]
+        n_accesses, architecture, scenario=scenario, model=model)[0]
 
 
 def narrowing_is_sound(
     n_accesses: int,
     architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
+    scenario: Scenario = DEFAULT_SCENARIO,
     model: str = "simulator",
 ) -> bool:
     """Check the paper's Table-I narrowing for one configuration.
@@ -207,8 +201,7 @@ def narrowing_is_sound(
     permutations; the narrowing only protects the *minimum*.)
     """
     ranked = rank_policies(
-        n_accesses, architecture, organization=organization,
-        device=device, model=model)
+        n_accesses, architecture, scenario=scenario, model=model)
     best_overall = ranked[0].edp_score
     best_row_outer = min(
         s.edp_score for s in ranked

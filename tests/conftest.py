@@ -43,7 +43,7 @@ def _hermetic_disk_cache(tmp_path_factory):
     else:
         os.environ[CACHE_DIR_ENV] = previous
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS
@@ -90,7 +90,7 @@ def masa_sim(table2_org):
 @pytest.fixture(scope="session")
 def characterizations():
     """Fig.-1 characterization of all four architectures (cached)."""
-    return {arch: characterize_preset(arch) for arch in ALL_ARCHITECTURES}
+    return {arch: characterize_cached(arch) for arch in ALL_ARCHITECTURES}
 
 
 @pytest.fixture(scope="session")

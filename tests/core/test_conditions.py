@@ -11,7 +11,7 @@ from repro.core.conditions import (
     run_cost,
 )
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.characterize import AccessCondition, characterize_preset
+from repro.dram.characterize import AccessCondition, characterize_cached
 from repro.dram.commands import RequestKind
 from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
 from repro.mapping.catalog import DRMAP, MAPPING_2
@@ -21,7 +21,7 @@ from repro.mapping.dims import Dim
 
 @pytest.fixture(scope="module")
 def ddr3():
-    return characterize_preset(DRAMArchitecture.DDR3)
+    return characterize_cached(DRAMArchitecture.DDR3)
 
 
 class TestDimMapping:

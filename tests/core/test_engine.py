@@ -23,6 +23,7 @@ from repro.core.pareto import (
 )
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
+from repro.dram.scenario import Scenario
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
 
@@ -141,16 +142,17 @@ class TestDeviceThreading:
 
         implicit = explore_layer(tiny_layer, jobs=1)
         explicit = explore_layer(
-            tiny_layer, jobs=1, device=default_device())
+            tiny_layer, jobs=1, scenario=Scenario(default_device()))
         assert implicit.points == explicit.points
 
     def test_parallel_workers_reconstruct_the_device(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
 
         serial = explore_layer(
-            tiny_layer, jobs=1, device=DDR4_2400_DEVICE)
+            tiny_layer, jobs=1, scenario=Scenario(DDR4_2400_DEVICE))
         parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=61, device=DDR4_2400_DEVICE)
+            tiny_layer, jobs=2, chunk_size=61,
+            scenario=Scenario(DDR4_2400_DEVICE))
         assert serial.points == parallel.points
 
     def test_devices_change_the_numbers(self, tiny_layer):
@@ -160,7 +162,7 @@ class TestDeviceThreading:
             tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1)
         ddr4 = explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1,
-            device=DDR4_2400_DEVICE)
+            scenario=Scenario(DDR4_2400_DEVICE))
         assert len(ddr3.points) == len(ddr4.points)
         assert ddr3.best().edp_js != ddr4.best().edp_js
 
@@ -172,7 +174,7 @@ class TestDeviceThreading:
             explore_layer(
                 tiny_layer,
                 architectures=(DRAMArchitecture.SALP_MASA,),
-                device=LPDDR4_3200_DEVICE)
+                scenario=Scenario(LPDDR4_3200_DEVICE))
 
     def test_engine_counts_cache_traffic_per_device(self, tiny_layer):
         from repro.dram.device import LPDDR4_3200_DEVICE
@@ -181,10 +183,10 @@ class TestDeviceThreading:
         engine = ExplorationEngine(jobs=1, characterization_cache=cache)
         engine.explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
-            device=LPDDR4_3200_DEVICE)
+            scenario=Scenario(LPDDR4_3200_DEVICE))
         engine.explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
-            device=LPDDR4_3200_DEVICE)
+            scenario=Scenario(LPDDR4_3200_DEVICE))
         stats = cache.device_stats("lpddr4-3200")
         assert (stats.hits, stats.misses) == (1, 1)
 
@@ -357,7 +359,8 @@ class TestControllerThreading:
 
         implicit = explore_layer(tiny_layer)
         explicit = explore_layer(
-            tiny_layer, controller=DEFAULT_CONTROLLER_CONFIG)
+            tiny_layer,
+            scenario=Scenario(controller=DEFAULT_CONTROLLER_CONFIG))
         assert implicit.points == explicit.points
 
     def test_controller_changes_the_numbers(self, tiny_layer):
@@ -367,7 +370,8 @@ class TestControllerThreading:
             tiny_layer, architectures=(DRAMArchitecture.DDR3,))
         closed = explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
-            controller=controller_config(row_policy="closed"))
+            scenario=Scenario(
+                controller=controller_config(row_policy="closed")))
         assert default.best().edp_js != closed.best().edp_js
 
     def test_parallel_workers_reconstruct_the_controller(self, tiny_layer):
@@ -375,9 +379,10 @@ class TestControllerThreading:
 
         config = controller_config("fr-fcfs", "closed")
         serial = explore_layer(
-            tiny_layer, jobs=1, controller=config)
+            tiny_layer, jobs=1, scenario=Scenario(controller=config))
         parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=7, controller=config)
+            tiny_layer, jobs=2, chunk_size=7,
+            scenario=Scenario(controller=config))
         assert parallel.points == serial.points
 
     def test_context_pickles_the_controller(self, tiny_layer):
@@ -391,10 +396,10 @@ class TestControllerThreading:
         config = controller_config("fr-fcfs")
         context = _build_context(
             [tiny_layer], (DRAMArchitecture.DDR3,), ALL_SCHEMES,
-            TABLE1_MAPPINGS, TABLE2_BUFFERS, None, None,
-            CharacterizationCache(), controller=config)
+            TABLE1_MAPPINGS, TABLE2_BUFFERS, Scenario(controller=config),
+            None, CharacterizationCache())
         clone = pickle.loads(pickle.dumps(context))
-        assert clone.controller == config
+        assert clone.scenario.controller == config
         assert clone.characterizations[
             DRAMArchitecture.DDR3].controller == config
 
@@ -407,6 +412,7 @@ class TestControllerThreading:
             tiny_layer, architectures=(DRAMArchitecture.DDR3,))
         engine.explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
-            controller=controller_config(row_policy="closed"))
+            scenario=Scenario(
+                controller=controller_config(row_policy="closed")))
         assert len(cache) == 2
         assert cache.stats.misses == 2

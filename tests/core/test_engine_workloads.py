@@ -3,6 +3,7 @@
 from repro.cnn.scheduling import ReuseScheme
 from repro.core.engine import ExplorationEngine, _build_context
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.scenario import DEFAULT_SCENARIO
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.cnn.tiling import TABLE2_BUFFERS
@@ -13,7 +14,8 @@ def _context_for(workload):
     return _build_context(
         workload, (DRAMArchitecture.DDR3,),
         (ReuseScheme.ADAPTIVE_REUSE,), tuple(TABLE1_MAPPINGS),
-        TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+        TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+        DEFAULT_CHARACTERIZATION_CACHE)
 
 
 class TestContextWorkload:

@@ -28,6 +28,7 @@ from repro.core.eval_kernel import (
 from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
+from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
 from repro.cnn.scheduling import ALL_SCHEMES
 from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.errors import CapacityError, DseError
@@ -132,9 +133,9 @@ class TestBitIdentityOnAlexNet:
     def test_other_devices_bit_equal(self, conv1, device_name):
         device = get_device(device_name)
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
-            .explore_network(conv1, device=device)
+            .explore_network(conv1, scenario=Scenario(device))
         vector = ExplorationEngine(jobs=1, eval_model="vector") \
-            .explore_network(conv1, device=device)
+            .explore_network(conv1, scenario=Scenario(device))
         assert _hex_points(vector) == _hex_points(scalar)
 
 
@@ -162,7 +163,7 @@ class TestFunnelAndScores:
     def _context(self, layers):
         return _build_context(
             layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-            None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            DEFAULT_SCENARIO, None, DEFAULT_CHARACTERIZATION_CACHE)
 
     def test_batch_scores_bit_equal(self, conv1):
         context = self._context(conv1)
@@ -204,7 +205,8 @@ class TestEvalModelKnob:
         sentinel = object()
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            DEFAULT_CHARACTERIZATION_CACHE)
         assert make_chunk_evaluator(
             context, EvaluationCache(), "scalar", sentinel) is sentinel
 
@@ -220,7 +222,8 @@ class TestEvalModelKnob:
         sentinel = object()
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            DEFAULT_CHARACTERIZATION_CACHE)
         assert make_chunk_evaluator(
             context, EvaluationCache(), "auto", sentinel) is sentinel
         assert batch_scores(context, EvaluationCache()) is None
@@ -228,7 +231,8 @@ class TestEvalModelKnob:
     def test_layer_segments_respect_boundaries(self, conv1, tiny_layer):
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            DEFAULT_CHARACTERIZATION_CACHE)
         segments = list(iter_layer_segments(
             context, 0, context.total_points))
         assert [start for _, start, _ in segments] \
@@ -244,7 +248,8 @@ class TestEvalModelKnob:
         engine = ExplorationEngine(jobs=1, chunk_size=7)
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            DEFAULT_CHARACTERIZATION_CACHE)
         chunks = list(engine._chunks(context))
         # Gapless, in-order cover of the grid ...
         assert chunks[0][0] == 0

@@ -28,6 +28,7 @@ from repro.core.strategies import (
     strategy_summaries,
 )
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.scenario import DEFAULT_SCENARIO
 from repro.errors import ConfigurationError
 
 DDR3 = DRAMArchitecture.DDR3
@@ -124,8 +125,7 @@ class TestExhaustiveByteIdentity:
         engine = ExplorationEngine(strategy="random", seed=11)
         _search, run, _iter = engine._start(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, None, None, None, None, None,
-            None)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, None, None, None)
         assert (run.strategy, run.seed) == ("random", 11)
 
     def test_context_dataclass_carries_provenance(self, tiny_layer):
@@ -138,7 +138,7 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], (DDR3,), ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache(),
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache(),
             strategy="funnel", seed=5)
         clone = pickle.loads(pickle.dumps(context))
         assert (clone.strategy, clone.seed) == ("funnel", 5)
@@ -151,7 +151,7 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache())
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache())
         for index in range(context.total_points):
             layer, arch, scheme, policy, tiling = context.decode(index)
             encoded = context.encode(
@@ -229,7 +229,7 @@ class TestFunnel:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache())
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache())
         scores = analytical_scores(context, EvaluationCache())
         assert len(scores) == context.total_points
         assert all(score > 0 for score in scores)

@@ -64,6 +64,41 @@ class TestBatchSweep:
         assert ratio > 4.0
 
 
+class TestContendedSweeps:
+    """Every sweep forwards the whole scenario: precision and batch
+    sweeps used to drop the channel contention and return the
+    uncontended EDP."""
+
+    def test_one_point_sweeps_agree_under_contention(self):
+        from repro.dram.contention import contention_config
+        from repro.dram.device import get_device
+        from repro.dram.scenario import Scenario
+        from repro.workloads import get_workload
+
+        def conv2(batch=1, bytes_per_element=1):
+            return get_workload(
+                "alexnet", batch=batch,
+                bytes_per_element=bytes_per_element).lower()[1]
+
+        contended = Scenario(
+            get_device("ddr3-1600-2gb-x8"),
+            contention=contention_config(
+                requestors=4, arbiter="fixed-priority"))
+        (precision,) = sweep_precision(
+            lambda bpe: conv2(bytes_per_element=bpe),
+            bytes_per_element=(1,), scenario=contended)
+        (batch,) = sweep_batch(
+            lambda b: conv2(batch=b), batches=(1,), scenario=contended)
+        (buffers,) = sweep_buffers(
+            conv2(), sizes_kb=(64,), scenario=contended)
+        (uncontended,) = sweep_buffers(conv2(), sizes_kb=(64,))
+        for point in (precision, batch):
+            assert point.drmap_edp_js == buffers.drmap_edp_js
+            assert point.worst_edp_js == buffers.worst_edp_js
+        assert buffers.drmap_edp_js != uncontended.drmap_edp_js
+        assert buffers.worst_edp_js != uncontended.worst_edp_js
+
+
 class TestTable:
     def test_rows_shape(self):
         points = [SweepPoint("p", 8, 1.0, 2.0)]

@@ -35,6 +35,7 @@ from repro.dram.characterize import (
 )
 from repro.dram.device import DEVICE_REGISTRY, default_device, get_device
 from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 
@@ -89,7 +90,7 @@ class TestConditionErrorBounds:
         ALL_CONFIGS,
         ids=[f"{d.name}-{a.value}" for d, a in ALL_CONFIGS])
     def test_default_controller_within_bound(self, device, architecture):
-        report = compare_to_simulator(architecture, device=device)
+        report = compare_to_simulator(architecture, Scenario(device))
         for condition in ALL_CONDITIONS:
             for field, error in report[condition].items():
                 assert error <= DEFAULT_ERROR_BOUND, (
@@ -102,8 +103,8 @@ class TestConditionErrorBounds:
         ids=lambda a: a.value)
     def test_closed_row_within_bound(self, architecture):
         report = compare_to_simulator(
-            architecture, device=default_device(),
-            controller=controller_config(row_policy="closed"))
+            architecture, Scenario(
+                default_device(), controller_config(row_policy="closed")))
         for condition in ALL_CONDITIONS:
             for field, error in report[condition].items():
                 assert error <= CLOSED_ROW_ERROR_BOUND, (
@@ -126,7 +127,7 @@ class TestConditionErrorBounds:
 
     def test_capability_set_enforced(self):
         with pytest.raises(ConfigurationError, match="does not support"):
-            AnalyticalModel(device=get_device("hbm2")).characterization(
+            AnalyticalModel(Scenario(get_device("hbm2"))).characterization(
                 DRAMArchitecture.SALP_MASA)
 
 
@@ -146,21 +147,21 @@ class TestRankCorrelation:
             layer = alexnet()[1]  # CONV2: grouped, richly tiled
         exact_edps = []
         analytical_edps = []
+        scenario = Scenario(device)
         for architecture in device.supported_architectures:
-            exact_char = characterize_cached(architecture, device=device)
-            model_char = characterize_analytical(
-                architecture, device=device)
+            exact_char = characterize_cached(architecture, scenario)
+            model_char = characterize_analytical(architecture, scenario)
             for scheme in ALL_SCHEMES:
                 for policy in TABLE1_MAPPINGS:
                     for tiling in enumerate_tilings(layer):
                         exact_edps.append(layer_edp(
                             layer, tiling, scheme, policy, architecture,
                             characterization=exact_char,
-                            device=device).edp_js)
+                            scenario=scenario).edp_js)
                         analytical_edps.append(layer_edp(
                             layer, tiling, scheme, policy, architecture,
                             characterization=model_char,
-                            device=device).edp_js)
+                            scenario=scenario).edp_js)
         rho = _spearman(analytical_edps, exact_edps)
         assert rho >= 0.9, f"{device.name}: Spearman {rho:.4f} < 0.9"
 

@@ -7,7 +7,7 @@ from repro.dram.characterize import (
     ALL_CONDITIONS,
     AccessCondition,
     characterize_all,
-    characterize_preset,
+    characterize_cached,
 )
 from repro.dram.commands import RequestKind
 
@@ -40,8 +40,8 @@ class TestStructure:
         assert cost.energy_nj(RequestKind.WRITE) == cost.write_energy_nj
 
     def test_cached_preset(self):
-        first = characterize_preset(DRAMArchitecture.DDR3)
-        second = characterize_preset(DRAMArchitecture.DDR3)
+        first = characterize_cached(DRAMArchitecture.DDR3)
+        second = characterize_cached(DRAMArchitecture.DDR3)
         assert first is second
 
 

@@ -13,8 +13,9 @@ from repro.dram.characterize import (
     AccessCondition,
     CharacterizationCache,
     characterize,
-    characterize_device,
+    characterize_all,
 )
+from repro.dram.scenario import Scenario
 from repro.dram.device import (
     DDR4_2400_DEVICE,
     HBM2_DEVICE,
@@ -86,9 +87,9 @@ class TestMultiDeviceCache:
     def test_keys_do_not_collide_across_devices(self):
         cache = CharacterizationCache()
         ddr3 = cache.get(DRAMArchitecture.DDR3)
-        ddr4 = cache.get(DRAMArchitecture.DDR3, device=DDR4_2400_DEVICE)
+        ddr4 = cache.get(DRAMArchitecture.DDR3, Scenario(DDR4_2400_DEVICE))
         lpddr4 = cache.get(
-            DRAMArchitecture.DDR3, device=LPDDR4_3200_DEVICE)
+            DRAMArchitecture.DDR3, Scenario(LPDDR4_3200_DEVICE))
         assert ddr3 is not ddr4
         assert ddr4 is not lpddr4
         # Three distinct entries, one per (profile, architecture).
@@ -98,24 +99,24 @@ class TestMultiDeviceCache:
 
     def test_same_device_hits(self):
         cache = CharacterizationCache()
-        first = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
-        second = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
+        first = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
+        second = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         assert first is second
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
     def test_architecture_is_part_of_the_key(self):
         cache = CharacterizationCache()
-        ddr3 = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
-        masa = cache.get(DRAMArchitecture.SALP_MASA, device=TINY_DEVICE)
+        ddr3 = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
+        masa = cache.get(DRAMArchitecture.SALP_MASA, Scenario(TINY_DEVICE))
         assert ddr3 is not masa
         assert len(cache) == 2
 
     def test_per_device_stats(self):
         cache = CharacterizationCache()
-        cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
-        cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
-        cache.get(DRAMArchitecture.DDR3, device=DDR4_2400_DEVICE)
+        cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
+        cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
+        cache.get(DRAMArchitecture.DDR3, Scenario(DDR4_2400_DEVICE))
         tiny_stats = cache.device_stats("tiny")
         assert (tiny_stats.hits, tiny_stats.misses) == (1, 1)
         ddr4_stats = cache.device_stats("ddr4-2400")
@@ -127,41 +128,42 @@ class TestMultiDeviceCache:
 
     def test_clear_resets_per_device_stats(self):
         cache = CharacterizationCache()
-        cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
+        cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         cache.clear()
         assert cache.per_device_stats() == {}
         assert len(cache) == 0
 
     def test_custom_organization_distinct_from_profile(self):
         cache = CharacterizationCache()
-        base = cache.get(DRAMArchitecture.SALP_MASA, device=TINY_DEVICE)
+        base = cache.get(DRAMArchitecture.SALP_MASA, Scenario(TINY_DEVICE))
         more = cache.get(
             DRAMArchitecture.SALP_MASA,
-            TINY_DEVICE.organization.with_subarrays(2),
-            device=TINY_DEVICE)
+            Scenario(TINY_DEVICE).with_organization(
+                TINY_DEVICE.organization.with_subarrays(2)))
         assert base is not more
         assert len(cache) == 2
 
     def test_capability_enforced_before_compute(self):
         cache = CharacterizationCache()
         with pytest.raises(ConfigurationError, match="does not support"):
-            cache.get(DRAMArchitecture.SALP_1, device=HBM2_DEVICE)
+            cache.get(DRAMArchitecture.SALP_1, Scenario(HBM2_DEVICE))
         assert len(cache) == 0
 
 
 class TestCharacterizeDevice:
     def test_covers_the_capability_set(self):
-        results = characterize_device(TINY_DEVICE)
+        results = characterize_all(Scenario(TINY_DEVICE))
         assert set(results) == set(ALL_ARCHITECTURES)
-        commodity_only = characterize_device(LPDDR4_3200_DEVICE)
+        commodity_only = characterize_all(Scenario(LPDDR4_3200_DEVICE))
         assert set(commodity_only) == {DRAMArchitecture.DDR3}
 
     def test_fig1_shape_holds_on_every_device(self):
         """Hit < miss < conflict must hold per generation too."""
         for device in (default_device(), DDR4_2400_DEVICE,
                        LPDDR4_3200_DEVICE, HBM2_DEVICE):
-            result = characterize_device(
-                device, (DRAMArchitecture.DDR3,))[DRAMArchitecture.DDR3]
+            result = characterize_all(
+                Scenario(device), (DRAMArchitecture.DDR3,))[
+                    DRAMArchitecture.DDR3]
             hit = result.cost(AccessCondition.ROW_HIT).cycles
             miss = result.cost(AccessCondition.ROW_MISS).cycles
             conflict = result.cost(AccessCondition.ROW_CONFLICT).cycles

@@ -28,6 +28,7 @@ from repro.dram.controller import MemoryController
 from repro.dram.crossbar import Crossbar, RequestorBankMachine
 from repro.dram.device import TINY_DEVICE
 from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
@@ -282,16 +283,16 @@ class TestCrossbar:
 class TestContentionCacheKey:
     def test_in_memory_cache_distinguishes_contention(self):
         cache = CharacterizationCache()
-        base = cache.get(DDR3, device=TINY_DEVICE)
+        base = cache.get(DDR3, Scenario(TINY_DEVICE))
         contended = cache.get(
-            DDR3, device=TINY_DEVICE,
-            contention=contention_config(requestors=2))
+            DDR3, Scenario(TINY_DEVICE,
+                           contention=contention_config(requestors=2)))
         assert base is not contended
         assert cache.stats.misses == 2
         # Same channel again: a hit, not a re-simulation.
         again = cache.get(
-            DDR3, device=TINY_DEVICE,
-            contention=contention_config(requestors=2))
+            DDR3, Scenario(TINY_DEVICE,
+                           contention=contention_config(requestors=2)))
         assert again is contended
         assert cache.stats.hits == 1
 

@@ -20,6 +20,7 @@ from repro.dram.device import (
 )
 from repro.dram.power import DDR3_1600_2GB_X8_CURRENTS
 from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
+from repro.dram.scenario import Scenario
 from repro.dram.timing import DDR3_1600_TIMINGS
 from repro.errors import ConfigurationError
 
@@ -190,6 +191,6 @@ class TestDeviceRegistry:
     def test_resolve_device_defaults(self):
         assert resolve_device() is default_device()
         custom = TINY_ORGANIZATION.with_subarrays(2)
-        derived = resolve_device(organization=custom)
+        derived = Scenario().with_organization(custom).device
         assert derived.organization is custom
         assert derived.timings is DDR3_1600_TIMINGS

@@ -28,6 +28,7 @@ from repro.dram.kernel import (
     kernel_supported,
 )
 from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.store import CharacterizationStore
 from repro.errors import ConfigurationError
@@ -123,28 +124,28 @@ class TestExactEquality:
 class TestBatch:
     def test_batch_equals_per_triple_calls(self):
         items = [
-            (device, architecture)
+            (Scenario(device), architecture)
             for device, architecture in ALL_TRIPLES
         ]
         batch = characterize_batch(items)
         assert len(batch) == len(items)
-        for (profile, architecture, config, channel), result \
-                in batch.items():
+        for (scenario, architecture), result in batch.items():
             single = characterize(
-                architecture, device=profile, controller=config,
-                contention=channel, model="kernel")
+                architecture, device=scenario.device,
+                controller=scenario.controller,
+                contention=scenario.contention, model="kernel")
             assert_exactly_equal(result, single)
 
     def test_device_names_accepted(self):
         batch = characterize_batch(
-            [("tiny", DRAMArchitecture.DDR3)])
+            [(Scenario(get_device("tiny")), DRAMArchitecture.DDR3)])
         (result,) = batch.values()
         assert result.device_name == "tiny"
 
     def test_ineligible_item_falls_back_to_the_simulator(self):
         config = controller_config(scheduler="fr-fcfs")
         batch = characterize_batch(
-            [(TINY_DEVICE, DRAMArchitecture.DDR3, config)])
+            [(Scenario(TINY_DEVICE, config), DRAMArchitecture.DDR3)])
         (result,) = batch.values()
         simulator = characterize(
             DRAMArchitecture.DDR3, device=TINY_DEVICE,
@@ -210,9 +211,9 @@ class TestCacheNoFork:
 
     def test_memo_entry_is_shared_across_backends(self):
         cache = CharacterizationCache()
-        first = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
+        first = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
                           model="kernel")
-        second = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
+        second = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
                            model="simulator")
         assert first is second
         assert cache.stats.hits == 1
@@ -221,10 +222,10 @@ class TestCacheNoFork:
     def test_store_entry_is_shared_across_backends(self, tmp_path):
         store = CharacterizationStore(tmp_path / "store")
         writer = CharacterizationCache(store=store)
-        writer.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
+        writer.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
                    model="kernel")
         reader = CharacterizationCache(store=store)
-        served = reader.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
+        served = reader.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
                             model="simulator")
         assert store.hits == 1
         simulator = characterize(
@@ -235,23 +236,23 @@ class TestCacheNoFork:
     def test_get_many_equals_per_get(self):
         architectures = tuple(TINY_DEVICE.supported_architectures)
         batched = CharacterizationCache().get_many(
-            architectures, device=TINY_DEVICE)
+            architectures, Scenario(TINY_DEVICE))
         single_cache = CharacterizationCache()
         for architecture in architectures:
             expected = single_cache.get(architecture,
-                                        device=TINY_DEVICE)
+                                        Scenario(TINY_DEVICE))
             assert_exactly_equal(batched[architecture], expected)
 
     def test_get_many_counts_like_per_get(self, tmp_path):
         store = CharacterizationStore(tmp_path / "store")
         cache = CharacterizationCache(store=store)
         architectures = tuple(TINY_DEVICE.supported_architectures)
-        cache.get_many(architectures, device=TINY_DEVICE)
+        cache.get_many(architectures, Scenario(TINY_DEVICE))
         assert cache.stats.misses == len(architectures)
         assert cache.stats.hits == 0
         # One store probe and one write per miss, exactly like get().
         assert store.misses == len(architectures)
-        cache.get_many(architectures, device=TINY_DEVICE)
+        cache.get_many(architectures, Scenario(TINY_DEVICE))
         assert cache.stats.hits == len(architectures)
         assert store.misses == len(architectures)
 
@@ -259,9 +260,9 @@ class TestCacheNoFork:
         store = CharacterizationStore(tmp_path / "store")
         writer = CharacterizationCache(store=store)
         architectures = tuple(TINY_DEVICE.supported_architectures)
-        expected = writer.get_many(architectures, device=TINY_DEVICE)
+        expected = writer.get_many(architectures, Scenario(TINY_DEVICE))
         reader = CharacterizationCache(store=store)
-        served = reader.get_many(architectures, device=TINY_DEVICE)
+        served = reader.get_many(architectures, Scenario(TINY_DEVICE))
         for architecture in architectures:
             assert_exactly_equal(served[architecture],
                                  expected[architecture])

@@ -24,6 +24,7 @@ from repro.dram.policies import (
     scheduler_names,
 )
 from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
@@ -226,15 +227,15 @@ class TestTimeout:
 class TestCharacterizationThreading:
     def test_controller_is_part_of_the_cache_key(self):
         cache = CharacterizationCache()
-        default = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
+        default = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         closed = cache.get(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            controller=controller_config(row_policy="closed"))
+            DRAMArchitecture.DDR3,
+            Scenario(TINY_DEVICE, controller_config(row_policy="closed")))
         assert default is not closed
         assert len(cache) == 2
         again = cache.get(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            controller=controller_config(row_policy="closed"))
+            DRAMArchitecture.DDR3,
+            Scenario(TINY_DEVICE, controller_config(row_policy="closed")))
         assert again is closed
 
     def test_result_records_controller(self):

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.device import LPDDR4_3200_DEVICE
-from repro.dram.presets import (
-    DDR3_1600_2GB_X8,
-    TINY_ORGANIZATION,
-    organization_for,
-)
+from repro.dram.device import LPDDR4_3200_DEVICE, default_device
+from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from repro.errors import ConfigurationError
 
 
@@ -22,21 +18,18 @@ class TestTable2Presets:
         assert DDR3_1600_2GB_X8.banks_per_chip == 8
         assert DDR3_1600_2GB_X8.subarrays_per_bank == 8
 
-    def test_organization_for_every_architecture(self):
+    def test_every_architecture_shares_the_table2_geometry(self):
         # SALP shares the DDR3 geometry (Table II lists identical
         # organization); only the behaviour flags differ.
+        device = default_device()
         for arch in DRAMArchitecture:
-            assert organization_for(arch) is DDR3_1600_2GB_X8
+            device.require_architecture(arch)
+            assert device.organization is DDR3_1600_2GB_X8
 
-    def test_organization_for_resolves_device(self):
-        organization = organization_for(
-            DRAMArchitecture.DDR3, device=LPDDR4_3200_DEVICE)
-        assert organization is LPDDR4_3200_DEVICE.organization
-
-    def test_organization_for_enforces_capability(self):
+    def test_capability_enforced_before_the_geometry(self):
         with pytest.raises(ConfigurationError, match="does not support"):
-            organization_for(
-                DRAMArchitecture.SALP_MASA, device=LPDDR4_3200_DEVICE)
+            LPDDR4_3200_DEVICE.require_architecture(
+                DRAMArchitecture.SALP_MASA)
 
 
 class TestTinyOrganization:

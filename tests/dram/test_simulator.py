@@ -4,6 +4,7 @@ import pytest
 
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.commands import RequestKind
+from repro.dram.device import default_device
 from repro.dram.simulator import DRAMSimulator
 
 
@@ -51,7 +52,7 @@ class TestRun:
 class TestPresetConstructor:
     @pytest.mark.parametrize("arch", list(DRAMArchitecture))
     def test_from_preset(self, arch):
-        sim = DRAMSimulator.from_preset(arch)
+        sim = DRAMSimulator.from_profile(default_device(), arch)
         assert sim.architecture is arch
         assert sim.organization.chip_megabits == 2048
 

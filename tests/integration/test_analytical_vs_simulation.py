@@ -15,6 +15,7 @@ from repro.cnn.trace import generate_layer_trace
 from repro.core.edp import layer_edp
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import characterize
+from repro.dram.device import default_device
 from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
 from repro.dram.simulator import DRAMSimulator
 from repro.mapping.catalog import DRMAP, MAPPING_2, TABLE1_MAPPINGS
@@ -32,7 +33,7 @@ def tiling():
 
 def simulate(layer, tiling, policy, architecture,
              scheme=ReuseScheme.OFMS_REUSE):
-    simulator = DRAMSimulator.from_preset(architecture)
+    simulator = DRAMSimulator.from_profile(default_device(), architecture)
     trace = generate_layer_trace(layer, tiling, scheme, policy, ORG)
     return simulator.run(trace)
 

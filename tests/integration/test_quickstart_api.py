@@ -29,6 +29,15 @@ class TestQuickLayerEDP:
         mapping2 = quick_layer_edp(layer, MAPPING_2)
         assert drmap.edp_js < mapping2.edp_js
 
+    def test_scenario_carries_the_channel(self):
+        from repro.dram import contention_config
+
+        layer = alexnet()[1]
+        contended = repro.Scenario(contention=contention_config(
+            requestors=4, arbiter="fixed-priority"))
+        assert quick_layer_edp(layer, DRMAP, scenario=contended).edp_js \
+            != quick_layer_edp(layer, DRMAP).edp_js
+
     def test_version_exposed(self):
         assert repro.__version__
 

@@ -52,6 +52,27 @@ class TestScoring:
         best = best_policy_for(RUN, DRAMArchitecture.DDR3)
         assert best.policy.loop_order == DRMAP.loop_order
 
+    def test_scenario_reaches_the_simulator_costs(self):
+        """Search scores under the scenario's controller and channel,
+        not only its device."""
+        from repro.dram.contention import contention_config
+        from repro.dram.device import TINY_DEVICE
+        from repro.dram.policies import controller_config
+        from repro.dram.scenario import Scenario
+
+        base = score_policy(DRMAP, 64, DRAMArchitecture.DDR3,
+                            scenario=Scenario(TINY_DEVICE))
+        closed = score_policy(
+            DRMAP, 64, DRAMArchitecture.DDR3,
+            scenario=Scenario(TINY_DEVICE,
+                              controller_config(row_policy="closed")))
+        contended = score_policy(
+            DRMAP, 64, DRAMArchitecture.DDR3,
+            scenario=Scenario(TINY_DEVICE, contention=contention_config(
+                requestors=2, arbiter="fixed-priority")))
+        assert closed.edp_score != base.edp_score
+        assert contended.edp_score != base.edp_score
+
     @pytest.mark.parametrize("arch", list(DRAMArchitecture),
                              ids=[a.value for a in DRAMArchitecture])
     def test_global_best_is_row_outermost(self, arch):

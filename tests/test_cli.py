@@ -471,14 +471,6 @@ class TestControllerPolicies:
         assert code == 0
         assert "[fr-fcfs/open]" in out
 
-    def test_traffic_flags_do_not_change_bytes(self, capsys):
-        code, default = run_cli(capsys, "traffic", "--model", "lenet5")
-        assert code == 0
-        code, closed = run_cli(capsys, "traffic", "--model", "lenet5",
-                               "--row-policy", "closed")
-        assert code == 0
-        assert default == closed
-
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
             main(["dse", "--model", "lenet5", "--scheduler", "elevator"])
