@@ -56,8 +56,13 @@ cov-core:
 		--cov=repro.core --cov-report=term-missing \
 		--cov-fail-under=80
 
-## byte-compile everything and make sure the test suite collects cleanly
+## byte-compile everything and make sure the test suite collects
+## cleanly; bytecode goes to a throwaway PYTHONPYCACHEPREFIX, so the
+## checkout is left as clean as a fresh clone
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
-	$(PYTHON) -m pytest --collect-only -q > /dev/null
+	@prefix=$$(mktemp -d) && trap 'rm -rf "$$prefix"' EXIT && \
+	PYTHONPYCACHEPREFIX="$$prefix" \
+		$(PYTHON) -m compileall -q src tests benchmarks examples && \
+	PYTHONPYCACHEPREFIX="$$prefix" \
+		$(PYTHON) -m pytest --collect-only -q > /dev/null
 	@echo "lint OK"

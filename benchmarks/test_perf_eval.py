@@ -88,7 +88,7 @@ def test_funnel_wall_clock_does_not_regress(alexnet_layers):
     scalar_engine = ExplorationEngine(jobs=1, strategy="funnel",
                                       eval_model="scalar")
     vector_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="vector")
+                                      eval_model="auto")
 
     def scalar_path():
         return scalar_engine.explore_network(alexnet_layers)

@@ -5,10 +5,11 @@ path that returns different numbers is a bug, not a speedup):
 
 * a full default-device characterization (all four architectures) on
   the kernel must be at least **10x** faster than the object
-  simulator;
+  simulator (:func:`repro.dram.characterize.characterize_on_simulator`);
 * one :func:`repro.dram.kernel.characterize_batch` pass over the whole
   device registry must be at least **2x** faster than the equivalent
-  per-triple ``characterize(model="kernel")`` calls — the batch shares
+  per-triple ``characterize()`` calls, each of which runs the kernel
+  on these default-controller configurations — the batch shares
   stream synthesis, classification and the architecture-invariant
   micro-experiment walks across the grid slice.
 
@@ -18,10 +19,11 @@ Run via ``make bench-gates``.
 from __future__ import annotations
 
 from repro.core.report import format_table
-from repro.dram.characterize import characterize
+from repro.dram.characterize import characterize, characterize_on_simulator
 from repro.dram.device import DEVICE_REGISTRY, get_device
 from repro.dram.kernel import characterize_batch
 from repro.dram.scenario import Scenario
+from repro.dram.simulator import DRAMSimulator
 
 from ._timing import interleaved_best_of
 
@@ -33,15 +35,14 @@ def test_kernel_at_least_10x_faster_than_simulator():
 
     def simulator_path():
         return [
-            characterize(a, device=device, model="simulator")
+            characterize_on_simulator(
+                DRAMSimulator.from_profile(device, a),
+                device_name=device.name)
             for a in architectures
         ]
 
     def kernel_path():
-        return [
-            characterize(a, device=device, model="kernel")
-            for a in architectures
-        ]
+        return [characterize(a, device=device) for a in architectures]
 
     # Identical numbers first, then the stopwatch.
     for fast, slow in zip(kernel_path(), simulator_path()):
@@ -78,8 +79,7 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
 
     def per_triple_path():
         return [
-            characterize(architecture, device=scenario.device,
-                         model="kernel")
+            characterize(architecture, device=scenario.device)
             for scenario, architecture in items
         ]
 

@@ -5,6 +5,7 @@ Usage::
     python -m repro characterize [--arch DDR3] [--device NAME|all]
                                  [--scheduler fr-fcfs] [--row-policy closed]
                                  [--requestors N] [--arbiter NAME]
+                                 [--analytical]
     python -m repro edp --model alexnet --layer CONV2 [--mapping 3]
                         [--device NAME] [--batch B]
                         [--bytes-per-element N]
@@ -16,7 +17,6 @@ Usage::
                         [--scheduler NAME] [--row-policy NAME]
                         [--requestors N] [--arbiter NAME]
                         [--strategy NAME] [--seed S] [--funnel-topk PCT]
-                        [--eval-model auto|scalar|vector]
     python -m repro traffic --model alexnet [--device NAME] [--batch B]
                             [--bytes-per-element N]
     python -m repro models [--detail] [--model NAME]
@@ -67,6 +67,13 @@ table.
 DRAM traffic volumes depend on none of it, so ``traffic`` takes only
 ``--device``, which adds per-device burst counts.
 
+The scenario also picks the characterization backend, so no flag
+does: the vectorized kernel where it applies (default controller,
+uncontended channel), the cycle-level simulator everywhere else, with
+identical numbers where both apply.  ``characterize --analytical``
+prints the closed-form model's costs instead; that model is
+contention-blind, so it refuses a non-default channel.
+
 ``dse`` runs on the sharded :mod:`repro.core.engine`:
 
 ``--jobs N``
@@ -83,14 +90,12 @@ DRAM traffic volumes depend on none of it, so ``traffic`` takes only
     the closed-form analytical cost model and exactly re-evaluates
     only the top ``--funnel-topk`` percent per layer; ``random`` /
     ``greedy-refine`` are seeded heuristics (``--seed``).
-``--eval-model NAME``
-    Point-evaluation backend.  ``vector`` batches whole grid chunks
-    through the numpy Eq. 2/3 kernel, ``scalar`` keeps the per-point
-    loop, and ``auto`` (default) picks ``vector`` when numpy is
-    importable.  Every backend produces bit-identical EDP floats, so
-    the table output never depends on the choice.
     Non-exhaustive runs are tagged in the table title and followed by
     a one-line evaluation-count summary.
+
+Invalid input — an unknown name, a non-positive count, a layer the
+workload lacks, a configuration the library rejects — exits with
+status 2 and a one-line ``repro: error:`` message, never a traceback.
 
 Characterizations are persisted to an on-disk store (default
 ``~/.cache/repro``, override with ``--cache-dir`` or the
@@ -114,7 +119,7 @@ from .cnn.traffic import layer_traffic
 from .core.dse import explore_layer
 from .core.report import format_table
 from .dram.architecture import DRAMArchitecture
-from .dram.characterize import characterize_all
+from .dram.characterize import characterize_all, characterize_analytical
 from .dram.contention import arbiter_names, contention_config
 from .dram.device import DEVICE_REGISTRY, default_device, get_device
 from .dram.policies import (
@@ -123,7 +128,7 @@ from .dram.policies import (
     scheduler_names,
 )
 from .dram.scenario import Scenario
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 from .mapping.catalog import TABLE1_MAPPINGS, mapping_by_index
 from .units import format_bytes
 from .workloads import get_workload, handoff_summary, workload_names
@@ -177,7 +182,7 @@ def _strategy_options(args: argparse.Namespace):
     seed = getattr(args, "seed", None)
     topk = getattr(args, "funnel_topk", 5.0)
     if not 0.0 < topk <= 100.0:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--funnel-topk must be in (0, 100], got {topk}")
     options = {}
     if strategy == "funnel":
@@ -190,9 +195,9 @@ def _workload(args: argparse.Namespace):
     batch = getattr(args, "batch", 1)
     bytes_per_element = getattr(args, "bytes_per_element", 1)
     if batch <= 0:
-        raise SystemExit(f"--batch must be positive, got {batch}")
+        raise ConfigurationError(f"--batch must be positive, got {batch}")
     if bytes_per_element <= 0:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--bytes-per-element must be positive, "
             f"got {bytes_per_element}")
     return get_workload(
@@ -208,7 +213,7 @@ def _layers(args: argparse.Namespace):
     matching = [l for l in layers if l.name == layer]
     if not matching:
         names = ", ".join(l.name for l in layers)
-        raise SystemExit(
+        raise ConfigurationError(
             f"model {args.model!r} has no layer {layer!r}; "
             f"layers: {names}")
     return matching
@@ -219,17 +224,10 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     _configure_store(args)
     requested = _architecture(args.arch) if args.arch else None
     scenario = _scenario(args)
-    model = getattr(args, "model", "auto")
-    if model == "kernel":
-        from .dram.kernel import kernel_ineligibility
-
-        reason = kernel_ineligibility(scenario.controller,
-                                      scenario.contention)
-        if reason is not None:
-            print(f"warning: model 'kernel' cannot characterize "
-                  f"{reason}; falling back to the simulator",
-                  file=sys.stderr)
-            model = "simulator"
+    if args.analytical and not scenario.contention.is_default:
+        raise ConfigurationError(
+            f"--analytical models the uncontended channel only; drop "
+            f"--requestors/--arbiter (got {scenario.contention.label})")
     if args.device == "all":
         devices = list(DEVICE_REGISTRY)
         if requested is not None:
@@ -253,15 +251,13 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             architectures = (requested,)
         else:
             architectures = profile.supported_architectures
-        if model == "analytical":
-            from .dram.characterize import characterize_analytical
-
+        if args.analytical:
             results = {
                 architecture: characterize_analytical(architecture, here)
                 for architecture in architectures
             }
         else:
-            results = characterize_all(here, architectures, model=model)
+            results = characterize_all(here, architectures)
         for architecture in architectures:
             result = results[architecture]
             for name, cycles, read_nj, write_nj in result.rows():
@@ -330,9 +326,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
     scenario.device.require_architecture(architecture)
     strategy, seed, options = _strategy_options(args)
     if args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {args.jobs}")
+        raise ConfigurationError(f"--jobs must be >= 0, got {args.jobs}")
     if args.chunk_size is not None and args.chunk_size <= 0:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--chunk-size must be positive, got {args.chunk_size}")
     engine = ExplorationEngine(
         jobs=args.jobs,
@@ -340,8 +336,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     else DEFAULT_CHUNK_SIZE),
         strategy=strategy,
         seed=seed,
-        strategy_options=options,
-        eval_model=args.eval_model)
+        strategy_options=options)
     rows = []
     total = 0.0
     evaluated = 0
@@ -613,12 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one architecture (default: every "
                              "architecture the device supports)")
     p_char.add_argument(
-        "--model", default="auto",
-        choices=("auto", "simulator", "analytical", "kernel"),
-        help="characterization backend: the cycle-level simulator, "
-             "the closed-form analytical model, the vectorized batch "
-             "kernel, or 'auto' (kernel when the configuration is "
-             "eligible, simulator otherwise; the default)")
+        "--analytical", action="store_true",
+        help="print the closed-form analytical model's costs instead "
+             "of measured ones (uncontended channel only)")
     add_scenario_arguments(
         p_char, "device profile name, or 'all' for every registered "
                 "device (default: ddr3-1600-2gb-x8)")
@@ -688,16 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="funnel strategy: percentage of each layer's grid "
              "re-evaluated exactly after analytical pruning "
              "(default: 5)")
-    from .core.eval_kernel import EVAL_MODELS
-
-    p_dse.add_argument(
-        "--eval-model", dest="eval_model", default="auto",
-        choices=EVAL_MODELS,
-        help="point-evaluation backend: 'vector' batches whole "
-             "chunks through the numpy Eq. 2/3 kernel, 'scalar' "
-             "keeps the per-point loop, 'auto' (default) vectorizes "
-             "when numpy is available; results are bit-identical "
-             "for every choice")
     p_dse.set_defaults(func=cmd_dse)
 
     p_traffic = subparsers.add_parser(
@@ -753,16 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    Configuration problems — unknown ``--device``/``--arch`` names, an
-    architecture outside the device's capability set — exit with
-    status 2 (argparse's usage-error convention) and the message names
-    the valid choices.
+    Every library error (:class:`~repro.errors.ReproError`) — unknown
+    ``--device``/``--arch`` names, an architecture outside the device's
+    capability set, a workload that fits no tiling or no DRAM — exits
+    with status 2 (argparse's usage-error convention) and a one-line
+    message; unknown names come with the valid choices.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as error:
+    except ReproError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -150,12 +150,8 @@ class DseResult:
             self.strategy = "mixed"
 
 
-def _engine_for(jobs, chunk_size, engine, eval_model="auto"):
-    """Resolve the execution engine for the explore_* entry points.
-
-    ``eval_model`` configures the constructed engine's chunk
-    evaluation backend; a pre-built ``engine`` keeps its own setting.
-    """
+def _engine_for(jobs, chunk_size, engine):
+    """Resolve the execution engine for the explore_* entry points."""
     from .engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
 
     if engine is not None:
@@ -163,8 +159,7 @@ def _engine_for(jobs, chunk_size, engine, eval_model="auto"):
     return ExplorationEngine(
         jobs=jobs,
         chunk_size=(chunk_size if chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE),
-        eval_model=eval_model)
+                    else DEFAULT_CHUNK_SIZE))
 
 
 def explore_layer(
@@ -178,7 +173,6 @@ def explore_layer(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     engine=None,
-    eval_model: str = "auto",
     strategy=None,
     seed: Optional[int] = None,
     strategy_options: Optional[dict] = None,
@@ -202,12 +196,6 @@ def explore_layer(
     engine:
         Pre-built engine to run on (overrides ``jobs``/``chunk_size``);
         reusing one engine across calls shares its evaluation caches.
-    eval_model:
-        Chunk-evaluation backend (``"auto"`` / ``"scalar"`` /
-        ``"vector"``, see
-        :class:`repro.core.engine.ExplorationEngine`); ignored when a
-        pre-built ``engine`` is passed.  Results are bit-for-bit
-        identical across backends.
     strategy / seed / strategy_options:
         Search strategy (a registered name — ``exhaustive``,
         ``random``, ``greedy-refine``, ``funnel`` — or a
@@ -215,7 +203,7 @@ def explore_layer(
         seed of its randomized choices, and its constructor options.
         ``None`` uses the engine's default (exhaustive).
     """
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
+    eng = _engine_for(jobs, chunk_size, engine)
     tilings_seq = None if tilings is None else list(tilings)
     return eng.explore_layer(
         layer, architectures=architectures, schemes=schemes,
@@ -229,7 +217,6 @@ def explore_network(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     engine=None,
-    eval_model: str = "auto",
     **kwargs,
 ) -> DseResult:
     """Algorithm 1 over all layers of a network.
@@ -243,7 +230,7 @@ def explore_network(
     ``seed`` / ``strategy_options`` select the search strategy as in
     :func:`explore_layer`.
     """
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
+    eng = _engine_for(jobs, chunk_size, engine)
     return eng.explore_network(layers, **kwargs)
 
 
@@ -252,7 +239,6 @@ def explore_workload(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     engine=None,
-    eval_model: str = "auto",
     architecture: Optional[DRAMArchitecture] = None,
     scheme: Optional[ReuseScheme] = None,
     **kwargs,
@@ -284,7 +270,7 @@ def explore_workload(
             raise DseError(
                 "pass either scheme= or schemes=, not both")
         kwargs["schemes"] = (scheme,)
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
+    eng = _engine_for(jobs, chunk_size, engine)
     result = eng.explore_network(workload, **kwargs)
     summary = network_dse_summary(
         workload, result, architecture=architecture, scheme=scheme,

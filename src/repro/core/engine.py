@@ -30,11 +30,11 @@ intermediate per point.  This module is the scalable replacement:
    Pareto front as they arrive, so arbitrarily large sweeps run in
    memory bounded by the front and the reduction keys, not the point
    count.
-5. **Vectorized chunk evaluation** — ``eval_model="auto"`` (default)
-   evaluates eligible chunks as numpy batches through
-   :mod:`repro.core.eval_kernel` (grid decode, Eq. 2/3 counts and the
-   EDP fold all run as array programs), bit-for-bit identical to the
-   scalar reference loop, which ``eval_model="scalar"`` forces.
+5. **Vectorized chunk evaluation** — chunks are evaluated as numpy
+   batches through :mod:`repro.core.eval_kernel` (grid decode, Eq. 2/3
+   counts and the EDP fold all run as array programs), bit-for-bit
+   identical to the scalar reference loop, which a poisoned segment
+   falls back to and ``eval_model="scalar"`` selects throughout.
 6. **Pluggable search** — the engine drives a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
    ``seed=``) instead of hard-coding the grid walk.  The default
@@ -423,8 +423,7 @@ _WORKER_STATE: Optional[Tuple[ExplorationContext, EvaluationCache,
                               Callable]] = None
 
 
-def _init_worker(context: ExplorationContext,
-                 eval_model: str = "scalar") -> None:
+def _init_worker(context: ExplorationContext, eval_model: str) -> None:
     """Pool initializer: install the shared context in this process."""
     global _WORKER_STATE
     cache = EvaluationCache()
@@ -624,12 +623,11 @@ class ExplorationEngine:
         when ``strategy`` is a pre-built instance (configure the
         instance directly instead).
     eval_model:
-        Chunk-evaluation backend: ``"auto"`` (default) evaluates
-        eligible chunks with the vectorized kernel of
-        :mod:`repro.core.eval_kernel` and falls back to the scalar
-        loop otherwise, ``"scalar"`` forces the reference per-point
-        loop, ``"vector"`` requires the kernel (numpy).  Results are
-        bit-for-bit identical across all three.
+        ``"auto"`` (default) evaluates chunks with the vectorized
+        kernel of :mod:`repro.core.eval_kernel`, falling back to the
+        scalar loop per poisoned segment; ``"scalar"`` selects the
+        reference per-point loop throughout, for differential tests
+        and ratio gates.  Results are bit-for-bit identical.
 
     Example
     -------

@@ -31,6 +31,7 @@ from .characterize import (
     characterize_all,
     characterize_analytical,
     characterize_cached,
+    characterize_on_simulator,
 )
 from .contention import (
     ArbiterKind,
@@ -167,6 +168,7 @@ __all__ = [
     "characterize_all",
     "characterize_analytical",
     "characterize_cached",
+    "characterize_on_simulator",
     "default_cache_dir",
     "default_device",
     "device_names",

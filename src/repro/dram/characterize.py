@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..caching import CacheStats, LRUMemo
-from ..errors import ConfigurationError
 
 from .address import Coordinate
 from .architecture import DRAMArchitecture
@@ -249,111 +248,78 @@ def _isolated_miss_cost(simulator: DRAMSimulator, kind: RequestKind) -> tuple:
     return float(result.total_cycles), result.total_energy_nj
 
 
-#: Valid ``model=`` arguments of :func:`characterize`.
-CHARACTERIZE_MODELS = ("auto", "simulator", "kernel")
-
-
 def characterize(
     architecture: DRAMArchitecture,
-    simulator: DRAMSimulator = None,
     short_count: int = 64,
     long_count: int = 320,
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
 ) -> CharacterizationResult:
     """Measure the Fig.-1 per-condition costs for ``architecture``.
+
+    The configuration picks the backend: the vectorized kernel
+    (:mod:`repro.dram.kernel`) wherever
+    :func:`~repro.dram.kernel.kernel_ineligibility` returns ``None``
+    (default FCFS/open-row controller, uncontended channel) and the
+    cycle-level simulator (:func:`characterize_on_simulator`)
+    everywhere else.  The two are exactly equal where both apply —
+    ``tests/dram/test_kernel_differential.py`` pins that bit for bit —
+    so the result carries no backend marker.
 
     Parameters
     ----------
     architecture:
         DRAM architecture to characterize.
-    simulator:
-        Optional pre-built simulator (must match ``architecture``); by
-        default one is built from ``device``.
     short_count / long_count:
         Stream lengths for the marginal measurement.  Both must exceed
         one full sweep of the widest stream so warm-up effects cancel.
     device:
         Device profile to characterize (default: the paper's Table-II
         device).  Its capability set must include ``architecture``.
-        When ``simulator`` is supplied the profile's parameters are
-        not used; it only labels the result's ``device_name`` (a
-        pre-built simulator of unknown provenance is labelled
-        ``"custom"``).
     controller:
         Memory-controller configuration to measure under (default:
-        the paper's FCFS/open-row controller).  When ``simulator`` is
-        supplied its own configuration wins and ``controller`` must
-        not disagree with it.
+        the paper's FCFS/open-row controller).
     contention:
         Channel contention configuration (default: the paper's
         uncontended single requestor).  With ``requestors > 1`` each
         micro-experiment stream is split across the requestors and
         merged back through the crossbar front end, and the result
-        carries per-requestor bandwidth/latency accounting.  When
-        ``simulator`` is supplied its own configuration wins and
-        ``contention`` must not disagree with it.
-    model:
-        Characterization backend.  ``"auto"`` (default) uses the
-        vectorized numpy kernel (:mod:`repro.dram.kernel`) whenever
-        the configuration is kernel-eligible — default FCFS/open-row
-        controller, refresh off, uncontended — and the object
-        simulator otherwise; the two are exactly equal where both
-        apply (enforced by the differential suite), so the result
-        carries no backend marker.  ``"simulator"`` forces the object
-        simulator; ``"kernel"`` forces the kernel and raises
-        :class:`ConfigurationError` for non-eligible configurations.
+        carries per-requestor bandwidth/latency accounting.
     """
-    if model not in CHARACTERIZE_MODELS:
-        raise ConfigurationError(
-            f"unknown characterization model {model!r}; "
-            f"choose one of {', '.join(CHARACTERIZE_MODELS)}")
-    if simulator is None:
-        profile = resolve_device(device)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
-        simulator = DRAMSimulator.from_profile(
-            profile, architecture, controller=config, contention=channel)
-        device_name = profile.name
-    else:
-        if controller is not None \
-                and resolve_controller(controller) != simulator.controller:
-            raise ConfigurationError(
-                f"controller {resolve_controller(controller).label!r} "
-                f"disagrees with the pre-built simulator's "
-                f"{simulator.controller.label!r}")
-        if contention is not None \
-                and resolve_contention(contention) != simulator.contention:
-            raise ConfigurationError(
-                f"contention {resolve_contention(contention).label!r} "
-                f"disagrees with the pre-built simulator's "
-                f"{simulator.contention.label!r}")
-        config = simulator.controller
-        channel = simulator.contention
-        device_name = device.name if device is not None else "custom"
-    if model != "simulator":
-        from .kernel import KernelCharacterizer, kernel_ineligibility
-        reason = kernel_ineligibility(
-            config, channel, simulator.refresh_enabled)
-        if reason is None:
-            engine = KernelCharacterizer(
-                simulator.organization,
-                simulator.timings,
-                simulator.energy_model,
-                include_background=simulator.include_background_energy,
-                device_name=device_name,
-                short_count=short_count,
-                long_count=long_count,
-                controller=config,
-                contention=channel,
-            )
-            return engine.characterize(architecture)
-        if model == "kernel":
-            raise ConfigurationError(
-                f"model 'kernel' cannot characterize {reason}; "
-                "use model='simulator' (or 'auto' to fall back)")
+    from .kernel import KernelCharacterizer, kernel_ineligibility
+
+    profile = resolve_device(device)
+    profile.require_architecture(architecture)
+    config = resolve_controller(controller)
+    channel = resolve_contention(contention)
+    if kernel_ineligibility(config, channel) is None:
+        return KernelCharacterizer.from_profile(
+            profile, short_count=short_count, long_count=long_count,
+            controller=config, contention=channel,
+        ).characterize(architecture)
+    simulator = DRAMSimulator.from_profile(
+        profile, architecture, controller=config, contention=channel)
+    return characterize_on_simulator(
+        simulator, short_count, long_count, profile.name)
+
+
+def characterize_on_simulator(
+    simulator: DRAMSimulator,
+    short_count: int = 64,
+    long_count: int = 320,
+    device_name: str = "custom",
+) -> CharacterizationResult:
+    """Fig.-1 costs measured on the cycle-level simulator itself.
+
+    The reference path: :func:`characterize` runs it wherever the
+    kernel is ineligible, the differential suite pins the kernel to
+    it, and it is the one way to characterize a pre-built simulator
+    (a custom geometry, refresh on).  It measures
+    ``simulator.architecture`` under the simulator's own controller
+    and channel and labels the result with them; ``device_name``
+    labels it too (a simulator of unknown provenance is ``"custom"``).
+    """
     costs: Dict[AccessCondition, ConditionCost] = {}
     steady_state: List[ServicedRequest] = []
     for condition, stream in _STREAMS.items():
@@ -378,15 +344,15 @@ def characterize(
         write_energy_nj=miss_write_nj,
     )
     requestor_stats: Tuple[RequestorStats, ...] = ()
-    if channel.requestors > 1:
+    if simulator.contention.requestors > 1:
         requestor_stats = per_requestor_stats(steady_state)
     return CharacterizationResult(
-        architecture=architecture,
+        architecture=simulator.architecture,
         costs=costs,
         tck_ns=simulator.timings.tck_ns,
         device_name=device_name,
-        controller=config,
-        contention=channel,
+        controller=simulator.controller,
+        contention=simulator.contention,
         requestor_stats=requestor_stats,
     )
 
@@ -478,29 +444,20 @@ class CharacterizationCache:
         self,
         architecture: DRAMArchitecture,
         scenario: Scenario = DEFAULT_SCENARIO,
-        model: str = "auto",
     ) -> CharacterizationResult:
         """Characterization of ``architecture`` under ``scenario``.
 
         The scenario's device must support ``architecture``.  Results
         are computed on first use and served from the cache — as the
         *same object* — afterwards.
-
-        ``model`` selects the backend on a miss (see
-        :func:`characterize`).  It is deliberately **not** part of
-        the cache key or the store's spec hash: kernel and simulator
-        results are exactly equal wherever both apply, so a
-        kernel-produced entry is a valid hit for a simulator request
-        and vice versa.
         """
         scenario.device.require_architecture(architecture)
-        return self._get(scenario, architecture, model)
+        return self._get(scenario, architecture)
 
     def _get(
         self,
         scenario: Scenario,
         architecture: DRAMArchitecture,
-        model: str,
         precomputed: Optional[CharacterizationResult] = None,
     ) -> CharacterizationResult:
         """Validated lookup; ``precomputed`` skips computing.
@@ -521,7 +478,7 @@ class CharacterizationCache:
             result = characterize(
                 architecture, device=scenario.device,
                 controller=scenario.controller,
-                contention=scenario.contention, model=model)
+                contention=scenario.contention)
             if self.store is not None:
                 self.store.save(result, scenario, architecture)
             return result
@@ -536,7 +493,6 @@ class CharacterizationCache:
         self,
         architectures,
         scenario: Scenario = DEFAULT_SCENARIO,
-        model: str = "auto",
     ) -> Dict[DRAMArchitecture, CharacterizationResult]:
         """Characterizations of several architectures in one scenario.
 
@@ -549,43 +505,43 @@ class CharacterizationCache:
         the architecture-invariant micro-experiment runs instead of
         paying per-architecture setup.
         """
+        from .kernel import characterize_batch, kernel_supported
+
         architectures = tuple(architectures)
         for architecture in architectures:
             scenario.device.require_architecture(architecture)
         precomputed: Dict[DRAMArchitecture, CharacterizationResult] = {}
-        if model != "simulator":
-            from .kernel import characterize_batch, kernel_supported
-            need = [
-                architecture for architecture in architectures
-                if self._memo.peek((scenario, architecture)) is None
-            ] if kernel_supported(scenario.controller,
-                                  scenario.contention) else []
-            # Only worth (and only safe to) front-run the per-key miss
-            # path when at least two keys would otherwise compute:
-            # once the store pass runs here, every remaining miss must
-            # also resolve here, or the per-key path would consult the
-            # store a second time and skew its traffic counters.
-            if len(need) > 1:
-                if self.store is not None:
-                    still = []
-                    for architecture in need:
-                        stored = self.store.load(scenario, architecture)
-                        if stored is not None:
-                            precomputed[architecture] = stored
-                        else:
-                            still.append(architecture)
-                    need = still
-                if need:
-                    batch = characterize_batch(
-                        [(scenario, architecture) for architecture in need])
-                    for architecture in need:
-                        result = batch[(scenario, architecture)]
-                        precomputed[architecture] = result
-                        if self.store is not None:
-                            self.store.save(result, scenario, architecture)
+        need = [
+            architecture for architecture in architectures
+            if self._memo.peek((scenario, architecture)) is None
+        ] if kernel_supported(scenario.controller,
+                              scenario.contention) else []
+        # Only worth (and only safe to) front-run the per-key miss path
+        # when at least two keys would otherwise compute: once the
+        # store pass runs here, every remaining miss must also resolve
+        # here, or the per-key path would consult the store a second
+        # time and skew its traffic counters.
+        if len(need) > 1:
+            if self.store is not None:
+                still = []
+                for architecture in need:
+                    stored = self.store.load(scenario, architecture)
+                    if stored is not None:
+                        precomputed[architecture] = stored
+                    else:
+                        still.append(architecture)
+                need = still
+            if need:
+                batch = characterize_batch(
+                    [(scenario, architecture) for architecture in need])
+                for architecture in need:
+                    result = batch[(scenario, architecture)]
+                    precomputed[architecture] = result
+                    if self.store is not None:
+                        self.store.save(result, scenario, architecture)
         return {
             architecture: self._get(
-                scenario, architecture, model,
+                scenario, architecture,
                 precomputed=precomputed.get(architecture))
             for architecture in architectures
         }
@@ -601,17 +557,14 @@ DEFAULT_CHARACTERIZATION_CACHE = CharacterizationCache()
 def characterize_cached(
     architecture: DRAMArchitecture,
     scenario: Scenario = DEFAULT_SCENARIO,
-    model: str = "auto",
 ) -> CharacterizationResult:
     """Characterize through the process-wide LRU cache.
 
     Like :func:`characterize` but keyed on ``(scenario,
     architecture)`` so repeated requests — e.g. one per design point
-    of a sweep — hit the simulator only once per configuration.
-    ``model`` selects the backend on a miss; it is not part of the key
-    (kernel and simulator results are exactly interchangeable).
+    of a sweep — characterize only once per configuration.
     """
-    return DEFAULT_CHARACTERIZATION_CACHE.get(architecture, scenario, model)
+    return DEFAULT_CHARACTERIZATION_CACHE.get(architecture, scenario)
 
 
 def characterize_analytical(
@@ -642,7 +595,6 @@ def characterize_analytical(
 def characterize_all(
     scenario: Scenario = DEFAULT_SCENARIO,
     architectures: Optional[Tuple[DRAMArchitecture, ...]] = None,
-    model: str = "auto",
 ) -> Dict[DRAMArchitecture, CharacterizationResult]:
     """Cached Fig.-1 characterization of one scenario's device.
 
@@ -656,5 +608,4 @@ def characterize_all(
     """
     if architectures is None:
         architectures = scenario.device.supported_architectures
-    return DEFAULT_CHARACTERIZATION_CACHE.get_many(
-        architectures, scenario, model)
+    return DEFAULT_CHARACTERIZATION_CACHE.get_many(architectures, scenario)

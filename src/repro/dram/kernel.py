@@ -51,10 +51,10 @@ useful message.
 
 Results are plain :class:`~repro.dram.characterize.CharacterizationResult`
 objects, indistinguishable from simulator-produced ones: cache keys
-and the on-disk spec hash carry **no backend marker** — a
-kernel-produced entry is a valid cache hit for a simulator request and
-vice versa, which is only sound because of the exact-equality
-contract.
+and the on-disk spec hash carry **no backend marker**.
+:func:`~repro.dram.characterize.characterize` picks the backend from
+the configuration alone, and the exact-equality contract makes the
+kernel's numbers the simulator's.
 """
 
 from __future__ import annotations
@@ -204,13 +204,15 @@ def classify_stream(stream: np.ndarray) -> Tuple[np.ndarray, ...]:
 def kernel_ineligibility(
     controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG,
     contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
-    refresh_enabled: bool = False,
 ) -> Optional[str]:
     """Why the kernel cannot serve this configuration, or ``None``.
 
     The kernel models the paper's characterization configuration
     exactly and nothing else: default FCFS/open-row controller, one
-    uncontended requestor, refresh off.
+    uncontended requestor, refresh off.  Refresh is no argument here:
+    only a pre-built simulator can enable it, and
+    :func:`~repro.dram.characterize.characterize_on_simulator` never
+    consults the kernel.
     """
     if controller != DEFAULT_CONTROLLER_CONFIG:
         return (f"controller {controller.label!r} (the kernel models the "
@@ -219,19 +221,15 @@ def kernel_ineligibility(
     if contention.requestors != 1:
         return (f"{contention.requestors} requestors (the kernel models "
                 "the uncontended channel only)")
-    if refresh_enabled:
-        return "refresh enabled (the kernel never issues REF commands)"
     return None
 
 
 def kernel_supported(
     controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG,
     contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
-    refresh_enabled: bool = False,
 ) -> bool:
     """True when the kernel reproduces this configuration bit-for-bit."""
-    return kernel_ineligibility(controller, contention,
-                                refresh_enabled) is None
+    return kernel_ineligibility(controller, contention) is None
 
 
 # ----------------------------------------------------------------------
@@ -931,5 +929,5 @@ def characterize_batch(
                 architecture, short_count=short_count,
                 long_count=long_count, device=profile,
                 controller=scenario.controller,
-                contention=scenario.contention, model="simulator")
+                contention=scenario.contention)
     return results

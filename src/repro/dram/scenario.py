@@ -10,10 +10,11 @@ entry points and the mapping search) takes it as its one
 ``scenario=`` argument, and the value itself is the key of their
 memos.
 
-The backend choice (``model=`` / ``eval_model=``) stays outside the
-scenario on purpose: kernel and simulator results are exactly equal
-wherever both apply, so no cache key or store hash may depend on
-which one ran.
+The scenario also picks the characterization backend:
+:func:`~repro.dram.characterize.characterize` runs the kernel wherever
+:func:`~repro.dram.kernel.kernel_ineligibility` allows and the
+simulator everywhere else.  The two are exactly equal where both
+apply, so no cache key or store hash names the backend.
 
 Example
 -------

@@ -112,9 +112,8 @@ class TestCompactBreakdown:
 
     @pytest.fixture(scope="class")
     def vector_points(self, conv2, tiling):
-        pytest.importorskip("numpy")
         from repro.core.engine import ExplorationEngine
-        return ExplorationEngine(jobs=1, eval_model="vector").explore_layer(
+        return ExplorationEngine(jobs=1).explore_layer(
             conv2, tilings=[tiling]).points
 
     def test_type_costs_is_a_flat_float_tuple(self, vector_points):

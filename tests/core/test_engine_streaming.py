@@ -88,16 +88,16 @@ class TestVectorBackendStreaming:
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_reduced(two_conv_layers)
         vector = ExplorationEngine(jobs=2, chunk_size=157,
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_reduced(two_conv_layers)
         assert _reduced_snapshot(vector) == _reduced_snapshot(scalar)
 
     def test_vector_chunk_size_invariance(self, tiny_layer):
         wide = ExplorationEngine(jobs=2, chunk_size=1000,
-                                 eval_model="vector") \
+                                 eval_model="auto") \
             .explore_reduced([tiny_layer])
         narrow = ExplorationEngine(jobs=2, chunk_size=5,
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_reduced([tiny_layer])
         assert _reduced_snapshot(wide) == _reduced_snapshot(narrow)
 
@@ -105,7 +105,7 @@ class TestVectorBackendStreaming:
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_reduced(two_conv_layers)
         vector = ExplorationEngine(jobs=2, chunk_size=61,
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_reduced(two_conv_layers)
         scalar_front = scalar.pareto.front()
         vector_front = vector.pareto.front()
@@ -117,7 +117,7 @@ class TestVectorBackendStreaming:
     def test_vector_progress_accounting_is_exact(self, tiny_layer):
         snapshots = []
         engine = ExplorationEngine(jobs=2, chunk_size=10,
-                                   eval_model="vector",
+                                   eval_model="auto",
                                    progress=snapshots.append)
         result = engine.explore_network([tiny_layer])
         expected_chunks = -(-result.total_points // 10)

@@ -8,10 +8,10 @@ combination the streaming tests exercise, the funnel's batched
 analytical scoring, and the reduced/Pareto merge paths.
 """
 
+import numpy as np
 import pytest
 
 from repro.cnn.models import alexnet, tiny_test_network
-from repro.core import eval_kernel
 from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
@@ -20,7 +20,6 @@ from repro.core.engine import (
 from repro.core.eval_kernel import (
     EVAL_MODELS,
     batch_scores,
-    have_numpy,
     iter_layer_segments,
     make_chunk_evaluator,
     validate_eval_model,
@@ -34,8 +33,6 @@ from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
-
-np = pytest.importorskip("numpy")
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +114,7 @@ class TestBitIdentityOnAlexNet:
                                      jobs, chunk_size):
         vector = ExplorationEngine(
             jobs=jobs, chunk_size=chunk_size,
-            eval_model="vector").explore_network(conv1)
+            eval_model="auto").explore_network(conv1)
         assert vector.points == scalar_reference.points
         assert _hex_points(vector) == _hex_points(scalar_reference)
         assert vector.best() == scalar_reference.best()
@@ -134,7 +131,7 @@ class TestBitIdentityOnAlexNet:
         device = get_device(device_name)
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_network(conv1, scenario=Scenario(device))
-        vector = ExplorationEngine(jobs=1, eval_model="vector") \
+        vector = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network(conv1, scenario=Scenario(device))
         assert _hex_points(vector) == _hex_points(scalar)
 
@@ -146,7 +143,7 @@ class TestReducedAndPareto:
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_reduced(conv1)
         vector = ExplorationEngine(jobs=2, chunk_size=61,
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_reduced(conv1)
         assert vector.best() == scalar.best()
         assert vector.best_by_key == scalar.best_by_key
@@ -186,7 +183,7 @@ class TestFunnelAndScores:
                                    eval_model="scalar") \
             .explore_network(conv1)
         vector = ExplorationEngine(jobs=1, strategy="funnel",
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_network(conv1)
         assert _hex_points(vector) == _hex_points(scalar)
         assert vector.scored_points == scalar.scored_points
@@ -198,8 +195,10 @@ class TestEvalModelKnob:
     def test_unknown_model_rejected(self):
         with pytest.raises(DseError, match="unknown eval_model"):
             ExplorationEngine(eval_model="gpu")
+        with pytest.raises(DseError, match="unknown eval_model"):
+            ExplorationEngine(eval_model="vector")
         assert validate_eval_model("auto") == "auto"
-        assert set(EVAL_MODELS) == {"auto", "scalar", "vector"}
+        assert EVAL_MODELS == ("auto", "scalar")
 
     def test_scalar_model_returns_fallback_unchanged(self, tiny_layer):
         sentinel = object()
@@ -209,24 +208,6 @@ class TestEvalModelKnob:
             DEFAULT_CHARACTERIZATION_CACHE)
         assert make_chunk_evaluator(
             context, EvaluationCache(), "scalar", sentinel) is sentinel
-
-    def test_vector_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(eval_kernel, "np", None)
-        with pytest.raises(DseError, match="requires numpy"):
-            validate_eval_model("vector")
-
-    def test_auto_without_numpy_degrades_to_scalar(self, monkeypatch,
-                                                   tiny_layer):
-        monkeypatch.setattr(eval_kernel, "np", None)
-        assert not have_numpy()
-        sentinel = object()
-        context = _build_context(
-            [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
-            DEFAULT_CHARACTERIZATION_CACHE)
-        assert make_chunk_evaluator(
-            context, EvaluationCache(), "auto", sentinel) is sentinel
-        assert batch_scores(context, EvaluationCache()) is None
 
     def test_layer_segments_respect_boundaries(self, conv1, tiny_layer):
         context = _build_context(
@@ -264,18 +245,18 @@ class TestEvalModelKnob:
         assert boundaries <= {start for start, _ in chunks}
 
     def test_cache_stats_surfaced_serial_and_parallel(self, tiny_layer):
-        serial = ExplorationEngine(jobs=1, eval_model="vector") \
+        serial = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network([tiny_layer])
         assert serial.eval_cache_stats is not None
         assert serial.eval_cache_stats.lookups > 0
         parallel = ExplorationEngine(jobs=2, chunk_size=7,
-                                     eval_model="vector") \
+                                     eval_model="auto") \
             .explore_network([tiny_layer])
         assert parallel.eval_cache_stats is not None
         assert parallel.eval_cache_stats.lookups > 0
 
     def test_cache_stats_merge_on_extend(self, tiny_layer):
-        first = ExplorationEngine(jobs=1, eval_model="vector") \
+        first = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network([tiny_layer])
         second = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_network([tiny_layer])

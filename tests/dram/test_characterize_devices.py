@@ -14,6 +14,7 @@ from repro.dram.characterize import (
     CharacterizationCache,
     characterize,
     characterize_all,
+    characterize_on_simulator,
 )
 from repro.dram.scenario import Scenario
 from repro.dram.device import (
@@ -79,7 +80,7 @@ class TestGoldenValues:
 
         simulator = DRAMSimulator(
             TINY_DEVICE.organization.with_subarrays(2))
-        result = characterize(DRAMArchitecture.DDR3, simulator=simulator)
+        result = characterize_on_simulator(simulator)
         assert result.device_name == "custom"
 
 

@@ -5,7 +5,9 @@ fast path: wherever it is eligible — the default FCFS/open-row
 controller, refresh off, an uncontended channel — its
 :class:`CharacterizationResult` must equal the simulator's **exactly**
 (``==`` on every float, not approximately).  The simulator remains the
-source of truth; these tests are the pin.
+source of truth, reached through :func:`characterize_on_simulator`;
+these tests are the pin.  :func:`characterize` runs the kernel on
+every eligible configuration, so it stands for the kernel side.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import (
     CharacterizationCache,
     characterize,
+    characterize_on_simulator,
 )
 from repro.dram.contention import contention_config
 from repro.dram.device import DEVICE_REGISTRY, TINY_DEVICE, get_device
@@ -38,6 +41,15 @@ ALL_TRIPLES = [
     for device in DEVICE_REGISTRY
     for architecture in device.supported_architectures
 ]
+
+
+def on_simulator(architecture, device, controller=None, contention=None,
+                 **counts):
+    """The simulator reference for one configuration."""
+    simulator = DRAMSimulator.from_profile(
+        device, architecture, controller=controller, contention=contention)
+    return characterize_on_simulator(
+        simulator, device_name=device.name, **counts)
 
 
 def assert_exactly_equal(kernel_result, simulator_result):
@@ -69,17 +81,28 @@ class TestExactEquality:
         "device, architecture", ALL_TRIPLES,
         ids=[f"{d.name}-{a.value}" for d, a in ALL_TRIPLES])
     def test_every_preset_and_architecture(self, device, architecture):
-        kernel = characterize(
-            architecture, device=device, model="kernel")
-        simulator = characterize(
-            architecture, device=device, model="simulator")
+        kernel = characterize(architecture, device=device)
+        simulator = on_simulator(architecture, device)
+        assert simulator.architecture is architecture
         assert_exactly_equal(kernel, simulator)
+
+    def test_simulator_reference_names_what_it_simulated(self):
+        """The result's labels come from the simulator itself."""
+        for architecture in TINY_DEVICE.supported_architectures:
+            simulator = DRAMSimulator.from_profile(
+                TINY_DEVICE, architecture,
+                controller=controller_config(row_policy="closed"))
+            result = characterize_on_simulator(simulator)
+            assert result.architecture is architecture
+            assert result.controller == simulator.controller
+            assert result.contention == simulator.contention
+            assert result.device_name == "custom"
 
     def test_auto_uses_the_kernel_values(self):
         auto = characterize(DRAMArchitecture.SALP_MASA,
                             device=TINY_DEVICE)
-        kernel = characterize(DRAMArchitecture.SALP_MASA,
-                              device=TINY_DEVICE, model="kernel")
+        kernel = KernelCharacterizer.from_profile(TINY_DEVICE) \
+            .characterize(DRAMArchitecture.SALP_MASA)
         assert_exactly_equal(auto, kernel)
 
     @settings(max_examples=25, deadline=None)
@@ -95,10 +118,10 @@ class TestExactEquality:
             st.sampled_from(list(device.supported_architectures)))
         long = short + gap
         kernel = characterize(
-            architecture, device=device, model="kernel",
+            architecture, device=device,
             short_count=short, long_count=long)
-        simulator = characterize(
-            architecture, device=device, model="simulator",
+        simulator = on_simulator(
+            architecture, device,
             short_count=short, long_count=long)
         assert_exactly_equal(kernel, simulator)
 
@@ -114,10 +137,8 @@ class TestExactEquality:
             base.organization, subarrays_per_bank=16)
         wide = dataclasses.replace(
             base, name="ddr3-16sub", organization=organization)
-        kernel = characterize(
-            DRAMArchitecture.SALP_MASA, device=wide, model="kernel")
-        simulator = characterize(
-            DRAMArchitecture.SALP_MASA, device=wide, model="simulator")
+        kernel = characterize(DRAMArchitecture.SALP_MASA, device=wide)
+        simulator = on_simulator(DRAMArchitecture.SALP_MASA, wide)
         assert_exactly_equal(kernel, simulator)
 
 
@@ -133,7 +154,7 @@ class TestBatch:
             single = characterize(
                 architecture, device=scenario.device,
                 controller=scenario.controller,
-                contention=scenario.contention, model="kernel")
+                contention=scenario.contention)
             assert_exactly_equal(result, single)
 
     def test_device_names_accepted(self):
@@ -147,14 +168,14 @@ class TestBatch:
         batch = characterize_batch(
             [(Scenario(TINY_DEVICE, config), DRAMArchitecture.DDR3)])
         (result,) = batch.values()
-        simulator = characterize(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            controller=config, model="simulator")
+        simulator = on_simulator(
+            DRAMArchitecture.DDR3, TINY_DEVICE, controller=config)
         assert_exactly_equal(result, simulator)
 
 
 class TestEligibility:
-    """Forcing the kernel on unsupported configurations must raise."""
+    """The kernel refuses unsupported configurations, and
+    :func:`characterize` sends them to the simulator instead."""
 
     @pytest.mark.parametrize("config", [
         controller_config(scheduler="fr-fcfs"),
@@ -165,38 +186,50 @@ class TestEligibility:
         assert kernel_ineligibility(config) is not None
         assert not kernel_supported(config)
         with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         controller=config, model="kernel")
+            KernelCharacterizer.from_profile(TINY_DEVICE, controller=config)
 
     def test_contended_channel_raises(self):
         channel = contention_config(requestors=2)
         assert kernel_ineligibility(contention=channel) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         contention=channel, model="kernel")
-
-    def test_refresh_enabled_raises(self):
-        simulator = DRAMSimulator.from_profile(
-            TINY_DEVICE, DRAMArchitecture.DDR3, refresh_enabled=True)
-        assert kernel_ineligibility(
-            refresh_enabled=True) is not None
-        with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, simulator=simulator,
-                         device=TINY_DEVICE, model="kernel")
+            KernelCharacterizer.from_profile(TINY_DEVICE,
+                                             contention=channel)
 
     def test_auto_falls_back_and_matches_the_simulator(self):
         config = controller_config(scheduler="fr-fcfs")
         auto = characterize(DRAMArchitecture.SALP_1, device=TINY_DEVICE,
-                            controller=config, model="auto")
-        simulator = characterize(
-            DRAMArchitecture.SALP_1, device=TINY_DEVICE,
-            controller=config, model="simulator")
+                            controller=config)
+        simulator = on_simulator(
+            DRAMArchitecture.SALP_1, TINY_DEVICE, controller=config)
         assert_exactly_equal(auto, simulator)
 
-    def test_unknown_model_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         model="exact")
+    @pytest.mark.parametrize("scenario", [
+        Scenario(TINY_DEVICE),
+        Scenario(TINY_DEVICE, controller_config(scheduler="fr-fcfs")),
+        Scenario(TINY_DEVICE, contention=contention_config(requestors=2)),
+    ], ids=["default", "fr-fcfs", "2req"])
+    def test_configuration_picks_the_backend(self, scenario,
+                                             monkeypatch):
+        """The kernel runs exactly where it is eligible."""
+        calls = []
+
+        def record(owner, method, backend):
+            original = getattr(owner, method)
+
+            def recorded(*args):
+                calls.append(backend)
+                return original(*args)
+
+            monkeypatch.setattr(owner, method, recorded)
+
+        record(KernelCharacterizer, "characterize", "kernel")
+        record(DRAMSimulator, "run", "simulator")
+        characterize(DRAMArchitecture.DDR3, device=scenario.device,
+                     controller=scenario.controller,
+                     contention=scenario.contention)
+        eligible = kernel_supported(scenario.controller,
+                                    scenario.contention)
+        assert set(calls) == ({"kernel"} if eligible else {"simulator"})
 
     def test_direct_construction_rejects_ineligible_config(self):
         with pytest.raises(ConfigurationError):
@@ -207,30 +240,27 @@ class TestEligibility:
 
 
 class TestCacheNoFork:
-    """The backend is not part of the cache key or the store spec."""
+    """The backend is not part of the cache key or the store spec: a
+    kernel-produced entry is the simulator's result."""
 
     def test_memo_entry_is_shared_across_backends(self):
         cache = CharacterizationCache()
-        first = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
-                          model="kernel")
-        second = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
-                           model="simulator")
+        first = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
+        second = cache.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         assert first is second
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
+        assert_exactly_equal(
+            first, on_simulator(DRAMArchitecture.DDR3, TINY_DEVICE))
 
     def test_store_entry_is_shared_across_backends(self, tmp_path):
         store = CharacterizationStore(tmp_path / "store")
         writer = CharacterizationCache(store=store)
-        writer.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
-                   model="kernel")
+        writer.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         reader = CharacterizationCache(store=store)
-        served = reader.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE),
-                            model="simulator")
+        served = reader.get(DRAMArchitecture.DDR3, Scenario(TINY_DEVICE))
         assert store.hits == 1
-        simulator = characterize(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            model="simulator")
+        simulator = on_simulator(DRAMArchitecture.DDR3, TINY_DEVICE)
         assert_exactly_equal(served, simulator)
 
     def test_get_many_equals_per_get(self):

@@ -6,7 +6,11 @@ import pytest
 
 from repro.dram.address import Coordinate
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.characterize import CharacterizationCache, characterize
+from repro.dram.characterize import (
+    CharacterizationCache,
+    characterize,
+    characterize_on_simulator,
+)
 from repro.dram.commands import CommandKind, Request
 from repro.dram.controller import MemoryController
 from repro.dram.device import TINY_DEVICE
@@ -250,15 +254,8 @@ class TestCharacterizationThreading:
         config = controller_config(row_policy="closed")
         simulator = DRAMSimulator(
             TINY_DEVICE.organization, controller=config)
-        result = characterize(DRAMArchitecture.DDR3, simulator=simulator)
+        result = characterize_on_simulator(simulator)
         assert result.controller == config
-
-    def test_disagreeing_controller_rejected(self):
-        simulator = DRAMSimulator(TINY_DEVICE.organization)
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            characterize(
-                DRAMArchitecture.DDR3, simulator=simulator,
-                controller=controller_config(row_policy="closed"))
 
     def test_closed_row_hit_costs_more(self):
         """Closed-row forfeits row locality: hits become act+access."""

@@ -11,6 +11,15 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def assert_usage_error(capsys, argv, message):
+    """``argv`` exits 2 with a one-line ``repro: error:`` message."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert err.count("\n") == 1
+    assert message in err
+
+
 class TestCharacterize:
     def test_all_architectures(self, capsys):
         code, out = run_cli(capsys, "characterize")
@@ -73,6 +82,46 @@ class TestCharacterize:
         assert "does not support" in capsys.readouterr().err
 
 
+class TestAnalytical:
+    """``characterize --analytical``: the closed-form model's rows."""
+
+    @staticmethod
+    def _rows(out):
+        return [line.split() for line in out.splitlines()
+                if line.startswith("ddr3-1600-2gb-x8")]
+
+    def test_rows_equal_the_closed_form_model(self, capsys):
+        from repro.dram.characterize import characterize_analytical
+        from repro.dram.device import default_device
+        from repro.dram.scenario import DEFAULT_SCENARIO
+
+        code, out = run_cli(capsys, "characterize", "--analytical")
+        assert code == 0
+        expected = [
+            [DEFAULT_SCENARIO.device.name, architecture.value, name,
+             f"{cycles:.1f}", f"{read_nj:.2f}", f"{write_nj:.2f}"]
+            for architecture in default_device().supported_architectures
+            for name, cycles, read_nj, write_nj in characterize_analytical(
+                architecture, DEFAULT_SCENARIO).rows()
+        ]
+        assert self._rows(out) == expected
+
+    def test_controller_variant_changes_rows_and_is_tagged(self, capsys):
+        code, default = run_cli(capsys, "characterize", "--analytical")
+        assert code == 0
+        code, closed = run_cli(capsys, "characterize", "--analytical",
+                               "--row-policy", "closed")
+        assert code == 0
+        assert "[fcfs/closed]" in closed.splitlines()[0]
+        assert self._rows(closed) != self._rows(default)
+
+    def test_contended_channel_exits_2(self, capsys):
+        assert_usage_error(
+            capsys, ["characterize", "--analytical", "--requestors", "4",
+                     "--arbiter", "fixed-priority"],
+            "uncontended channel only")
+
+
 class TestEdp:
     def test_single_layer_all_mappings(self, capsys):
         code, out = run_cli(
@@ -90,8 +139,9 @@ class TestEdp:
         assert "Mapping-2" not in out
 
     def test_unknown_layer(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["edp", "--model", "lenet5", "--layer", "NOPE"])
+        assert_usage_error(
+            capsys, ["edp", "--model", "lenet5", "--layer", "NOPE"],
+            "has no layer 'NOPE'")
 
 
 class TestDse:
@@ -125,20 +175,40 @@ class TestDse:
         assert code == 0
         assert "ddr4-2400" in out
 
-    def test_eval_model_outputs_identical(self, capsys):
-        outputs = {}
-        for eval_model in ("scalar", "vector", "auto"):
-            code, out = run_cli(capsys, "dse", "--model", "lenet5",
-                                "--layer", "C1",
-                                "--eval-model", eval_model)
-            assert code == 0
-            outputs[eval_model] = out
-        assert outputs["scalar"] == outputs["vector"] == outputs["auto"]
+    def test_backend_flags_removed(self, capsys):
+        """The configuration picks the backend; no flag selects one."""
+        for argv in (["dse", "--model", "lenet5", "--eval-model", "scalar"],
+                     ["characterize", "--model", "kernel"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        for command, flag in (("dse", "--eval-model"),
+                              ("characterize", "--model")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert flag not in capsys.readouterr().out
 
-    def test_eval_model_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["dse", "--model", "lenet5", "--eval-model", "gpu"])
-        assert "--eval-model" in capsys.readouterr().err
+    def test_negative_jobs_exits_2(self, capsys):
+        assert_usage_error(
+            capsys, ["dse", "--model", "lenet5", "--jobs", "-1"],
+            "--jobs must be >= 0")
+
+    def test_zero_chunk_size_exits_2(self, capsys):
+        assert_usage_error(
+            capsys, ["dse", "--model", "lenet5", "--chunk-size", "0"],
+            "--chunk-size must be positive")
+
+    def test_layer_fitting_no_tiling_exits_2(self, capsys):
+        assert_usage_error(
+            capsys, ["dse", "--model", "alexnet", "--layer", "CONV1",
+                     "--bytes-per-element", "4096"],
+            "no tiling of CONV1 fits")
+
+    def test_workload_exceeding_the_device_exits_2(self, capsys):
+        assert_usage_error(
+            capsys, ["dse", "--model", "lenet5", "--device", "tiny"],
+            "exceeds DRAM capacity")
 
 
 class TestTraffic:
@@ -237,12 +307,14 @@ class TestBatchAndPrecision:
         assert code == 0
         assert implicit == explicit
 
-    def test_non_positive_values_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["dse", "--model", "lenet5", "--batch", "0"])
-        with pytest.raises(SystemExit):
-            main(["traffic", "--model", "lenet5",
-                  "--bytes-per-element", "-1"])
+    def test_non_positive_values_rejected(self, capsys):
+        assert_usage_error(
+            capsys, ["dse", "--model", "lenet5", "--batch", "0"],
+            "--batch must be positive, got 0")
+        assert_usage_error(
+            capsys, ["traffic", "--model", "lenet5",
+                     "--bytes-per-element", "-1"],
+            "--bytes-per-element must be positive, got -1")
 
 
 class TestModels:
@@ -347,13 +419,12 @@ class TestSearchStrategies:
         with pytest.raises(SystemExit):
             main(["dse", "--model", "lenet5", "--strategy", "psychic"])
 
-    def test_bad_funnel_topk_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["dse", "--model", "lenet5", "--strategy", "funnel",
-                  "--funnel-topk", "0"])
-        with pytest.raises(SystemExit):
-            main(["dse", "--model", "lenet5", "--strategy", "funnel",
-                  "--funnel-topk", "101"])
+    def test_bad_funnel_topk_rejected(self, capsys):
+        for topk in ("0", "101"):
+            assert_usage_error(
+                capsys, ["dse", "--model", "lenet5", "--strategy",
+                         "funnel", "--funnel-topk", topk],
+                "--funnel-topk must be in (0, 100]")
 
 
 class TestDiskCache:
