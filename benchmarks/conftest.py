@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.core.dse import explore_layer
 from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_cached
+from repro.workloads import get_workload
 
 #: Fig.-9 x-axis labels.
 ALEXNET_LAYER_NAMES = [
@@ -28,7 +28,7 @@ ALEXNET_LAYER_NAMES = [
 @pytest.fixture(scope="session")
 def alexnet_layers():
     """The paper's AlexNet workload."""
-    return alexnet()
+    return get_workload("alexnet").lower()
 
 
 @pytest.fixture(scope="session")

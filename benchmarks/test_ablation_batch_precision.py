@@ -9,21 +9,22 @@ Two knobs the paper fixes (batch 1, int8) but a deployment would turn:
   layers deeper into memory-bound territory.
 """
 
-from repro.cnn.models import alexnet
 from repro.core.report import format_table
 from repro.core.sweep import (
     sweep_batch,
     sweep_precision,
     sweep_table,
 )
+from repro.workloads import get_workload
 
 
 def conv2_factory_batch(batch):
-    return alexnet(batch=batch)[1]
+    return get_workload("alexnet", batch=batch).lower()[1]
 
 
 def conv2_factory_precision(bytes_per_element):
-    return alexnet(bytes_per_element=bytes_per_element)[1]
+    return get_workload(
+        "alexnet", bytes_per_element=bytes_per_element).lower()[1]
 
 
 def test_batch_sweep(benchmark):

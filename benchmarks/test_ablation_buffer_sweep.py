@@ -6,7 +6,6 @@ buffers shrink or grow (bigger tiles -> fewer refetches and longer
 row-hit runs).
 """
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import BufferConfig
 from repro.core.dse import explore_layer
@@ -14,6 +13,7 @@ from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import DRMAP
 from repro.units import format_bytes
+from repro.workloads import get_workload
 
 SIZES_KB = (16, 32, 64, 128, 256)
 
@@ -35,7 +35,7 @@ def min_edp_for_buffers(layer, size_kb):
 
 
 def test_buffer_sweep(benchmark):
-    conv2 = alexnet()[1]
+    conv2 = get_workload("alexnet").lower()[1]
     edps = {size: min_edp_for_buffers(conv2, size) for size in SIZES_KB}
     rows = [[format_bytes(size * 1024), f"{edps[size]:.3e}"]
             for size in SIZES_KB]

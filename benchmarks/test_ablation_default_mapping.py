@@ -6,16 +6,16 @@ subarray-level parallelism.  This bench quantifies the gap on SALP
 hardware and shows the two coincide on commodity DDR3.
 """
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.core.dse import explore_layer
 from repro.core.report import format_table, improvement_percent
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping.catalog import DEFAULT_MAPPING, DRMAP
+from repro.workloads import get_workload
 
 
 def test_default_vs_drmap(benchmark):
-    conv2 = alexnet()[1]
+    conv2 = get_workload("alexnet").lower()[1]
     result = explore_layer(
         conv2,
         schemes=(ReuseScheme.ADAPTIVE_REUSE,),

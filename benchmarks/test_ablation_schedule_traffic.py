@@ -5,12 +5,12 @@ adaptive-reuse scheme: no single reuse priority wins every AlexNet
 layer, and switching per layer minimizes total DRAM traffic.
 """
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import CONCRETE_SCHEMES
 from repro.cnn.tiling import enumerate_tilings
 from repro.cnn.traffic import best_concrete_scheme, layer_traffic
 from repro.core.report import format_table
 from repro.units import format_bytes
+from repro.workloads import get_workload
 
 
 def traffic_table(layers):
@@ -37,7 +37,7 @@ def traffic_table(layers):
 
 
 def test_schedule_traffic(benchmark):
-    layers = alexnet()
+    layers = get_workload("alexnet").lower()
     rows, totals, adaptive_total, choices = traffic_table(layers)
     rows.append(
         ["TOTAL"]

@@ -7,16 +7,16 @@ as subarray boundaries multiply — until MASA's parallelism absorbs
 the cost.
 """
 
-from repro.cnn.models import alexnet
 from repro.core.figures import bar_chart
 from repro.core.report import format_table
 from repro.core.sweep import sweep_subarrays, sweep_table
+from repro.workloads import get_workload
 
 COUNTS = (1, 2, 4, 8, 16)
 
 
 def test_subarray_sweep(benchmark):
-    conv3 = alexnet()[2]
+    conv3 = get_workload("alexnet").lower()[2]
     points = sweep_subarrays(conv3, subarray_counts=COUNTS)
 
     print()

@@ -10,11 +10,13 @@ the per-policy hit-rate gap (and shows it never changes the ranking).
 from repro.core.conditions import condition_counts
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import AccessCondition
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.core.report import format_table
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions
 from repro.mapping.walk import classify_walk
+
+ORG = get_device("tiny").organization
 
 RUN = 512
 

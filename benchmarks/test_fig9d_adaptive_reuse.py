@@ -4,13 +4,13 @@ Adaptive-reuse picks, per layer, whichever concrete scheme moves the
 fewest DRAM bytes (the SmartShuttle idea the paper adopts).
 """
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import enumerate_tilings
 from repro.core.adaptive import resolve_adaptive
 from repro.core.edp import layer_edp
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import DRMAP
+from repro.workloads import get_workload
 
 from ._fig9 import assert_fig9_shape, fig9_series, print_fig9
 
@@ -33,6 +33,6 @@ def test_fig9d(alexnet_dse, benchmark):
                 alexnet_dse, concrete)[(architecture, DRMAP)][-1]
             assert adaptive_total <= concrete_total * 1.001
 
-    conv1 = alexnet()[0]
+    conv1 = get_workload("alexnet").lower()[0]
     tiling = enumerate_tilings(conv1)[0]
     benchmark(resolve_adaptive, conv1, tiling, SCHEME)

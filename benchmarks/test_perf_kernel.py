@@ -11,7 +11,11 @@ path that returns different numbers is a bug, not a speedup):
   per-triple ``characterize()`` calls, each of which runs the kernel
   on these default-controller configurations — the batch shares
   stream synthesis, classification and the architecture-invariant
-  micro-experiment walks across the grid slice.
+  micro-experiment walks across the grid slice.  Both sides take tens
+  of milliseconds, so this gate asserts on the median ratio of 15
+  back-to-back pairs (``paired_median_ratio``): a best-of-5 ratio
+  keeps one lucky sample of either side and read below 2x now and
+  then on unchanged code.
 
 Run via ``make bench-gates``.
 """
@@ -25,7 +29,7 @@ from repro.dram.kernel import characterize_batch
 from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 
-from ._timing import interleaved_best_of
+from ._timing import interleaved_best_of, paired_median_ratio
 
 
 def test_kernel_at_least_10x_faster_than_simulator():
@@ -88,21 +92,20 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
     for result, expected in zip(batch.values(), per_triple_path()):
         assert result == expected
 
-    per_triple_seconds, batch_seconds = interleaved_best_of(
-        5, per_triple_path, batch_path)
+    per_triple_seconds, batch_seconds, ratio = paired_median_ratio(
+        15, per_triple_path, batch_path)
 
-    speedup = per_triple_seconds / batch_seconds
+    speedup = 1.0 / ratio
     print()
     print(format_table(
-        ["path", "best of 5 [s]", "triples"],
+        ["path", "best of 15 [s]", "triples"],
         [["per-triple kernel calls", f"{per_triple_seconds:.4f}",
           str(len(items))],
          ["one characterize_batch", f"{batch_seconds:.4f}",
           str(len(items))]],
         title="Device-registry characterization "
               "(every device x architecture)"))
-    print(f"batch speedup: {speedup:.2f}x")
-    assert batch_seconds * 2 < per_triple_seconds, (
-        f"batch {batch_seconds:.4f}s is only {speedup:.2f}x faster "
-        f"than per-triple kernel calls {per_triple_seconds:.4f}s "
-        f"(gate: 2x)")
+    print(f"batch speedup (median of 15 paired runs): {speedup:.2f}x")
+    assert ratio * 2 < 1.0, (
+        f"batch is only {speedup:.2f}x faster than per-triple kernel "
+        f"calls (median of 15 paired runs; gate: 2x)")

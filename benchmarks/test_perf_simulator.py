@@ -11,9 +11,10 @@ from repro.cnn.tiling import TilingConfig
 from repro.cnn.trace import generate_layer_trace
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import default_device
-from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
 from repro.dram.simulator import DRAMSimulator
 from repro.mapping.catalog import DRMAP
+
+ORG = default_device().organization
 
 
 def test_controller_throughput_hits(benchmark):

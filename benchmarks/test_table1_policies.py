@@ -5,10 +5,12 @@ Prints the table and times the per-tile transition-count computation
 """
 
 from repro.core.report import format_table
-from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
+from repro.dram.device import default_device
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions
 from repro.mapping.dims import Dim
+
+ORG = default_device().organization
 
 
 def test_table1(benchmark):

@@ -5,10 +5,10 @@ buffer-constrained tiling enumeration (Algorithm 1 step 1a).
 """
 
 from repro.accelerator.config import TABLE2_ACCELERATOR
-from repro.cnn.models import alexnet
 from repro.cnn.tiling import TABLE2_BUFFERS, enumerate_tilings
 from repro.core.report import format_table
 from repro.units import format_bytes
+from repro.workloads import get_workload
 
 
 def test_table2(benchmark):
@@ -32,6 +32,6 @@ def test_table2(benchmark):
     assert org.banks_per_chip == 8
     assert org.subarrays_per_bank == 8
 
-    conv2 = alexnet()[1]
+    conv2 = get_workload("alexnet").lower()[1]
     tilings = benchmark(enumerate_tilings, conv2, TABLE2_BUFFERS)
     assert all(t.fits(conv2, TABLE2_BUFFERS) for t in tilings)

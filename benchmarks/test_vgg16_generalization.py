@@ -6,19 +6,20 @@ subset keeps the runtime reasonable), adaptive-reuse scheduling,
 all four architectures.
 """
 
-from repro.cnn.models import vgg16
 from repro.cnn.scheduling import ReuseScheme
 from repro.core.dse import explore_layer
 from repro.core.report import format_table, improvement_percent
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 #: An early conv, a mid conv, a late conv, and the big FC.
 LAYER_INDICES = (0, 6, 12, 13)
 
 
 def test_vgg16(benchmark):
-    layers = [vgg16()[i] for i in LAYER_INDICES]
+    vgg16 = get_workload("vgg16").lower()
+    layers = [vgg16[i] for i in LAYER_INDICES]
     results = {
         layer.name: explore_layer(
             layer, schemes=(ReuseScheme.ADAPTIVE_REUSE,))

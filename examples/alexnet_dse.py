@@ -13,10 +13,10 @@ produces (map, minEDP).
 
 import argparse
 
-from repro.cnn import alexnet
 from repro.core import explore_layer
 from repro.core.report import format_table
 from repro.dram import DRAMArchitecture
+from repro.workloads import get_workload
 
 
 def parse_args() -> argparse.Namespace:
@@ -34,7 +34,7 @@ def main() -> None:
 
     rows = []
     total_edp = 0.0
-    for layer in alexnet():
+    for layer in get_workload("alexnet").lower():
         result = explore_layer(layer, architectures=(architecture,))
         best = result.best()
         total_edp += best.edp_js

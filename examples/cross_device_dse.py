@@ -17,12 +17,12 @@ on that pair.
 
 import argparse
 
-from repro.cnn.models import alexnet
 from repro.core.dse import explore_layer
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import device_names, get_device
 from repro.dram.scenario import Scenario
+from repro.workloads import get_workload
 
 
 def parse_args() -> argparse.Namespace:
@@ -49,10 +49,11 @@ def main() -> None:
     devices = [get_device(name) for name in args.devices]
     for device in devices:
         device.require_architecture(architecture)
+    layers = get_workload("alexnet").lower()
 
     best = {device.name: {} for device in devices}
     for device in devices:
-        for layer in alexnet():
+        for layer in layers:
             result = explore_layer(
                 layer, architectures=(architecture,), jobs=args.jobs,
                 scenario=Scenario(device))
@@ -61,7 +62,7 @@ def main() -> None:
     rows = []
     totals = {device.name: 0.0 for device in devices}
     agreements = 0
-    for layer in alexnet():
+    for layer in layers:
         points = [best[device.name][layer.name] for device in devices]
         agree = points[0].policy == points[1].policy
         agreements += agree
@@ -88,8 +89,7 @@ def main() -> None:
         title=f"Algorithm 1 per layer on {name_a} vs {name_b} "
               f"({architecture.value})"))
     print()
-    layer_count = len(alexnet())
-    print(f"Best mapping policy agrees on {agreements}/{layer_count} "
+    print(f"Best mapping policy agrees on {agreements}/{len(layers)} "
           f"layers across {name_a} and {name_b}.")
 
 

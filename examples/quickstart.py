@@ -12,8 +12,7 @@ Covers the three core objects in under a minute:
 3. the analytical EDP model on an AlexNet layer.
 """
 
-from repro import quick_layer_edp
-from repro.cnn import alexnet
+from repro import get_workload, quick_layer_edp
 from repro.core.report import format_table, improvement_percent
 from repro.dram import DRAMArchitecture, characterize_cached
 from repro.mapping import DRMAP, MAPPING_2
@@ -32,7 +31,7 @@ def main() -> None:
 
     # 2+3. EDP of AlexNet CONV1 under DRMap vs the subarray-first
     # Mapping-2, with the best buffer-admissible tiling each.
-    conv1 = alexnet()[0]
+    conv1 = get_workload("alexnet").lower()[0]
     drmap = quick_layer_edp(conv1, DRMAP, DRAMArchitecture.DDR3)
     worst = quick_layer_edp(conv1, MAPPING_2, DRAMArchitecture.DDR3)
 

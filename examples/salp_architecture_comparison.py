@@ -12,18 +12,20 @@ avoids subarray conflicts); subarray-*hostile* mappings gain
 dramatically under MASA.
 """
 
-from repro.cnn import ReuseScheme, alexnet
+from repro.cnn import ReuseScheme
 from repro.core import explore_layer
 from repro.core.report import format_table, improvement_percent
 from repro.dram import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping import TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 #: A representative subset of layers keeps this example fast (~30 s).
 LAYERS = (0, 1, 5)
 
 
 def main() -> None:
-    layers = [alexnet()[i] for i in LAYERS]
+    alexnet = get_workload("alexnet").lower()
+    layers = [alexnet[i] for i in LAYERS]
     results = {
         layer.name: explore_layer(
             layer, schemes=(ReuseScheme.ADAPTIVE_REUSE,))

@@ -19,7 +19,6 @@ from repro.core.report import format_table
 from repro.dram import (
     ALL_ARCHITECTURES,
     DRAMSimulator,
-    DDR3_1600_2GB_X8,
     characterize,
     default_device,
 )
@@ -31,13 +30,14 @@ def main() -> None:
     tiling = TilingConfig(th=6, tw=6, tj=8, ti=8)
     scheme = ReuseScheme.OFMS_REUSE
 
+    device = default_device()
+
     rows = []
     for policy in (DRMAP, MAPPING_2):
         trace = generate_layer_trace(
-            layer, tiling, scheme, policy, DDR3_1600_2GB_X8)
+            layer, tiling, scheme, policy, device.organization)
         for architecture in ALL_ARCHITECTURES:
-            simulator = DRAMSimulator.from_profile(
-                default_device(), architecture)
+            simulator = DRAMSimulator.from_profile(device, architecture)
             simulated = simulator.run(trace)
             modelled = layer_edp(
                 layer, tiling, scheme, policy, architecture,

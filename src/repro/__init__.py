@@ -15,8 +15,8 @@ Package layout
     Mapping policies (Table I, DRMap), closed-form Eq. 2/3 access
     counts, state-aware reference walk.
 ``repro.cnn``
-    CNN layers, tiling, scheduling schemes, DRAM traffic model,
-    request-trace generation, and the flat-list model-zoo shim.
+    CNN layers, tiling, scheduling schemes, DRAM traffic model and
+    request-trace generation.
 ``repro.workloads``
     Graph-based workload IR: operators (conv, depthwise, matmul,
     pool, eltwise) wired by named feature-map tensors, the model zoo
@@ -30,11 +30,10 @@ Package layout
 
 Quickstart
 ----------
->>> from repro import quick_layer_edp
->>> from repro.cnn import alexnet
+>>> from repro import get_workload, quick_layer_edp
 >>> from repro.mapping import DRMAP
 >>> from repro.dram import DRAMArchitecture
->>> layer = alexnet()[0]
+>>> layer = get_workload("alexnet").lower()[0]
 >>> result = quick_layer_edp(layer, DRMAP, DRAMArchitecture.SALP_MASA)
 >>> result.edp_js > 0
 True
@@ -83,7 +82,6 @@ from .workloads import (
     PoolOp,
     TensorSpec,
     get_workload,
-    register_model,
     register_workload,
     workload_names,
 )
@@ -156,7 +154,6 @@ __all__ = [
     "get_workload",
     "quick_layer_edp",
     "register_device",
-    "register_model",
     "register_workload",
     "row_policy_names",
     "scheduler_names",

@@ -509,21 +509,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(format_table(
         ["field", "value"], rows,
         title="On-disk characterization store"))
-    from .core.engine import evaluation_cache_stats
-    from .dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
-
-    memo = DEFAULT_CHARACTERIZATION_CACHE.stats
-    evaluation = evaluation_cache_stats()
-    memory_rows = [
-        ["characterization", str(memo.hits), str(memo.misses),
-         f"{memo.hit_rate:.0%}"],
-        ["evaluation", str(evaluation.hits), str(evaluation.misses),
-         f"{evaluation.hit_rate:.0%}"],
-    ]
-    print()
-    print(format_table(
-        ["cache", "hits", "misses", "hit rate"], memory_rows,
-        title="In-memory caches (this process)"))
     return 0
 
 

@@ -1,18 +1,6 @@
-"""CNN substrate: layer geometry, models, tiling, scheduling, traffic."""
+"""CNN substrate: layer geometry, tiling, scheduling, traffic, traces."""
 
 from .layer import ConvLayer
-from .models import (
-    MODEL_REGISTRY,
-    alexnet,
-    bert_encoder,
-    lenet5,
-    mobilenet_v1,
-    mobilenet_v2,
-    model_by_name,
-    resnet18_convs,
-    tiny_test_network,
-    vgg16,
-)
 from .scheduling import (
     ALL_SCHEMES,
     CONCRETE_SCHEMES,
@@ -49,25 +37,15 @@ __all__ = [
     "DataTypeTraffic",
     "LayerTraffic",
     "LoopVar",
-    "MODEL_REGISTRY",
     "RegionLayout",
     "ReuseScheme",
     "TABLE2_BUFFERS",
     "TilingConfig",
-    "alexnet",
-    "bert_encoder",
     "best_concrete_scheme",
     "build_layout",
     "enumerate_tilings",
     "generate_layer_trace",
     "layer_traffic",
-    "lenet5",
     "loop_order",
-    "mobilenet_v1",
-    "mobilenet_v2",
-    "model_by_name",
-    "resnet18_convs",
-    "tiny_test_network",
     "trace_summary",
-    "vgg16",
 ]

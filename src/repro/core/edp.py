@@ -18,12 +18,14 @@ from ..dram.characterize import (
 )
 from ..dram.architecture import DRAMArchitecture
 from ..dram.commands import RequestKind
+from ..dram.device import DeviceProfile
 from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..dram.spec import DRAMOrganization
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ReuseScheme
 from ..cnn.tiling import TilingConfig
 from ..cnn.traffic import DataTypeTraffic, LayerTraffic, layer_traffic
+from ..errors import CapacityError
 from ..mapping.counts import count_transitions
 from ..mapping.policy import MappingPolicy
 from ..units import edp_joule_seconds
@@ -150,6 +152,17 @@ def _data_type_cost(
     return cost
 
 
+def tile_capacity_error(layer: ConvLayer, tiling: TilingConfig,
+                        data_type: str, tile_bytes: int,
+                        device: DeviceProfile) -> CapacityError:
+    """The error for a tile fetch larger than the whole DRAM."""
+    return CapacityError(
+        f"layer {layer.name}: the {data_type} tile of {tile_bytes} bytes "
+        f"under tiling Th={tiling.th} Tw={tiling.tw} Tj={tiling.tj} "
+        f"Ti={tiling.ti} exceeds the {device.capacity_bytes}-byte "
+        f"capacity of device {device.name!r}")
+
+
 def layer_edp(
     layer: ConvLayer,
     tiling: TilingConfig,
@@ -191,10 +204,15 @@ def layer_edp(
         traffic = layer_traffic(layer, tiling, resolved)
     type_costs = []
     total = ZERO_COST
-    for type_traffic in traffic.by_type().values():
-        cost = _data_type_cost(
-            type_traffic, policy, organization, characterization,
-            cache=cache)
+    for data_type, type_traffic in traffic.by_type().items():
+        try:
+            cost = _data_type_cost(
+                type_traffic, policy, organization, characterization,
+                cache=cache)
+        except CapacityError as error:
+            raise tile_capacity_error(
+                layer, tiling, data_type, type_traffic.tile_bytes,
+                scenario.device) from error
         type_costs += (cost.cycles, cost.energy_nj)
         total = total + cost
     return LayerEDP(

@@ -60,10 +60,10 @@ The CLI exposes the knobs as ``repro dse --jobs N --chunk-size M``
 
 Example
 -------
->>> from repro.cnn.models import alexnet
+>>> from repro.workloads import get_workload
 >>> from repro.core.engine import ExplorationEngine
 >>> engine = ExplorationEngine(jobs=1)
->>> result = engine.explore_layer(alexnet()[0])
+>>> result = engine.explore_layer(get_workload("alexnet").lower()[0])
 >>> result.best().edp_js > 0
 True
 """
@@ -73,7 +73,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
-import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
@@ -136,12 +135,6 @@ _ADMISSIBLE_TILINGS_MEMO = LRUMemo(4096)
 # Evaluation memoization
 # ----------------------------------------------------------------------
 
-#: Every live :class:`EvaluationCache` of this process, weakly
-#: referenced — ``repro cache stats`` aggregates their counters
-#: through :func:`evaluation_cache_stats`.
-_LIVE_EVALUATION_CACHES: "weakref.WeakSet" = weakref.WeakSet()
-
-
 class EvaluationCache:
     """Memo for the policy-independent intermediates of the EDP model.
 
@@ -163,7 +156,6 @@ class EvaluationCache:
         #: Dense per-layer table sets of the vector kernel
         #: (:mod:`repro.core.eval_kernel`); few but large entries.
         self.tables_memo = LRUMemo(128)
-        _LIVE_EVALUATION_CACHES.add(self)
 
     @property
     def stats(self) -> CacheStats:
@@ -224,22 +216,6 @@ class EvaluationCache:
         self.counts_memo.clear()
         self.adaptive_memo.clear()
         self.tables_memo.clear()
-
-
-def evaluation_cache_stats() -> CacheStats:
-    """Aggregate counters of every live in-process evaluation cache.
-
-    Worker-process caches are not visible here (their per-chunk deltas
-    are folded into :attr:`repro.core.dse.DseResult.eval_cache_stats`
-    instead); this reports the serial-path memos ``repro cache stats``
-    surfaces.
-    """
-    hits = misses = 0
-    for cache in list(_LIVE_EVALUATION_CACHES):
-        stats = cache.stats
-        hits += stats.hits
-        misses += stats.misses
-    return CacheStats(hits=hits, misses=misses)
 
 
 # ----------------------------------------------------------------------
@@ -631,9 +607,10 @@ class ExplorationEngine:
 
     Example
     -------
-    >>> from repro.cnn.models import alexnet
+    >>> from repro.workloads import get_workload
     >>> engine = ExplorationEngine(jobs=2, chunk_size=128)
-    >>> reduced = engine.explore_reduced(alexnet()[:1])
+    >>> layers = get_workload("alexnet").lower()[:1]
+    >>> reduced = engine.explore_reduced(layers)
     >>> reduced.total_points > 0
     True
     """

@@ -35,9 +35,9 @@ evaluation counts — in the returned
 
 Example
 -------
->>> from repro.cnn.models import tiny_test_network
+>>> from repro.workloads import get_workload
 >>> from repro.core.dse import explore_layer
->>> layer = tiny_test_network()[0]
+>>> layer = get_workload("tiny").lower()[0]
 >>> full = explore_layer(layer)
 >>> funnel = explore_layer(layer, strategy="funnel")
 >>> funnel.best().edp_js == full.best().edp_js
@@ -56,6 +56,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Type
 from ..errors import ConfigurationError
 from .conditions import condition_counts
 from .dse import DsePoint
+from .edp import tile_capacity_error
 
 #: Default sampled fraction of the ``random`` strategy.
 DEFAULT_RANDOM_FRACTION = 0.05
@@ -323,7 +324,9 @@ def analytical_scores(context, cache,
         for architecture in context.architectures
     }
     organization = context.organization
-    tck_ns = context.scenario.device.timings.tck_ns
+    device = context.scenario.device
+    capacity_bytes = device.capacity_bytes
+    tck_ns = device.timings.tck_ns
     scores: List[float] = []
     for grid in context.layers:
         # Per (tiling, scheme): the data-type runs (accesses per tile
@@ -336,11 +339,15 @@ def analytical_scores(context, cache,
                 resolved = cache.resolve_scheme(grid.layer, tiling, scheme)
                 traffic = cache.traffic(grid.layer, tiling, resolved)
                 entry = []
-                for type_traffic in traffic.by_type().values():
+                for data_type, type_traffic in traffic.by_type().items():
                     n_accesses = organization.accesses_for_bytes(
                         type_traffic.tile_bytes)
                     if n_accesses == 0:
                         continue
+                    if type_traffic.tile_bytes > capacity_bytes:
+                        raise tile_capacity_error(
+                            grid.layer, tiling, data_type,
+                            type_traffic.tile_bytes, device)
                     entry.append((n_accesses, type_traffic.read_tiles,
                                   type_traffic.write_tiles))
                     lengths.add(n_accesses)

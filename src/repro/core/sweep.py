@@ -21,8 +21,9 @@ value.  Repeating a sweep is almost free.
 
 Example
 -------
->>> from repro.cnn.models import alexnet
->>> points = sweep_subarrays(alexnet()[1], subarray_counts=(1, 8))
+>>> from repro.workloads import get_workload
+>>> layer = get_workload("alexnet").lower()[1]
+>>> points = sweep_subarrays(layer, subarray_counts=(1, 8))
 >>> [p.value for p in points]
 [1, 8]
 """

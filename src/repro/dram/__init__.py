@@ -88,7 +88,6 @@ from .policies import (
     scheduler_names,
 )
 from .power import CurrentParameters, DDR3_1600_2GB_X8_CURRENTS, EnergyModel
-from .presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from .scenario import DEFAULT_SCENARIO, Scenario
 from .simulator import DRAMSimulator, SimulationResult
 from .spec import DRAMOrganization
@@ -124,7 +123,6 @@ __all__ = [
     "Crossbar",
     "CurrentParameters",
     "DDR3_1066_TIMINGS",
-    "DDR3_1600_2GB_X8",
     "DDR3_1600_2GB_X8_CURRENTS",
     "DDR3_1600_TIMINGS",
     "DEFAULT_CHARACTERIZATION_CACHE",
@@ -152,7 +150,6 @@ __all__ = [
     "ServicedRequest",
     "SimulationResult",
     "StoreStats",
-    "TINY_ORGANIZATION",
     "TimingParameters",
     "TraceEnergy",
     "address_to_request",

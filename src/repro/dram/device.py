@@ -43,7 +43,6 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..errors import ConfigurationError
 from .architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from .power import CurrentParameters, DDR3_1600_2GB_X8_CURRENTS
-from .presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from .spec import DRAMOrganization
 from .timing import DDR3_1600_TIMINGS, TimingParameters
 
@@ -232,10 +231,28 @@ class DeviceRegistry:
 # Built-in profiles
 # ----------------------------------------------------------------------
 
+#: The paper's 2 Gb x8 geometry (Table II): 1 channel, 1 rank, 1 chip,
+#: 8 banks x 32768 rows x 1024 columns x 8 bits.  Commodity DDR3
+#: physically contains subarrays too (Section II-B), it just cannot
+#: exploit them; the geometry keeps 8 subarrays per bank for every
+#: architecture, so the same address space is shared by all of them and
+#: a mapping policy means the same placement everywhere.  Only the
+#: architecture behaviour flags differ.
+DDR3_1600_2GB_X8 = DRAMOrganization(
+    channels=1,
+    ranks_per_channel=1,
+    chips_per_rank=1,
+    banks_per_chip=8,
+    subarrays_per_bank=8,
+    rows_per_bank=32768,
+    columns_per_row=1024,
+    device_width_bits=8,
+    burst_length=8,
+)
+
 #: The paper's device (Table II): DDR3-1600K 2 Gb x8, SALP-modifiable.
-#: Shares the exact constant objects of :mod:`repro.dram.timing`,
-#: :mod:`repro.dram.power` and :mod:`repro.dram.presets`, so behaviour
-#: is byte-identical to the pre-registry code paths.
+#: Shares the timing and current objects that are the
+#: :class:`~repro.dram.simulator.DRAMSimulator` constructor's defaults.
 DDR3_1600_2GB_X8_DEVICE = DeviceProfile(
     name=DEFAULT_DEVICE_NAME,
     organization=DDR3_1600_2GB_X8,
@@ -244,6 +261,19 @@ DDR3_1600_2GB_X8_DEVICE = DeviceProfile(
     supported_architectures=COMMODITY_AND_SALP,
     description="DDR3-1600K 11-11-11, 2 Gb x8 (the paper's Table II)",
     reference="JEDEC JESD79-3F; Micron MT41J256M8 datasheet",
+)
+
+#: A miniature geometry for fast tests and walk-based validation.
+TINY_ORGANIZATION = DRAMOrganization(
+    channels=1,
+    ranks_per_channel=1,
+    chips_per_rank=1,
+    banks_per_chip=4,
+    subarrays_per_bank=4,
+    rows_per_bank=64,
+    columns_per_row=64,
+    device_width_bits=8,
+    burst_length=8,
 )
 
 #: Miniature device for fast tests and exhaustive walks.

@@ -7,8 +7,9 @@ that order: the innermost dimension varies fastest.
 
 Example
 -------
->>> from repro.dram.presets import TINY_ORGANIZATION as ORG
+>>> from repro.dram import get_device
 >>> from repro.mapping import DRMAP
+>>> ORG = get_device("tiny").organization
 >>> DRMAP.coordinate_of(0, ORG).column
 0
 >>> DRMAP.coordinate_of(1, ORG).column   # innermost loop: column

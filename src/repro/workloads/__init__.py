@@ -11,8 +11,8 @@ Quickstart
 ----------
 >>> from repro.workloads import get_workload
 >>> net = get_workload("resnet18")
->>> len(net.lower())           # the 7-dim loop nests (convs + FC)
-18
+>>> len(net.lower())    # 7-dim loop nests: 17 convs, 3 shortcuts, FC
+21
 >>> from repro.workloads import handoff_summary
 >>> len(handoff_summary(net).skip_edges)   # real residual edges
 8
@@ -39,7 +39,6 @@ from .ops import (
 from .registry import (
     WORKLOAD_REGISTRY,
     get_workload,
-    register_model,
     register_workload,
     unregister_workload,
     workload_names,
@@ -65,7 +64,6 @@ __all__ = [
     "get_workload",
     "handoff_summary",
     "network_dse_summary",
-    "register_model",
     "register_workload",
     "unregister_workload",
     "workload_names",

@@ -3,8 +3,7 @@
 Workloads register as *builders* — callables ``(batch=1,
 bytes_per_element=1, **kwargs) -> Network`` — under a unique name.
 Everything downstream derives from this one table: the ``repro
-models`` listing, the CLI ``--model`` choices, the compatibility
-``repro.cnn.models.MODEL_REGISTRY`` view, and any test or example
+models`` listing, the CLI ``--model`` choices, and any test or example
 that wants a throw-away workload without editing library code:
 
 >>> from repro.workloads import Network, register_workload
@@ -65,10 +64,6 @@ def register_workload(
             f"workload {name!r} is already registered; pass "
             f"replace=True to overwrite")
     WORKLOAD_REGISTRY[name] = builder
-
-
-#: Alias matching the historical model-zoo vocabulary.
-register_model = register_workload
 
 
 def unregister_workload(name: str) -> None:

@@ -1,12 +1,13 @@
 """Graph model zoo: the paper's workloads plus non-CNN newcomers.
 
-Every builder returns a :class:`repro.workloads.network.Network` whose
-:meth:`~repro.workloads.network.Network.lower` output is **byte
-identical** to the historical ``List[ConvLayer]`` constructors in
-:mod:`repro.cnn.models` (the chain models) — pooling becomes explicit
+Every builder returns a :class:`repro.workloads.network.Network`.  Its
+:meth:`~repro.workloads.network.Network.lower` output is the flat
+``List[ConvLayer]`` the tiling / EDP / DSE machinery consumes, pinned
+by ``tests/workloads/test_lowering_golden.py``; the graph keeps what
+that list drops — pooling as explicit
 :class:`~repro.workloads.ops.PoolOp` nodes instead of silent shape
-jumps, and residual adds become :class:`~repro.workloads.ops.EltwiseOp`
-nodes the flat list had to drop.
+jumps, and residual adds as :class:`~repro.workloads.ops.EltwiseOp`
+nodes.
 
 New workloads the flat list could not express:
 
@@ -93,8 +94,8 @@ def resnet18(batch: int = 1, bytes_per_element: int = 1) -> Network:
 
     Each basic block's skip connection is an :class:`EltwiseOp` whose
     second arm is either the block input (identity shortcut) or the
-    1x1 projection (downsampling blocks) — the edges
-    ``repro.cnn.models.resnet18_convs`` had to drop.
+    1x1 projection (downsampling blocks) — edges the lowered layer
+    list does not carry.
     """
     net = Network("resnet18", batch=batch)
     net.add_input("image", 3, 224, 224, bytes_per_element)

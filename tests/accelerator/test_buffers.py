@@ -3,7 +3,6 @@
 import pytest
 
 from repro.accelerator.buffers import BufferSet, OnChipBuffer
-from repro.cnn.models import alexnet
 from repro.cnn.tiling import (
     BufferConfig,
     TABLE2_BUFFERS,
@@ -11,6 +10,7 @@ from repro.cnn.tiling import (
     enumerate_tilings,
 )
 from repro.errors import CapacityError, ConfigurationError
+from repro.workloads import get_workload
 
 
 class TestOnChipBuffer:
@@ -67,7 +67,7 @@ class TestBufferSet:
         assert buffers.ofms.name == "oB"
 
     def test_load_tile_set_enforces_capacity(self):
-        layer = alexnet()[1]
+        layer = get_workload("alexnet").lower()[1]
         buffers = BufferSet.from_config(
             BufferConfig(ifms_bytes=16, wghs_bytes=64 * 1024,
                          ofms_bytes=64 * 1024))
@@ -77,13 +77,13 @@ class TestBufferSet:
 
     def test_dse_tilings_always_load(self):
         """Every tiling the DSE admits must load without overflow."""
-        layer = alexnet()[1]
+        layer = get_workload("alexnet").lower()[1]
         buffers = BufferSet.from_config(TABLE2_BUFFERS)
         for tiling in enumerate_tilings(layer):
             buffers.load_tile_set(layer, tiling)
 
     def test_utilization_report(self):
-        layer = alexnet()[1]
+        layer = get_workload("alexnet").lower()[1]
         buffers = BufferSet.from_config(TABLE2_BUFFERS)
         buffers.load_tile_set(layer, TilingConfig(th=4, tw=4, tj=16, ti=16))
         report = buffers.utilization_report()

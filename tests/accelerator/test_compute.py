@@ -8,7 +8,7 @@ from repro.accelerator.compute import (
 )
 from repro.accelerator.config import AcceleratorConfig, TABLE2_ACCELERATOR
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
+from repro.workloads import get_workload
 
 
 class TestComputeCycles:
@@ -32,13 +32,13 @@ class TestComputeCycles:
             == 2 * compute_cycles(small).cycles
 
     def test_latency_uses_clock(self):
-        layer = alexnet()[0]
+        layer = get_workload("alexnet").lower()[0]
         fast = compute_cycles(layer, AcceleratorConfig(clock_ghz=1.6))
         slow = compute_cycles(layer, AcceleratorConfig(clock_ghz=0.8))
         assert fast.latency_ns == pytest.approx(slow.latency_ns / 2)
 
     def test_grouped_layers_scale(self):
-        grouped = alexnet()[1]  # CONV2, groups=2
+        grouped = get_workload("alexnet").lower()[1]  # CONV2, groups=2
         estimate = compute_cycles(grouped)
         assert estimate.cycles > 0
         assert estimate.macs == grouped.macs
@@ -48,11 +48,11 @@ class TestMemoryBound:
     def test_fc_layers_are_memory_bound(self):
         """FC6 moves 37 MB of weights for 37 M MACs: memory-bound for
         any plausible DRAM latency."""
-        fc6 = alexnet()[5]
+        fc6 = get_workload("alexnet").lower()[5]
         estimate = compute_cycles(fc6)
         dram_ns = estimate.latency_ns * 10
         assert is_memory_bound(fc6, dram_ns)
 
     def test_compute_bound_case(self):
-        layer = alexnet()[2]
+        layer = get_workload("alexnet").lower()[2]
         assert not is_memory_bound(layer, dram_latency_ns=1.0)

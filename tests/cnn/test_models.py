@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.cnn.models import (
-    MODEL_REGISTRY,
-    alexnet,
-    lenet5,
-    model_by_name,
-    tiny_test_network,
-    vgg16,
-)
+from repro.workloads import get_workload, workload_names
 
 
 class TestAlexNet:
@@ -17,7 +10,7 @@ class TestAlexNet:
 
     @pytest.fixture(scope="class")
     def net(self):
-        return alexnet()
+        return get_workload("alexnet").lower()
 
     def test_eight_layers(self, net):
         assert [l.name for l in net] == [
@@ -61,37 +54,33 @@ class TestAlexNet:
         assert fc_weights > 10 * conv_weights
 
     def test_batch_parameter(self):
-        batched = alexnet(batch=4)
+        batched = get_workload("alexnet", batch=4).lower()
         assert all(l.batch == 4 for l in batched)
 
 
 class TestOtherModels:
     def test_vgg16_layer_count(self):
-        assert len(vgg16()) == 16
+        assert len(get_workload("vgg16").lower()) == 16
 
     def test_vgg16_weight_volume(self):
-        total = sum(l.wghs_bytes for l in vgg16())
+        total = sum(l.wghs_bytes for l in get_workload("vgg16").lower())
         assert 130e6 < total < 145e6  # ~138 M parameters
 
     def test_lenet5_is_small(self):
-        total = sum(l.total_bytes for l in lenet5())
+        total = sum(l.total_bytes for l in get_workload("lenet5").lower())
         assert total < 1_000_000
 
     def test_tiny_network_fits_trace_simulation(self):
-        total = sum(l.total_bytes for l in tiny_test_network())
+        total = sum(l.total_bytes for l in get_workload("tiny").lower())
         assert total < 20_000
 
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(MODEL_REGISTRY) == {
+        assert set(workload_names()) == {
             "alexnet", "vgg16", "lenet5", "resnet18", "mobilenetv1",
             "mobilenetv2", "bert-encoder", "tiny"}
 
     def test_lookup_by_name(self):
-        layers = model_by_name("alexnet")
+        layers = get_workload("alexnet").lower()
         assert layers[0].name == "CONV1"
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            model_by_name("resnet-9000")

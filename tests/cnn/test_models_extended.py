@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cnn.models import mobilenet_v1, model_by_name, resnet18_convs
+from repro.workloads import get_workload
 
 
 class TestResNet18:
     @pytest.fixture(scope="class")
     def net(self):
-        return resnet18_convs()
+        return get_workload("resnet18").lower()
 
     def test_stem_shape(self, net):
         stem = net[0]
@@ -35,7 +35,7 @@ class TestResNet18:
 class TestMobileNetV1:
     @pytest.fixture(scope="class")
     def net(self):
-        return mobilenet_v1()
+        return get_workload("mobilenetv1").lower()
 
     def test_depthwise_layers_fully_grouped(self, net):
         depthwise = [l for l in net if l.name.startswith("DW")]
@@ -69,8 +69,8 @@ class TestMobileNetV1:
 
 class TestRegistryExtension:
     def test_new_models_registered(self):
-        assert model_by_name("resnet18")
-        assert model_by_name("mobilenetv1")
+        assert get_workload("resnet18").lower()
+        assert get_workload("mobilenetv1").lower()
 
     def test_dse_runs_on_depthwise_layer(self):
         """The full pipeline must handle groups == channels."""
@@ -79,7 +79,7 @@ class TestRegistryExtension:
         from repro.dram.architecture import DRAMArchitecture
         from repro.mapping.catalog import DRMAP
 
-        depthwise = next(l for l in mobilenet_v1()
+        depthwise = next(l for l in get_workload("mobilenetv1").lower()
                          if l.name == "DW6")
         result = explore_layer(
             depthwise,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
 from repro.cnn.tiling import (
     BufferConfig,
     TABLE2_BUFFERS,
@@ -21,7 +20,7 @@ from repro.workloads import as_layers, get_workload, workload_names
 
 @pytest.fixture(scope="module")
 def conv2():
-    return alexnet()[1]
+    return get_workload("alexnet").lower()[1]
 
 
 def _reference_tilings(layer, buffers, only_maximal=True):
@@ -187,7 +186,7 @@ class TestEnumeration:
                     assert not grown.fits(conv2, TABLE2_BUFFERS)
 
     def test_every_alexnet_layer_has_candidates(self):
-        for layer in alexnet():
+        for layer in get_workload("alexnet").lower():
             assert enumerate_tilings(layer)
 
     def test_impossible_buffers_raise(self, conv2):

@@ -11,8 +11,10 @@ from repro.cnn.trace import (
     trace_summary,
 )
 from repro.cnn.traffic import layer_traffic
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.mapping.catalog import DRMAP
+
+ORG = get_device("tiny").organization
 
 
 @pytest.fixture(scope="module")

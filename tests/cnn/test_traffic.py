@@ -3,15 +3,15 @@
 import pytest
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import CONCRETE_SCHEMES, ReuseScheme
 from repro.cnn.tiling import TilingConfig
 from repro.cnn.traffic import best_concrete_scheme, layer_traffic
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv2():
-    return alexnet()[1]
+    return get_workload("alexnet").lower()[1]
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +130,7 @@ class TestAdaptiveSelection:
     def test_batch_scales_traffic(self, conv2):
         tiling = TilingConfig(th=9, tw=9, tj=32, ti=24)
         single = layer_traffic(conv2, tiling, ReuseScheme.OFMS_REUSE)
-        from repro.cnn.models import alexnet as make
-        batched_layer = make(batch=2)[1]
+        batched_layer = get_workload("alexnet", batch=2).lower()[1]
         batched = layer_traffic(batched_layer, tiling,
                                 ReuseScheme.OFMS_REUSE)
         assert batched.total_bytes == 2 * single.total_bytes

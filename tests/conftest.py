@@ -23,8 +23,8 @@ settings.register_profile(
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
-from repro.cnn.models import alexnet, tiny_test_network  # noqa: E402
 from repro.dram.store import CACHE_DIR_ENV  # noqa: E402
+from repro.workloads import get_workload  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -44,7 +44,7 @@ def _hermetic_disk_cache(tmp_path_factory):
         os.environ[CACHE_DIR_ENV] = previous
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.dram.characterize import characterize_cached
-from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
+from repro.dram.device import default_device, get_device
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS
 
@@ -52,13 +52,13 @@ from repro.dram.timing import DDR3_1600_TIMINGS
 @pytest.fixture(scope="session")
 def table2_org():
     """The paper's Table-II DRAM organization."""
-    return DDR3_1600_2GB_X8
+    return default_device().organization
 
 
 @pytest.fixture(scope="session")
 def tiny_org():
     """A miniature organization for exhaustive walks."""
-    return TINY_ORGANIZATION
+    return get_device("tiny").organization
 
 
 @pytest.fixture(scope="session")
@@ -96,10 +96,10 @@ def characterizations():
 @pytest.fixture(scope="session")
 def alexnet_layers():
     """The paper's AlexNet workload."""
-    return alexnet()
+    return get_workload("alexnet").lower()
 
 
 @pytest.fixture(scope="session")
 def tiny_layers():
     """A miniature network for trace-level tests."""
-    return tiny_test_network()
+    return get_workload("tiny").lower()

@@ -13,10 +13,12 @@ from repro.core.conditions import (
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import AccessCondition, characterize_cached
 from repro.dram.commands import RequestKind
-from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
+from repro.dram.device import default_device
 from repro.mapping.catalog import DRMAP, MAPPING_2
 from repro.mapping.counts import TransitionCounts, count_transitions
 from repro.mapping.dims import Dim
+
+ORG = default_device().organization
 
 
 @pytest.fixture(scope="module")

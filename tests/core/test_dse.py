@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import BufferConfig, TilingConfig
 from repro.core.dse import (
@@ -14,11 +13,12 @@ from repro.core.dse import (
 from repro.dram.architecture import DRAMArchitecture
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv3():
-    return alexnet()[2]
+    return get_workload("alexnet").lower()[2]
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ class TestPaperResult:
 
 class TestExploreNetwork:
     def test_two_layer_network(self):
-        layers = alexnet()[2:4]
+        layers = get_workload("alexnet").lower()[2:4]
         result = explore_network(
             layers,
             architectures=(DRAMArchitecture.DDR3,),

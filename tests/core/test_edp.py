@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import TilingConfig
 from repro.core.edp import layer_edp, network_edp
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import DRMAP, MAPPING_2
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv2():
-    return alexnet()[1]
+    return get_workload("alexnet").lower()[1]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ class TestLayerEDP:
 class TestNetworkEDP:
     @pytest.fixture(scope="class")
     def small_net(self):
-        return alexnet()[:2]
+        return get_workload("alexnet").lower()[:2]
 
     @pytest.fixture(scope="class")
     def tilings(self, small_net):

@@ -7,7 +7,6 @@ selections to the serial Algorithm-1 path.
 
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.cnn.scheduling import ReuseScheme
 from repro.core.dse import explore_layer, explore_network
 from repro.core.engine import (
@@ -26,17 +25,19 @@ from repro.dram.characterize import CharacterizationCache
 from repro.dram.scenario import Scenario
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv_layers():
     """The AlexNet convolutional layers (CONV1..CONV5)."""
-    return [layer for layer in alexnet() if layer.name.startswith("CONV")]
+    return [layer for layer in get_workload("alexnet").lower()
+            if layer.name.startswith("CONV")]
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
@@ -234,11 +235,11 @@ class TestCaching:
         from repro.cnn.scheduling import ALL_SCHEMES
         from repro.cnn.tiling import BufferConfig, enumerate_tilings
         from repro.core.adaptive import resolve_adaptive
-        from repro.workloads import get_workload
 
         buffers = BufferConfig(64 * 1024, 64 * 1024, 64 * 1024)
         layers = dict.fromkeys(
-            alexnet() + get_workload("mobilenetv2").lower())
+            get_workload("alexnet").lower()
+            + get_workload("mobilenetv2").lower())
         cache = EvaluationCache()
         checked = 0
         for layer in layers:

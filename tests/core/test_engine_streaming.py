@@ -7,23 +7,23 @@ had indirect coverage; this module pins them directly.
 
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.core.engine import (
     ExplorationEngine,
     ExplorationProgress,
 )
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
 def two_conv_layers():
-    return [layer for layer in alexnet()
+    return [layer for layer in get_workload("alexnet").lower()
             if layer.name in ("CONV1", "CONV2")]
 
 

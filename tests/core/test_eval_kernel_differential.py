@@ -11,7 +11,6 @@ analytical scoring, and the reduced/Pareto merge paths.
 import numpy as np
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
@@ -33,16 +32,18 @@ from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv1():
-    return [layer for layer in alexnet() if layer.name == "CONV1"]
+    return [layer for layer in get_workload("alexnet").lower()
+            if layer.name == "CONV1"]
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")

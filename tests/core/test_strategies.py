@@ -12,7 +12,6 @@ The two load-bearing guarantees:
 
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.cnn.scheduling import ReuseScheme
 from repro.core.dse import best_mapping_per_layer, explore_network
 from repro.core.dse import explore_layer
@@ -30,13 +29,14 @@ from repro.core.strategies import (
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.scenario import DEFAULT_SCENARIO
 from repro.errors import ConfigurationError
+from repro.workloads import get_workload
 
 DDR3 = DRAMArchitecture.DDR3
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +271,7 @@ class TestFunnelAlexNetPinned:
 
     @pytest.fixture(scope="class")
     def layers(self):
-        return alexnet()
+        return get_workload("alexnet").lower()
 
     @pytest.fixture(scope="class")
     def exhaustive(self, layers):

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import TilingConfig
 from repro.core.edp import layer_edp
 from repro.core.walk_edp import layer_edp_via_walk
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import DRMAP, MAPPING_2, MAPPING_4
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv3():
-    return alexnet()[2]
+    return get_workload("alexnet").lower()[2]
 
 
 @pytest.fixture(scope="module")

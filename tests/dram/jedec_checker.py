@@ -27,10 +27,12 @@ from repro.dram.policies import (
     RowPolicyKind,
     SchedulerKind,
 )
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.dram.spec import DRAMOrganization
 from repro.dram.timing import DDR3_1600_TIMINGS as T, TimingParameters
 from repro.dram.trace_io import read_command_trace, write_command_trace
+
+ORG = get_device("tiny").organization
 
 # ----------------------------------------------------------------------
 # Strategies

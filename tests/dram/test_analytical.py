@@ -18,7 +18,6 @@ import math
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ALL_SCHEMES
 from repro.cnn.tiling import enumerate_tilings
 from repro.core.edp import layer_edp
@@ -38,6 +37,7 @@ from repro.dram.policies import controller_config
 from repro.dram.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.mapping.catalog import TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 #: Relative per-condition error bound under the default controller.
 #: The formulas are exact on most presets; the loosest case measured
@@ -140,11 +140,10 @@ class TestRankCorrelation:
         if device.name == "tiny":
             # AlexNet tiles overflow the miniature geometry; use the
             # matching miniature workload.
-            from repro.cnn.models import tiny_test_network
-
-            layer = tiny_test_network()[0]
+            layer = get_workload("tiny").lower()[0]
         else:
-            layer = alexnet()[1]  # CONV2: grouped, richly tiled
+            # CONV2: grouped, richly tiled
+            layer = get_workload("alexnet").lower()[1]
         exact_edps = []
         analytical_edps = []
         scenario = Scenario(device)
@@ -167,7 +166,7 @@ class TestRankCorrelation:
 
     def test_analytical_argmin_matches_exact_on_paper_device(self):
         """The model's top pick is the simulator's top pick (DDR3)."""
-        layer = alexnet()[1]
+        layer = get_workload("alexnet").lower()[1]
         architecture = DRAMArchitecture.DDR3
         exact_char = characterize_cached(architecture)
         model_char = characterize_analytical(architecture)

@@ -27,12 +27,12 @@ from repro.dram.contention import (
 from repro.dram.controller import MemoryController
 from repro.dram.crossbar import Crossbar, RequestorBankMachine
 from repro.dram.device import TINY_DEVICE
-from repro.dram.presets import TINY_ORGANIZATION as ORG
 from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
 
+ORG = TINY_DEVICE.organization
 DDR3 = DRAMArchitecture.DDR3
 
 

@@ -41,11 +41,10 @@ from repro.dram.contention import (
 )
 from repro.dram.controller import MemoryController
 from repro.dram.crossbar import Crossbar
-from repro.dram.presets import (
-    DDR3_1600_2GB_X8,
-    TINY_ORGANIZATION as ORG,
-)
+from repro.dram.device import default_device, get_device
 from repro.dram.timing import DDR3_1600_TIMINGS as T
+
+ORG = get_device("tiny").organization
 
 architectures = st.sampled_from(ALL_ARCHITECTURES)
 contention_configs = st.builds(
@@ -180,7 +179,7 @@ def test_contended_refresh_loss_within_trefi_trfc_bound():
     """Each REF blocks the channel for tRFC and closes every row, so
     the victim access pays at most one extra row cycle: the total
     refresh tax is bounded by refs * (tRFC + tRC)."""
-    org = DDR3_1600_2GB_X8
+    org = default_device().organization
     stream = _long_conflict_stream()
     for requestors in (2, 3):
         for arbiter in arbiter_names():

@@ -6,9 +6,11 @@ from repro.dram.address import Coordinate
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.commands import CommandKind, Request
 from repro.dram.controller import MemoryController
-from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
+from repro.dram.device import default_device
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
+
+ORG = default_device().organization
 
 
 def make_controller(architecture=DRAMArchitecture.DDR3):

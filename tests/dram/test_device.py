@@ -19,7 +19,6 @@ from repro.dram.device import (
     resolve_device,
 )
 from repro.dram.power import DDR3_1600_2GB_X8_CURRENTS
-from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from repro.dram.scenario import Scenario
 from repro.dram.timing import DDR3_1600_TIMINGS
 from repro.errors import ConfigurationError
@@ -36,15 +35,14 @@ class TestBuiltinProfiles:
         assert default_device().name == DEFAULT_DEVICE_NAME
 
     def test_paper_device_shares_the_legacy_constants(self):
-        """Deprecated constant imports and the registry must resolve to
-        the *same objects*, so behaviour is byte-identical either way."""
+        """The paper's device holds the very timing and current objects
+        a bare ``DRAMSimulator`` defaults to, so both build the same
+        simulator."""
         profile = get_device("ddr3-1600-2gb-x8")
-        assert profile.organization is DDR3_1600_2GB_X8
         assert profile.timings is DDR3_1600_TIMINGS
         assert profile.currents is DDR3_1600_2GB_X8_CURRENTS
 
     def test_tiny_profile_is_fast_geometry(self):
-        assert TINY_DEVICE.organization is TINY_ORGANIZATION
         assert TINY_DEVICE.capacity_bytes \
             < DDR3_1600_2GB_X8_DEVICE.capacity_bytes
 
@@ -98,7 +96,7 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="at least one"):
             DeviceProfile(
                 name="broken",
-                organization=TINY_ORGANIZATION,
+                organization=TINY_DEVICE.organization,
                 timings=DDR3_1600_TIMINGS,
                 currents=DDR3_1600_2GB_X8_CURRENTS,
                 supported_architectures=(),
@@ -108,7 +106,7 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="commodity"):
             DeviceProfile(
                 name="salp-only",
-                organization=TINY_ORGANIZATION,
+                organization=TINY_DEVICE.organization,
                 timings=DDR3_1600_TIMINGS,
                 currents=DDR3_1600_2GB_X8_CURRENTS,
                 supported_architectures=(DRAMArchitecture.SALP_1,),
@@ -118,7 +116,7 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="twice"):
             DeviceProfile(
                 name="dup",
-                organization=TINY_ORGANIZATION,
+                organization=TINY_DEVICE.organization,
                 timings=DDR3_1600_TIMINGS,
                 currents=DDR3_1600_2GB_X8_CURRENTS,
                 supported_architectures=(
@@ -129,7 +127,7 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="slug"):
             DeviceProfile(
                 name="has space",
-                organization=TINY_ORGANIZATION,
+                organization=TINY_DEVICE.organization,
                 timings=DDR3_1600_TIMINGS,
                 currents=DDR3_1600_2GB_X8_CURRENTS,
             )
@@ -140,21 +138,21 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="reserved"):
             DeviceProfile(
                 name="all",
-                organization=TINY_ORGANIZATION,
+                organization=TINY_DEVICE.organization,
                 timings=DDR3_1600_TIMINGS,
                 currents=DDR3_1600_2GB_X8_CURRENTS,
             )
 
     def test_with_organization_keeps_speed_grade(self):
         derived = DDR3_1600_2GB_X8_DEVICE.with_organization(
-            DDR3_1600_2GB_X8.with_subarrays(16))
+            DDR3_1600_2GB_X8_DEVICE.organization.with_subarrays(16))
         assert derived.timings is DDR3_1600_TIMINGS
         assert derived.organization.subarrays_per_bank == 16
         assert derived != DDR3_1600_2GB_X8_DEVICE
 
     def test_with_same_organization_is_identity(self):
         assert DDR3_1600_2GB_X8_DEVICE.with_organization(
-            DDR3_1600_2GB_X8) is DDR3_1600_2GB_X8_DEVICE
+            DDR3_1600_2GB_X8_DEVICE.organization) is DDR3_1600_2GB_X8_DEVICE
 
 
 class TestDeviceRegistry:
@@ -175,7 +173,7 @@ class TestDeviceRegistry:
         registry = DeviceRegistry()
         registry.register(TINY_DEVICE)
         replacement = TINY_DEVICE.with_organization(
-            TINY_ORGANIZATION.with_subarrays(2))
+            TINY_DEVICE.organization.with_subarrays(2))
         registry.register(replacement, replace_existing=True)
         assert registry.get("tiny") is replacement
 
@@ -190,7 +188,7 @@ class TestDeviceRegistry:
 
     def test_resolve_device_defaults(self):
         assert resolve_device() is default_device()
-        custom = TINY_ORGANIZATION.with_subarrays(2)
+        custom = TINY_DEVICE.organization.with_subarrays(2)
         derived = Scenario().with_organization(custom).device
         assert derived.organization is custom
         assert derived.timings is DDR3_1600_TIMINGS

@@ -6,7 +6,6 @@ from repro.dram.address import Coordinate
 from repro.dram.commands import Command, CommandKind, CommandTrace
 from repro.dram.energy import EnergyAccountant
 from repro.dram.power import EnergyModel
-from repro.dram.presets import DDR3_1600_2GB_X8
 from repro.dram.timing import DDR3_1600_TIMINGS
 
 
@@ -14,8 +13,8 @@ ORIGIN = Coordinate()
 
 
 @pytest.fixture()
-def model():
-    return EnergyModel(DDR3_1600_2GB_X8, DDR3_1600_TIMINGS)
+def model(table2_org):
+    return EnergyModel(table2_org, DDR3_1600_TIMINGS)
 
 
 def trace_of(commands, total_cycles=100):

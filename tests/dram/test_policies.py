@@ -27,11 +27,12 @@ from repro.dram.policies import (
     row_policy_names,
     scheduler_names,
 )
-from repro.dram.presets import TINY_ORGANIZATION as ORG
 from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
+
+ORG = TINY_DEVICE.organization
 
 
 def read(bank=0, subarray=0, row=0, column=0):

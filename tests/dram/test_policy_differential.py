@@ -48,8 +48,10 @@ from repro.dram.policies import (
     SchedulerKind,
     controller_config,
 )
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.dram.timing import DDR3_1600_TIMINGS as T
+
+ORG = get_device("tiny").organization
 
 architectures = st.sampled_from(ALL_ARCHITECTURES)
 row_policies = st.sampled_from(list(RowPolicyKind))

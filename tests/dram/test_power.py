@@ -2,19 +2,21 @@
 
 import pytest
 
+from repro.dram.device import default_device
 from repro.dram.power import (
     CurrentParameters,
     DDR3_1600_2GB_X8_CURRENTS,
     EnergyModel,
 )
-from repro.dram.presets import DDR3_1600_2GB_X8
 from repro.dram.timing import DDR3_1600_TIMINGS
 from repro.errors import ConfigurationError
+
+TABLE2_ORG = default_device().organization
 
 
 @pytest.fixture()
 def model():
-    return EnergyModel(DDR3_1600_2GB_X8, DDR3_1600_TIMINGS)
+    return EnergyModel(TABLE2_ORG, DDR3_1600_TIMINGS)
 
 
 class TestCurrentValidation:
@@ -60,7 +62,7 @@ class TestCommandEnergies:
         assert loaded < base * 1.5
 
     def test_rank_scaling(self):
-        wide_org = DDR3_1600_2GB_X8
+        wide_org = TABLE2_ORG
         from dataclasses import replace
         wide = EnergyModel(
             replace(wide_org, chips_per_rank=8), DDR3_1600_TIMINGS)
@@ -90,26 +92,26 @@ class TestDataDependence:
 
     def test_toggle_zero_saves_energy(self):
         quiet = EnergyModel(
-            DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=0.0)
+            TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=0.0)
         noisy = EnergyModel(
-            DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=1.0)
+            TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=1.0)
         assert quiet.read_burst_nj() < noisy.read_burst_nj()
 
     def test_toggle_midpoint_is_default_scale(self):
-        default = EnergyModel(DDR3_1600_2GB_X8, DDR3_1600_TIMINGS)
+        default = EnergyModel(TABLE2_ORG, DDR3_1600_TIMINGS)
         explicit = EnergyModel(
-            DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=0.5)
+            TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=0.5)
         assert default.read_burst_nj() \
             == pytest.approx(explicit.read_burst_nj())
 
     def test_toggle_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             EnergyModel(
-                DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=1.2)
+                TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=1.2)
 
     def test_activation_unaffected_by_toggle(self):
         quiet = EnergyModel(
-            DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=0.0)
+            TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=0.0)
         noisy = EnergyModel(
-            DDR3_1600_2GB_X8, DDR3_1600_TIMINGS, toggle_ratio=1.0)
+            TABLE2_ORG, DDR3_1600_TIMINGS, toggle_ratio=1.0)
         assert quiet.activation_nj() == pytest.approx(noisy.activation_nj())

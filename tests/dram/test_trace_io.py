@@ -9,7 +9,7 @@ from repro.dram.commands import (
     Request,
     RequestKind,
 )
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.dram.trace_io import (
     address_to_request,
     read_command_trace,
@@ -20,6 +20,8 @@ from repro.dram.trace_io import (
 )
 from repro.errors import ConfigurationError
 from repro.mapping.catalog import DRMAP, MAPPING_2
+
+ORG = get_device("tiny").organization
 
 
 class TestAddressCodec:

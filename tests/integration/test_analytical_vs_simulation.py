@@ -16,9 +16,10 @@ from repro.core.edp import layer_edp
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import characterize
 from repro.dram.device import default_device
-from repro.dram.presets import DDR3_1600_2GB_X8 as ORG
 from repro.dram.simulator import DRAMSimulator
 from repro.mapping.catalog import DRMAP, MAPPING_2, TABLE1_MAPPINGS
+
+ORG = default_device().organization
 
 
 @pytest.fixture(scope="module")

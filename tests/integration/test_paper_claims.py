@@ -17,7 +17,6 @@ Eq. 2/3 -> DSE) on representative AlexNet layers and assert the
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ALL_SCHEMES, ReuseScheme
 from repro.core.dse import explore_layer
 from repro.core.report import improvement_percent
@@ -29,6 +28,7 @@ from repro.mapping.catalog import (
     MAPPING_5,
     TABLE1_MAPPINGS,
 )
+from repro.workloads import get_workload
 
 #: Representative layers: an early conv, a grouped conv, and an FC.
 LAYER_INDICES = (0, 1, 6)
@@ -36,7 +36,7 @@ LAYER_INDICES = (0, 1, 6)
 
 @pytest.fixture(scope="module")
 def dse_results():
-    layers = alexnet()
+    layers = get_workload("alexnet").lower()
     return {
         layers[i].name: explore_layer(layers[i])
         for i in LAYER_INDICES

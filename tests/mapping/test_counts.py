@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION as ORG
+from repro.dram.device import default_device, get_device
 from repro.errors import CapacityError
 from repro.mapping.catalog import (
     DRMAP,
@@ -13,6 +13,9 @@ from repro.mapping.catalog import (
 )
 from repro.mapping.counts import TransitionCounts, count_transitions
 from repro.mapping.dims import Dim
+
+ORG = get_device("tiny").organization
+TABLE2_ORG = default_device().organization
 
 
 class TestBasicProperties:
@@ -78,7 +81,7 @@ class TestDRMapCounts:
 
     def test_table2_tile(self):
         """A 64 KB tile on the Table-II device: 8192 accesses."""
-        counts = count_transitions(DRMAP, DDR3_1600_2GB_X8, 8192)
+        counts = count_transitions(DRMAP, TABLE2_ORG, 8192)
         # 128 columns -> 8192/128 - 1 = 63 non-column transitions.
         assert counts.dif_columns == 8192 - 64
         assert counts.dif_banks == 64 - 8
@@ -90,28 +93,28 @@ class TestMappingContrasts:
     def test_mapping2_dominated_by_subarray_switches(self):
         """Mapping-2 puts the subarray loop innermost: ~ (SA-1)/SA of
         all accesses are subarray switches (paper Key Observation 2)."""
-        counts = count_transitions(MAPPING_2, DDR3_1600_2GB_X8, 8192)
+        counts = count_transitions(MAPPING_2, TABLE2_ORG, 8192)
         assert counts.dif_subarrays == pytest.approx(8192 * 7 / 8, rel=0.01)
 
     def test_mapping5_also_subarray_heavy(self):
-        counts = count_transitions(MAPPING_5, DDR3_1600_2GB_X8, 8192)
+        counts = count_transitions(MAPPING_5, TABLE2_ORG, 8192)
         assert counts.dif_subarrays == pytest.approx(8192 * 7 / 8, rel=0.01)
 
     def test_drmap_maximizes_hits(self):
         """DRMap has the most dif_column (hit) accesses of all Table-I
         policies on a row-aligned tile."""
         drmap_hits = count_transitions(
-            DRMAP, DDR3_1600_2GB_X8, 8192).dif_columns
+            DRMAP, TABLE2_ORG, 8192).dif_columns
         for policy in TABLE1_MAPPINGS:
             hits = count_transitions(
-                policy, DDR3_1600_2GB_X8, 8192).dif_columns
+                policy, TABLE2_ORG, 8192).dif_columns
             assert hits <= drmap_hits
 
     def test_mapping1_vs_drmap_swaps_bank_subarray(self):
         """Mapping-1 and DRMap differ only in the bank/subarray
         priority (paper Key Observation 3)."""
-        m1 = count_transitions(MAPPING_1, DDR3_1600_2GB_X8, 8192)
-        m3 = count_transitions(DRMAP, DDR3_1600_2GB_X8, 8192)
+        m1 = count_transitions(MAPPING_1, TABLE2_ORG, 8192)
+        m3 = count_transitions(DRMAP, TABLE2_ORG, 8192)
         assert m1.dif_columns == m3.dif_columns
         assert m1.dif_subarrays == m3.dif_banks
         assert m1.dif_banks == m3.dif_subarrays

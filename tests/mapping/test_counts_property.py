@@ -10,13 +10,15 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.dram.spec import DRAMOrganization
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions
 from repro.mapping.dims import Dim
 from repro.mapping.policy import MappingPolicy
 from repro.mapping.walk import count_transitions_by_walk
+
+ORG = get_device("tiny").organization
 
 CAPACITY = TABLE1_MAPPINGS[0].capacity(ORG)
 

@@ -1,6 +1,6 @@
 """Tests for repro.mapping.dims."""
 
-from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
+from repro.dram.device import default_device, get_device
 from repro.mapping.dims import (
     Dim,
     INTRA_CHIP_DIMS,
@@ -8,26 +8,29 @@ from repro.mapping.dims import (
     dim_size,
 )
 
+TABLE2_ORG = default_device().organization
+TINY_ORG = get_device("tiny").organization
+
 
 class TestDimSizes:
     def test_column_counts_bursts(self):
-        assert dim_size(Dim.COLUMN, DDR3_1600_2GB_X8) == 128
+        assert dim_size(Dim.COLUMN, TABLE2_ORG) == 128
 
     def test_bank_size(self):
-        assert dim_size(Dim.BANK, DDR3_1600_2GB_X8) == 8
+        assert dim_size(Dim.BANK, TABLE2_ORG) == 8
 
     def test_subarray_size(self):
-        assert dim_size(Dim.SUBARRAY, DDR3_1600_2GB_X8) == 8
+        assert dim_size(Dim.SUBARRAY, TABLE2_ORG) == 8
 
     def test_row_is_subarray_local(self):
-        assert dim_size(Dim.ROW, DDR3_1600_2GB_X8) == 4096
+        assert dim_size(Dim.ROW, TABLE2_ORG) == 4096
 
     def test_rank_channel(self):
-        assert dim_size(Dim.RANK, DDR3_1600_2GB_X8) == 1
-        assert dim_size(Dim.CHANNEL, DDR3_1600_2GB_X8) == 1
+        assert dim_size(Dim.RANK, TABLE2_ORG) == 1
+        assert dim_size(Dim.CHANNEL, TABLE2_ORG) == 1
 
     def test_product_covers_capacity(self):
-        for org in (DDR3_1600_2GB_X8, TINY_ORGANIZATION):
+        for org in (TABLE2_ORG, TINY_ORG):
             product = 1
             for dim in list(INTRA_CHIP_DIMS) + list(OUTER_DIMS):
                 product *= dim_size(dim, org)

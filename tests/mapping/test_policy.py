@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.errors import CapacityError, MappingError
 from repro.mapping.dims import Dim
 from repro.mapping.policy import MappingPolicy
 
+ORG = get_device("tiny").organization
 
 COL_FIRST = MappingPolicy(
     "col-first", (Dim.COLUMN, Dim.BANK, Dim.SUBARRAY, Dim.ROW))

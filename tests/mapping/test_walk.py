@@ -4,9 +4,11 @@ import pytest
 
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import AccessCondition
-from repro.dram.presets import TINY_ORGANIZATION as ORG
+from repro.dram.device import get_device
 from repro.mapping.catalog import DRMAP, MAPPING_2, TABLE1_MAPPINGS
 from repro.mapping.walk import classify_walk
+
+ORG = get_device("tiny").organization
 
 
 class TestBasics:

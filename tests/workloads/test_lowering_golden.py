@@ -4,16 +4,16 @@ Two invariants the refactor must never drift from:
 
 1. ``MatmulOp`` lowers to **byte-identical** traffic and EDP as the
    historical FC 1x1-conv path (``ConvLayer.fully_connected``).
-2. The AlexNet full-network DSE records reached through the
-   ``List[ConvLayer]`` compatibility shim stay byte-identical — the
-   per-layer minima are pinned as literals below, so any change to
-   the lowering, the shim, or the grid ordering trips this test.
+2. The AlexNet full-network DSE records reached through the lowered
+   ``List[ConvLayer]`` (``get_workload("alexnet").lower()``) stay
+   byte-identical — the per-layer minima are pinned as literals below,
+   so any change to the lowering, the registry, or the grid ordering
+   trips this test.
 """
 
 import pytest
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ALL_SCHEMES, ReuseScheme
 from repro.cnn.tiling import enumerate_tilings
 from repro.cnn.traffic import layer_traffic
@@ -21,11 +21,11 @@ from repro.core.dse import best_mapping_per_layer, explore_network
 from repro.core.edp import layer_edp
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import TABLE1_MAPPINGS
-from repro.workloads import MatmulOp, TensorSpec, zoo
+from repro.workloads import MatmulOp, TensorSpec, get_workload, zoo
 
 
 class TestMatmulEqualsFullyConnected:
-    """Satellite invariant 1: the new op vs the old FC path."""
+    """Invariant 1: the new op vs the old FC path."""
 
     CASES = [
         # (in_features, out_features, batch, bytes_per_element)
@@ -97,18 +97,19 @@ ALEXNET_DDR3_ADAPTIVE_GOLDEN = [
 
 
 class TestAlexNetCompatShimGolden:
-    """Satellite invariant 2: full-network DSE through the shim."""
+    """Invariant 2: full-network DSE through the lowered layer list."""
 
     @pytest.fixture(scope="class")
     def result(self):
         return explore_network(
-            alexnet(),
+            get_workload("alexnet").lower(),
             architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.ADAPTIVE_REUSE,))
 
     def test_shim_lowers_byte_identically_to_graph(self):
-        assert alexnet() == zoo.alexnet().lower()
-        assert alexnet(batch=4, bytes_per_element=2) \
+        assert get_workload("alexnet").lower() == zoo.alexnet().lower()
+        assert get_workload("alexnet", batch=4,
+                            bytes_per_element=2).lower() \
             == zoo.alexnet(batch=4, bytes_per_element=2).lower()
 
     def test_per_layer_minima_pinned(self, result):

@@ -7,7 +7,6 @@ from repro.workloads import (
     ConvOp,
     Network,
     get_workload,
-    register_model,
     register_workload,
     unregister_workload,
     workload_names,
@@ -48,9 +47,6 @@ class TestRegistration:
             register_workload(registered, toy_builder)
         register_workload(registered, toy_builder, replace=True)
 
-    def test_register_model_alias(self):
-        assert register_model is register_workload
-
     def test_unknown_workload(self):
         with pytest.raises(WorkloadError, match="unknown workload"):
             get_workload("no-such-net")
@@ -67,39 +63,6 @@ class TestRegistration:
 
 
 class TestDownstreamViews:
-    def test_model_registry_view_is_live(self, registered):
-        from repro.cnn.models import MODEL_REGISTRY, model_by_name
-
-        assert registered in MODEL_REGISTRY
-        layers = model_by_name(registered, batch=2)
-        assert layers[0].name == "C"
-        assert layers[0].batch == 2
-        # The view exposes lowering callables like the old dict did.
-        assert MODEL_REGISTRY[registered]()[0].name == "C"
-
-    def test_model_registry_view_forgets_unregistered(self):
-        from repro.cnn.models import MODEL_REGISTRY
-
-        assert "toy-reg" not in MODEL_REGISTRY
-        with pytest.raises(KeyError):
-            MODEL_REGISTRY["toy-reg"]
-
-    def test_model_registry_mapping_protocol(self, registered):
-        from repro.cnn.models import MODEL_REGISTRY
-
-        # Mapping reads stay consistent with __getitem__.
-        assert MODEL_REGISTRY.get("no-such-net") is None
-        assert MODEL_REGISTRY.get(registered)()[0].name == "C"
-        assert registered in list(MODEL_REGISTRY.keys())
-        assert len(MODEL_REGISTRY) == len(list(MODEL_REGISTRY))
-        assert dict(MODEL_REGISTRY.items())[registered]
-
-    def test_model_registry_rejects_writes_loudly(self):
-        from repro.cnn.models import MODEL_REGISTRY
-
-        with pytest.raises(TypeError, match="register_workload"):
-            MODEL_REGISTRY["custom"] = toy_builder
-
     def test_cli_choices_derive_from_registry(self, registered):
         from repro.cli import build_parser
 
