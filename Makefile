@@ -17,8 +17,9 @@ bench:
 
 ## the ratio gates, every one at its own bound and statistic:
 ##   workloads   graph-IR lowering overhead <5% (paired median)
-##   policies    controller dispatch and scenario threading <5% (paired
-##               median)
+##   policies    controller dispatch <5% (paired median); an explicit
+##               default Scenario shares the default path's cache
+##               entries (deterministic, no stopwatch)
 ##   strategies  funnel >=5x wall clock and >=10x fewer exact
 ##               evaluations than exhaustive on the VGG-16 DSE
 ##   contention  crossbar front end <5% at N=1 (paired median),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dse import explore_layer
 from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_cached
 from repro.workloads import get_workload
@@ -49,5 +48,5 @@ def alexnet_dse(alexnet_layers, characterizations):
     from repro.core.engine import ExplorationEngine
 
     engine = ExplorationEngine(jobs=1)
-    return {layer.name: explore_layer(layer, engine=engine)
+    return {layer.name: engine.explore_layer(layer)
             for layer in alexnet_layers}

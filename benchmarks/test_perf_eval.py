@@ -42,7 +42,7 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
     """Full AlexNet/DDR3 exhaustive grid, chunked as the engine does."""
     context = _build_context(
         alexnet_layers, None, ALL_SCHEMES, TABLE1_MAPPINGS,
-        TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+        TABLE2_BUFFERS, DEFAULT_SCENARIO,
         DEFAULT_CHARACTERIZATION_CACHE)
     cache = EvaluationCache()
     scalar_chunk = partial(_evaluate_range, context, cache)
@@ -85,16 +85,16 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
 
 def test_funnel_wall_clock_does_not_regress(alexnet_layers):
     """Funnel end to end: vector backend within 10% of scalar."""
-    scalar_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="scalar")
-    vector_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="auto")
+    scalar_engine = ExplorationEngine(jobs=1, eval_model="scalar")
+    vector_engine = ExplorationEngine(jobs=1, eval_model="auto")
 
     def scalar_path():
-        return scalar_engine.explore_network(alexnet_layers)
+        return scalar_engine.explore_network(
+            alexnet_layers, strategy="funnel")
 
     def vector_path():
-        return vector_engine.explore_network(alexnet_layers)
+        return vector_engine.explore_network(
+            alexnet_layers, strategy="funnel")
 
     # Identical survivors first, then the stopwatch.
     scalar_result = scalar_path()

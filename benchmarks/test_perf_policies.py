@@ -1,18 +1,21 @@
-"""Policy-indirection overhead gate: pluggability must be (almost) free.
+"""Policy-indirection overhead: pluggability must be (almost) free.
 
 The controller-policy refactor routes every request through a
 scheduler object and a row-buffer policy object instead of hard-coded
-FCFS/open-row behaviour.  Two gates hold that indirection under 5%,
-each on the median time ratio of 15 back-to-back runs:
+FCFS/open-row behaviour.
 
-* at the controller level, ``run()`` under the default config against
-  the pre-refactor service loop (calling ``_service`` per request
-  directly — exactly what the old ``run()`` body did), at identical
-  command traces;
-* at the pipeline level, the AlexNet DDR3 characterize+DSE path with
-  an explicitly built Scenario (device, controller and channel)
-  threaded end to end against the default-argument path, at identical
-  exploration records.
+* At the controller level a gate holds that indirection under 5% on
+  the median time ratio of 15 back-to-back runs: ``run()`` under the
+  default config against the pre-refactor service loop (calling
+  ``_service`` per request directly — exactly what the old ``run()``
+  body did), at identical command traces.
+* At the pipeline level, threading an explicitly built Scenario
+  (device, controller and channel) end to end is free by
+  construction, so a deterministic test checks why instead of timing
+  it: the explicit value equals and hashes like
+  ``DEFAULT_SCENARIO``, a characterization cache serves both the same
+  objects, and both explorations return equal points.  A stopwatch
+  here would time identical code twice and measure only the host.
 
 Run via ``make bench-gates``.
 """
@@ -27,7 +30,7 @@ from repro.dram.contention import contention_config
 from repro.dram.controller import MemoryController
 from repro.dram.device import get_device
 from repro.dram.policies import controller_config
-from repro.dram.scenario import Scenario
+from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
 from repro.dram.simulator import DRAMSimulator
 
 from ._timing import paired_median_ratio
@@ -71,48 +74,30 @@ def test_controller_dispatch_within_5_percent():
         f"(median of 15 paired runs), over the 1.05x bound")
 
 
-def test_characterize_dse_path_within_5_percent(alexnet_layers):
+def test_explicit_default_scenario_takes_the_default_path(
+        alexnet_layers):
     """AlexNet DDR3 characterize+DSE: explicit Scenario vs defaults."""
     explicit = Scenario(get_device("ddr3-1600-2gb-x8"),
                         controller_config("fcfs", "open"),
                         contention_config(requestors=1))
+    assert explicit == DEFAULT_SCENARIO
+    assert hash(explicit) == hash(DEFAULT_SCENARIO)
 
-    def pipeline(scenario):
-        # A private cache per run so each contender pays the full
-        # characterize cost, exactly like a cold process would.  The
-        # scalar evaluation backend keeps the denominator large enough
-        # that this 5% bound measures scenario threading, not timer
-        # noise (the vector kernel is gated in test_perf_eval.py).
-        cache = CharacterizationCache()
-        engine = ExplorationEngine(characterization_cache=cache,
-                                   eval_model="scalar")
-        scenario_argument = {} if scenario is None \
-            else {"scenario": scenario}
-        return engine.explore_network(
-            alexnet_layers,
-            architectures=(DRAMArchitecture.DDR3,),
-            **scenario_argument)
+    # Both scenarios are one cache key: the second lookup is a hit
+    # that returns the first lookup's object.
+    cache = CharacterizationCache()
+    by_default = cache.get(DRAMArchitecture.DDR3, DEFAULT_SCENARIO)
+    assert cache.get(DRAMArchitecture.DDR3, explicit) is by_default
+    assert cache.stats.misses == 1
 
-    default_result = pipeline(None)
-    explicit_result = pipeline(explicit)
+    engine = ExplorationEngine(characterization_cache=cache)
+    default_result = engine.explore_network(
+        alexnet_layers, architectures=(DRAMArchitecture.DDR3,))
+    explicit_result = engine.explore_network(
+        alexnet_layers, architectures=(DRAMArchitecture.DDR3,),
+        scenario=explicit)
     assert explicit_result.points == default_result.points
-
-    default_seconds, explicit_seconds, ratio = paired_median_ratio(
-        15, lambda: pipeline(None), lambda: pipeline(explicit))
-
-    print()
-    print(format_table(
-        ["path", "best of 15 [s]", "points"],
-        [["default arguments", f"{default_seconds:.3f}",
-          str(len(default_result.points))],
-         ["explicit Scenario", f"{explicit_seconds:.3f}",
-          str(len(explicit_result.points))]],
-        title="AlexNet DDR3 characterize+DSE: scenario threading"))
-    print(f"scenario-threading overhead (median of 15 paired runs): "
-          f"{(ratio - 1.0) * 100:+.2f}%")
-    assert ratio < 1.05, (
-        f"explicit-scenario path takes {ratio:.3f}x the default path's "
-        f"time (median of 15 paired runs), over the 1.05x bound")
+    assert cache.stats.misses == 1
 
 
 def test_fr_fcfs_characterization_cost_bounded(benchmark):

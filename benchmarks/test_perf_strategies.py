@@ -35,12 +35,11 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
     # (gated separately in test_perf_eval.py) compresses the exact
     # per-point cost the funnel saves — auto would conflate the two.
     exhaustive_engine = ExplorationEngine(jobs=1, eval_model="scalar")
-    funnel_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="scalar")
+    funnel_engine = ExplorationEngine(jobs=1, eval_model="scalar")
     # Warm-up pass each (fills the evaluation memos, as in steady
     # state); matched optimum is asserted on the warm-up results.
     exhaustive = exhaustive_engine.explore_network(network)
-    funnel = funnel_engine.explore_network(network)
+    funnel = funnel_engine.explore_network(network, strategy="funnel")
 
     assert funnel.best() == exhaustive.best(), \
         "funnel must recover the exhaustive optimum"
@@ -50,7 +49,7 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
     exhaustive_seconds, funnel_seconds = interleaved_best_of(
         3,
         lambda: exhaustive_engine.explore_network(network),
-        lambda: funnel_engine.explore_network(network))
+        lambda: funnel_engine.explore_network(network, strategy="funnel"))
     speedup = exhaustive_seconds / funnel_seconds
 
     print()
@@ -84,7 +83,7 @@ def test_analytical_scoring_is_a_fraction_of_exact_evaluation():
     network = zoo.alexnet()
     context = _build_context(
         network, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-        DEFAULT_SCENARIO, None, DEFAULT_CHARACTERIZATION_CACHE)
+        DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
     engine = ExplorationEngine(jobs=1)
     engine.explore_network(network)  # warm evaluation memos
 

@@ -17,7 +17,7 @@ on that pair.
 
 import argparse
 
-from repro.core.dse import explore_layer
+from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import device_names, get_device
@@ -51,11 +51,12 @@ def main() -> None:
         device.require_architecture(architecture)
     layers = get_workload("alexnet").lower()
 
+    engine = ExplorationEngine(jobs=args.jobs)
     best = {device.name: {} for device in devices}
     for device in devices:
         for layer in layers:
-            result = explore_layer(
-                layer, architectures=(architecture,), jobs=args.jobs,
+            result = engine.explore_layer(
+                layer, architectures=(architecture,),
                 scenario=Scenario(device))
             best[device.name][layer.name] = result.best()
 

@@ -23,7 +23,6 @@ between — cheap, usually optimal, but unguarded against local minima.
 import argparse
 import time
 
-from repro.core.dse import explore_network
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.core.strategies import strategy_names
@@ -68,12 +67,10 @@ def main() -> None:
             options = {}
             if name == "funnel":
                 options["top_fraction"] = args.funnel_topk / 100.0
-            engine = ExplorationEngine(
-                strategy=name, seed=args.seed,
-                strategy_options=options)
             start = time.perf_counter()
-            results[name] = explore_network(
-                network, engine=engine, scenario=scenario)
+            results[name] = ExplorationEngine().explore_network(
+                network, scenario=scenario, strategy=name,
+                seed=args.seed, strategy_options=options)
             timings[name] = time.perf_counter() - start
 
         truth = results["exhaustive"].best().edp_js

@@ -18,12 +18,12 @@ analysis (which tensors could stay on chip between ops).
 
 import argparse
 
-from repro.core.dse import explore_workload
+from repro.core.engine import ExplorationEngine
 from repro.core.figures import network_edp_chart
 from repro.core.report import handoff_table, network_edp_table
 from repro.cnn.scheduling import ReuseScheme
 from repro.dram.architecture import DRAMArchitecture
-from repro.workloads import zoo
+from repro.workloads import network_dse_summary, zoo
 
 
 def parse_args() -> argparse.Namespace:
@@ -44,12 +44,12 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     args = parse_args()
     network = zoo.bert_encoder(batch=args.batch, seq_len=args.seq_len)
-    _, _, summary = explore_workload(
+    result = ExplorationEngine(jobs=args.jobs).explore_network(
         network,
-        jobs=args.jobs,
-        architecture=DRAMArchitecture(args.arch),
-        scheme=ReuseScheme.ADAPTIVE_REUSE,
+        architectures=(DRAMArchitecture(args.arch),),
+        schemes=(ReuseScheme.ADAPTIVE_REUSE,),
     )
+    summary = network_dse_summary(network, result)
     print(network_edp_table(summary))
     print()
     print(network_edp_chart(summary))

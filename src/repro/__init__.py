@@ -100,23 +100,22 @@ def quick_layer_edp(
     """One-call EDP estimate for a layer with sensible defaults.
 
     Uses the Table-II buffers and, unless a tiling is given, the
-    buffer-maximal tiling with the lowest EDP.  ``scenario`` selects
+    buffer-maximal tiling with the lowest EDP (the exhaustive
+    :func:`repro.core.dse.explore_layer` over this architecture,
+    scheme and policy; ties go to the first tiling in grid order).  ``scenario`` selects
     the DRAM device, memory controller and channel (default: the
     paper's Table-II scenario).
     """
-    from .cnn.tiling import enumerate_tilings
-    from .core.edp import layer_edp
-
     if tiling is not None:
+        from .core.edp import layer_edp
+
         return layer_edp(layer, tiling, scheme, policy, architecture,
                          scenario=scenario)
-    best = None
-    for candidate in enumerate_tilings(layer):
-        result = layer_edp(layer, candidate, scheme, policy, architecture,
-                           scenario=scenario)
-        if best is None or result.edp_js < best.edp_js:
-            best = result
-    return best
+    from .core.dse import explore_layer
+
+    return explore_layer(
+        layer, architectures=(architecture,), schemes=(scheme,),
+        policies=(policy,), scenario=scenario).best().result
 
 
 __all__ = [

@@ -7,7 +7,7 @@ occupancy and enforces capacity; :class:`BufferSet` bundles the three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..cnn.layer import ConvLayer

@@ -333,19 +333,16 @@ def cmd_dse(args: argparse.Namespace) -> int:
     engine = ExplorationEngine(
         jobs=args.jobs,
         chunk_size=(args.chunk_size if args.chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE),
-        strategy=strategy,
-        seed=seed,
-        strategy_options=options)
+                    else DEFAULT_CHUNK_SIZE))
     rows = []
     total = 0.0
     evaluated = 0
     scored = 0
     grid_points = 0
     for layer in _layers(args):
-        result = explore_layer(
-            layer, architectures=(architecture,), engine=engine,
-            scenario=scenario)
+        result = engine.explore_layer(
+            layer, architectures=(architecture,), scenario=scenario,
+            strategy=strategy, seed=seed, strategy_options=options)
         best = result.best()
         total += best.edp_js
         evaluated += result.evaluated_points

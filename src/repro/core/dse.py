@@ -11,11 +11,13 @@ estimates the EDP of every admissible combination with the analytical
 model (step 3), and returns both the full exploration record and the
 minimum-EDP choice.
 
-Execution is delegated to :mod:`repro.core.engine`: pass ``jobs`` /
-``chunk_size`` (or a pre-built :class:`~repro.core.engine.ExplorationEngine`)
-to shard the grid across worker processes.  Results are identical for
-every ``jobs`` value — points come back in the serial nested-loop
-order.
+The three ``explore_*`` functions run the search on a fresh serial
+:class:`~repro.core.engine.ExplorationEngine` and forward the grid
+keywords to it.  To shard the grid across worker processes, or to
+share evaluation memos across calls, build an engine
+(``ExplorationEngine(jobs=..., chunk_size=...)``) and call its
+methods; results are identical for every ``jobs`` value — points
+come back in the serial nested-loop order.
 
 Workloads can be given as flat layer lists (the paper's shape) or as
 :class:`repro.workloads.Network` graphs; graphs lower to the same
@@ -26,7 +28,7 @@ record back onto the DAG (network EDP + hand-off analysis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..caching import CacheStats
 from ..cnn.layer import ConvLayer
@@ -150,16 +152,12 @@ class DseResult:
             self.strategy = "mixed"
 
 
-def _engine_for(jobs, chunk_size, engine):
-    """Resolve the execution engine for the explore_* entry points."""
-    from .engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
+def _engine():
+    """A fresh serial engine (imported lazily: the engine imports
+    this module)."""
+    from .engine import ExplorationEngine
 
-    if engine is not None:
-        return engine
-    return ExplorationEngine(
-        jobs=jobs,
-        chunk_size=(chunk_size if chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE))
+    return ExplorationEngine()
 
 
 def explore_layer(
@@ -169,15 +167,14 @@ def explore_layer(
     policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
     buffers: BufferConfig = TABLE2_BUFFERS,
     scenario: Scenario = DEFAULT_SCENARIO,
-    tilings: Optional[Iterable[TilingConfig]] = None,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
     strategy_options: Optional[dict] = None,
 ) -> DseResult:
     """Algorithm 1 for one layer: evaluate every admissible combination.
+
+    Candidate tilings are the buffer-maximal power-of-two grid of
+    :func:`repro.cnn.tiling.enumerate_tilings` under ``buffers``.
 
     Parameters
     ----------
@@ -186,95 +183,50 @@ def explore_layer(
         characterizations are measured under (default: the paper's
         Table-II scenario); every requested architecture must be in
         the device's capability set.
-    tilings:
-        Candidate tilings; by default the buffer-maximal power-of-two
-        grid of :func:`repro.cnn.tiling.enumerate_tilings`.
-    jobs / chunk_size:
-        Sharding knobs, forwarded to
-        :class:`repro.core.engine.ExplorationEngine`; ``jobs=1``
-        evaluates in-process, ``jobs=0`` uses every CPU.
-    engine:
-        Pre-built engine to run on (overrides ``jobs``/``chunk_size``);
-        reusing one engine across calls shares its evaluation caches.
     strategy / seed / strategy_options:
         Search strategy (a registered name — ``exhaustive``,
         ``random``, ``greedy-refine``, ``funnel`` — or a
         :class:`repro.core.strategies.SearchStrategy` instance), the
         seed of its randomized choices, and its constructor options.
-        ``None`` uses the engine's default (exhaustive).
     """
-    eng = _engine_for(jobs, chunk_size, engine)
-    tilings_seq = None if tilings is None else list(tilings)
-    return eng.explore_layer(
+    return _engine().explore_layer(
         layer, architectures=architectures, schemes=schemes,
         policies=policies, buffers=buffers, scenario=scenario,
-        tilings=tilings_seq, strategy=strategy, seed=seed,
-        strategy_options=strategy_options)
+        strategy=strategy, seed=seed, strategy_options=strategy_options)
 
 
-def explore_network(
-    layers,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    **kwargs,
-) -> DseResult:
+def explore_network(layers, **kwargs) -> DseResult:
     """Algorithm 1 over all layers of a network.
 
     ``layers`` is either the historical ``Sequence[ConvLayer]`` or a
     :class:`repro.workloads.Network`, which is lowered to its 7-dim
     loop nests first (traffic-only graph ops contribute no design
     points).  The whole ``layer x architecture x scheme x policy x
-    tiling`` grid is sharded as one unit, so with ``jobs > 1`` small
-    layers do not serialize behind large ones.  ``strategy`` /
-    ``seed`` / ``strategy_options`` select the search strategy as in
-    :func:`explore_layer`.
+    tiling`` grid is explored as one unit; ``kwargs`` are the grid and
+    strategy keywords of :func:`explore_layer`.
     """
-    eng = _engine_for(jobs, chunk_size, engine)
-    return eng.explore_network(layers, **kwargs)
+    return _engine().explore_network(layers, **kwargs)
 
 
-def explore_workload(
-    workload,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    architecture: Optional[DRAMArchitecture] = None,
-    scheme: Optional[ReuseScheme] = None,
-    **kwargs,
-):
+def explore_workload(workload, **kwargs):
     """Graph-aware Algorithm 1: explore a workload, aggregate on the DAG.
 
     ``workload`` is a :class:`repro.workloads.Network` or a registered
-    workload name (see :func:`repro.workloads.workload_names`).
-    Returns ``(network, result, summary)`` where ``summary`` is the
-    topological :class:`repro.workloads.NetworkDseSummary` — per-op
-    minimum-EDP points, the network EDP, and the feature-map hand-off
-    residency analysis.
-
-    ``architecture`` / ``scheme`` restrict both the explored grid and
-    the aggregation (pass them instead of ``architectures=`` /
-    ``schemes=`` when you want a single slice end to end).
+    workload name (see :func:`repro.workloads.workload_names`);
+    ``kwargs`` are the grid and strategy keywords of
+    :func:`explore_layer`.  Returns ``(network, result, summary)``
+    where ``summary`` is the topological
+    :class:`repro.workloads.NetworkDseSummary` — per-op minimum-EDP
+    points, the network EDP, and the feature-map hand-off residency
+    analysis.
     """
     from ..workloads import Network, get_workload, network_dse_summary
 
     if not isinstance(workload, Network):
         workload = get_workload(workload)
-    if architecture is not None:
-        if "architectures" in kwargs:
-            raise DseError(
-                "pass either architecture= or architectures=, not both")
-        kwargs["architectures"] = (architecture,)
-    if scheme is not None:
-        if "schemes" in kwargs:
-            raise DseError(
-                "pass either scheme= or schemes=, not both")
-        kwargs["schemes"] = (scheme,)
-    eng = _engine_for(jobs, chunk_size, engine)
-    result = eng.explore_network(workload, **kwargs)
+    result = _engine().explore_network(workload, **kwargs)
     summary = network_dse_summary(
-        workload, result, architecture=architecture, scheme=scheme,
-        buffers=kwargs.get("buffers", TABLE2_BUFFERS))
+        workload, result, buffers=kwargs.get("buffers", TABLE2_BUFFERS))
     return workload, result, summary
 
 

@@ -35,13 +35,20 @@ intermediate per point.  This module is the scalable replacement:
    counts and the EDP fold all run as array programs), bit-for-bit
    identical to the scalar reference loop, which a poisoned segment
    falls back to and ``eval_model="scalar"`` selects throughout.
-6. **Pluggable search** — the engine drives a registered
+6. **Pluggable search** — each explore call names a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
-   ``seed=``) instead of hard-coding the grid walk.  The default
-   ``exhaustive`` strategy reproduces the full sweep byte-identically;
+   ``seed=`` / ``strategy_options=``) instead of hard-coding the grid
+   walk.  The default ``exhaustive`` strategy evaluates the full grid;
    ``random`` / ``greedy-refine`` / ``funnel`` trade exact coverage
    for speed, re-using the same sharded executors, and every
    :class:`~repro.core.dse.DseResult` records its search provenance.
+
+The engine is the only code that searches for a minimum-EDP point:
+:mod:`repro.core.dse`, :mod:`repro.core.sweep` and
+:func:`repro.quick_layer_edp` all run on it.  Worker count and chunk
+size are the engine's; the strategy is the call's; the device,
+controller and channel the costs are measured under come from the
+call's :class:`~repro.dram.scenario.Scenario`.
 
 Determinism guarantees
 ----------------------
@@ -109,7 +116,7 @@ from ..errors import DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
-from ..workloads.network import Network, as_layers
+from ..workloads.network import as_layers
 from .dse import DsePoint, DseResult
 from .edp import layer_edp
 from .eval_kernel import (
@@ -252,16 +259,6 @@ class ExplorationContext:
     scenario: Scenario
     characterizations: Dict[DRAMArchitecture, CharacterizationResult]
     offsets: Tuple[int, ...]  # layers[i].offset, precomputed for decode
-    #: Workload graph the layers were lowered from, when the caller
-    #: passed a :class:`repro.workloads.Network`; shipped to workers
-    #: with the rest of the context so provenance survives pickling.
-    workload: Optional[Network] = None
-    #: Search strategy driving the exploration (provenance: shipped to
-    #: workers and recorded on the result).
-    strategy: str = "exhaustive"
-    #: Seed of the strategy's randomized choices (``None``: the
-    #: strategy default).
-    seed: Optional[int] = None
 
     @property
     def organization(self) -> DRAMOrganization:
@@ -322,10 +319,7 @@ def _build_context(
     policies: Sequence[MappingPolicy],
     buffers: BufferConfig,
     scenario: Scenario,
-    tilings: Optional[Sequence[TilingConfig]],
     characterization_cache: CharacterizationCache,
-    strategy: str = "exhaustive",
-    seed: Optional[int] = None,
 ) -> ExplorationContext:
     """Validate the grid and pre-compute everything shards share.
 
@@ -336,37 +330,28 @@ def _build_context(
     set; an explicit sequence must be within it.
 
     ``layers`` may be a :class:`repro.workloads.Network`; it is
-    lowered to the 7-dim loop nests here and kept on the context.
+    lowered to the 7-dim loop nests here.
     """
-    workload = layers if isinstance(layers, Network) else None
-    layers = as_layers(layers)
     if architectures is None:
         architectures = scenario.device.supported_architectures
+    for axis, values in (("architectures", architectures),
+                         ("schemes", schemes), ("policies", policies)):
+        if not values:
+            raise DseError(
+                f"the {axis} axis of the exploration grid is empty")
     for architecture in architectures:
         scenario.device.require_architecture(architecture)
     grids: List[_LayerGrid] = []
     offset = 0
     per_point = len(architectures) * len(schemes) * len(policies)
-    for layer in layers:
-        if tilings is None:
-            # Candidate enumeration is pure in (layer, buffers);
-            # memoize it so repeated explorations (and the funnel's two
-            # phases) enumerate once.
-            admissible: Tuple[TilingConfig, ...] = \
-                _ADMISSIBLE_TILINGS_MEMO.get_or_compute(
-                    (layer, buffers),
-                    lambda: tuple(enumerate_tilings(layer, buffers)))
-        else:
-            candidates = list(tilings)
-            if not candidates:
-                raise DseError(
-                    f"no candidate tilings provided for {layer.name}")
-            admissible = tuple(
-                tiling for tiling in candidates
-                if tiling.fits(layer, buffers))
-        if not admissible or per_point == 0:
-            raise DseError(
-                f"no tiling of {layer.name} satisfies the buffer constraint")
+    for layer in as_layers(layers):
+        # Candidate enumeration is pure in (layer, buffers); memoize it
+        # so repeated explorations (and the funnel's two phases)
+        # enumerate once.
+        admissible: Tuple[TilingConfig, ...] = \
+            _ADMISSIBLE_TILINGS_MEMO.get_or_compute(
+                (layer, buffers),
+                lambda: tuple(enumerate_tilings(layer, buffers)))
         grids.append(_LayerGrid(
             layer=layer, tilings=admissible, offset=offset))
         offset += per_point * len(admissible)
@@ -383,9 +368,6 @@ def _build_context(
         scenario=scenario,
         characterizations=characterizations,
         offsets=tuple(grid.offset for grid in grids),
-        workload=workload,
-        strategy=strategy,
-        seed=seed,
     )
 
 
@@ -583,27 +565,19 @@ class ExplorationEngine:
         process-wide shared cache.
     progress:
         Optional :data:`ProgressCallback` invoked after every chunk.
-    strategy:
-        Default search strategy for this engine's explorations: a
-        registered name (see
-        :func:`repro.core.strategies.strategy_names`) or a pre-built
-        :class:`~repro.core.strategies.SearchStrategy`.  The default
-        ``"exhaustive"`` evaluates the full grid, byte-identical to
-        the pre-strategy engine.
-    seed:
-        Default seed for randomized strategies (``None``: the
-        strategy's deterministic default, 0).
-    strategy_options:
-        Keyword options for the default strategy (e.g.
-        ``{"top_fraction": 0.02}`` for ``funnel``); must be omitted
-        when ``strategy`` is a pre-built instance (configure the
-        instance directly instead).
     eval_model:
         ``"auto"`` (default) evaluates chunks with the vectorized
         kernel of :mod:`repro.core.eval_kernel`, falling back to the
         scalar loop per poisoned segment; ``"scalar"`` selects the
         reference per-point loop throughout, for differential tests
         and ratio gates.  Results are bit-for-bit identical.
+
+    Each explore call picks its search strategy: ``strategy=`` (a
+    registered name, see :func:`repro.core.strategies.strategy_names`,
+    or a pre-built :class:`~repro.core.strategies.SearchStrategy`),
+    ``seed=`` and ``strategy_options=`` (e.g.
+    ``{"top_fraction": 0.02}`` for ``funnel``; omit them for a
+    pre-built instance).
 
     Example
     -------
@@ -621,9 +595,6 @@ class ExplorationEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         characterization_cache: Optional[CharacterizationCache] = None,
         progress: Optional[ProgressCallback] = None,
-        strategy="exhaustive",
-        seed: Optional[int] = None,
-        strategy_options: Optional[Dict] = None,
         eval_model: str = "auto",
     ) -> None:
         if jobs is None or jobs == 0:
@@ -641,28 +612,9 @@ class ExplorationEngine:
             if characterization_cache is not None
             else DEFAULT_CHARACTERIZATION_CACHE)
         self.progress = progress
-        self.strategy = strategy
-        self.seed = seed
-        self.strategy_options = dict(strategy_options or {})
-        # Fail fast on unknown names / bad options.
-        get_strategy(self.strategy, **self.strategy_options)
         #: Serial-path evaluation memo; persists across explore calls
         #: so network-level sweeps reuse layer-level intermediates.
         self.evaluation_cache = EvaluationCache()
-
-    def _resolve_strategy(
-        self,
-        strategy,
-        seed: Optional[int],
-        strategy_options: Optional[Dict],
-    ):
-        """Per-call strategy resolution (``None`` = engine default)."""
-        if strategy is None:
-            strategy = self.strategy
-            if strategy_options is None:
-                strategy_options = self.strategy_options
-        resolved = get_strategy(strategy, **(strategy_options or {}))
-        return resolved, (self.seed if seed is None else seed)
 
     # -- public API ----------------------------------------------------
 
@@ -674,8 +626,7 @@ class ExplorationEngine:
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
         scenario: Scenario = DEFAULT_SCENARIO,
-        tilings: Optional[Sequence[TilingConfig]] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
@@ -683,7 +634,7 @@ class ExplorationEngine:
         return self.explore_network(
             [layer], architectures=architectures, schemes=schemes,
             policies=policies, buffers=buffers, scenario=scenario,
-            tilings=tilings, strategy=strategy, seed=seed,
+            strategy=strategy, seed=seed,
             strategy_options=strategy_options)
 
     def explore_network(
@@ -694,8 +645,7 @@ class ExplorationEngine:
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
         scenario: Scenario = DEFAULT_SCENARIO,
-        tilings: Optional[Sequence[TilingConfig]] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
@@ -703,22 +653,22 @@ class ExplorationEngine:
 
         ``layers`` is a ``Sequence[ConvLayer]`` or a
         :class:`repro.workloads.Network` — a network lowers to its
-        7-dim loop nests (traffic-only ops contribute no grid points)
-        and rides along in the pickled context.  ``scenario`` selects
-        the DRAM device, memory controller and channel the
-        characterizations are measured under (default: the paper's
-        Table-II scenario); every architecture in ``architectures``
-        must be in the device's capability set.
-        ``strategy`` / ``seed`` / ``strategy_options`` override the
-        engine's search strategy for this call; under the default
+        7-dim loop nests (traffic-only ops contribute no grid points).
+        ``scenario`` selects the DRAM device, memory controller and
+        channel the characterizations are measured under (default:
+        the paper's Table-II scenario); every architecture in
+        ``architectures`` must be in the device's capability set.
+        ``strategy`` / ``seed`` / ``strategy_options`` select the
+        search strategy (an unknown name raises
+        :class:`~repro.errors.ConfigurationError`); under the default
         exhaustive strategy the returned points are in the serial
         nested-loop order regardless of ``jobs``, and subset
         strategies return their evaluated points in the same order.
         The result records the strategy, seed and evaluation counts.
         """
-        search, run, shard_iter = self._start(
+        run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers,
-            scenario, tilings, strategy, seed, strategy_options)
+            scenario, strategy, seed, strategy_options)
         shards: Dict[int, List[DsePoint]] = {}
         serial_before = self.evaluation_cache.stats
         for start, points in shard_iter:
@@ -746,8 +696,7 @@ class ExplorationEngine:
         policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
         buffers: BufferConfig = TABLE2_BUFFERS,
         scenario: Scenario = DEFAULT_SCENARIO,
-        tilings: Optional[Sequence[TilingConfig]] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> ReducedExploration:
@@ -759,9 +708,9 @@ class ExplorationEngine:
         search strategy (shards stream into the reduction as they
         arrive).
         """
-        _search, run, shard_iter = self._start(
+        run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers,
-            scenario, tilings, strategy, seed, strategy_options)
+            scenario, strategy, seed, strategy_options)
         reduced = ReducedExploration()
         serial_before = self.evaluation_cache.stats
         for start, points in shard_iter:
@@ -794,29 +743,25 @@ class ExplorationEngine:
         policies,
         buffers,
         scenario,
-        tilings,
         strategy,
         seed,
         strategy_options,
     ):
         """Common front half of the explore methods.
 
-        Resolves the strategy, builds the context (with strategy
-        provenance embedded) and returns ``(strategy, run,
-        shard_iterator)``.
+        Resolves the strategy, builds the context and returns
+        ``(run, shard_iterator)``.
         """
-        search, run_seed = self._resolve_strategy(
-            strategy, seed, strategy_options)
+        search = get_strategy(strategy, **(strategy_options or {}))
         context = _build_context(
             layers, architectures, schemes, policies, buffers, scenario,
-            tilings, self.characterization_cache,
-            strategy=search.name, seed=run_seed)
+            self.characterization_cache)
         run = StrategyRun(
             strategy=search.name,
-            seed=run_seed,
+            seed=seed,
             total_points=context.total_points,
         )
-        return search, run, search.shards(self, context, run)
+        return run, search.shards(self, context, run)
 
     # -- scheduling ----------------------------------------------------
 

@@ -26,12 +26,12 @@ component, independent of the parallel execution machinery:
 Strategies yield ``(start_index, points)`` shards exactly like the
 engine's internal sharding, so streaming consumers
 (:class:`~repro.core.engine.ReducedExploration`, progress callbacks)
-work with every strategy unchanged.  All strategies are deterministic:
-randomized ones derive their choices from the run's ``seed`` (default
-0), which is recorded — together with the strategy name and the
-evaluation counts — in the returned
-:class:`~repro.core.dse.DseResult` and the pickled
-:class:`~repro.core.engine.ExplorationContext`.
+work with every strategy unchanged.  Each explore call names its
+strategy (``strategy=``, ``seed=``, ``strategy_options=``).  All
+strategies are deterministic: randomized ones derive their choices
+from the run's ``seed`` (default 0), which is recorded — together
+with the strategy name and the evaluation counts — in the returned
+:class:`~repro.core.dse.DseResult`.
 
 Example
 -------
@@ -265,8 +265,7 @@ class FunnelStrategy(SearchStrategy):
 
     def shards(self, engine, context, run):
         scores = analytical_scores(
-            context, engine.evaluation_cache,
-            eval_model=getattr(engine, "eval_model", "auto"))
+            context, engine.evaluation_cache, eval_model=engine.eval_model)
         run.scored_points = len(scores)
         indices: List[int] = []
         for position, grid in enumerate(context.layers):

@@ -10,14 +10,13 @@ give downstream users a one-call sensitivity analysis for their own
 design points.
 
 All sweeps accept a ``scenario`` (default: the paper's Table-II
-device, controller and channel), route their DRAM characterizations
-through the process-wide
+device, controller and channel).  Each sweep value explores each
+layer once, for DRMap and Mapping-2 together, with the exhaustive
+search of :func:`repro.core.dse.explore_layer`; its DRAM
+characterizations come through the process-wide
 :data:`repro.dram.characterize.DEFAULT_CHARACTERIZATION_CACHE` (keyed
-on ``(scenario, architecture)``) and share one
-:class:`repro.core.engine.EvaluationCache`, so comparing two policies
-at one sweep value characterizes the device once — the seed version
-re-ran the simulator micro-experiments for every policy at every
-value.  Repeating a sweep is almost free.
+on ``(scenario, architecture)``), so a repeated sweep value
+characterizes nothing twice.
 
 Example
 -------
@@ -31,17 +30,15 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ReuseScheme
-from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS, enumerate_tilings
+from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS
 from ..dram.architecture import DRAMArchitecture
-from ..dram.characterize import characterize_cached
 from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..mapping.catalog import DRMAP, MAPPING_2
-from ..mapping.policy import MappingPolicy
-from .edp import layer_edp
+from .dse import explore_layer
 
 
 @dataclass(frozen=True)
@@ -61,65 +58,17 @@ class SweepPoint:
         return self.worst_edp_js / self.drmap_edp_js
 
 
-def _evaluation_cache():
-    """The sweeps' shared evaluation memo (lazy, import-cycle free)."""
-    global _EVALUATION_CACHE
-    if _EVALUATION_CACHE is None:
-        from .engine import EvaluationCache
-
-        _EVALUATION_CACHE = EvaluationCache()
-    return _EVALUATION_CACHE
-
-
-_EVALUATION_CACHE = None
-
-
-def _min_edp(
-    layer: ConvLayer,
-    policy: MappingPolicy,
-    architecture: DRAMArchitecture,
-    scenario: Scenario,
-    buffers: BufferConfig,
-    scheme: ReuseScheme,
-    strategy=None,
-    seed: Optional[int] = None,
-) -> float:
-    if strategy is not None and strategy != "exhaustive":
-        # Non-exhaustive search: route the one-policy slice through
-        # the strategy-driven engine (the funnel/random/greedy floors
-        # keep even these small grids meaningfully covered).
-        from .dse import explore_layer
-
-        result = explore_layer(
-            layer, architectures=(architecture,), schemes=(scheme,),
-            policies=(policy,), buffers=buffers, scenario=scenario,
-            strategy=strategy, seed=seed)
-        return result.best().edp_js
-    characterization = characterize_cached(architecture, scenario)
-    cache = _evaluation_cache()
-    best: Optional[float] = None
-    for tiling in enumerate_tilings(layer, buffers):
-        result = layer_edp(
-            layer, tiling, scheme, policy, architecture,
-            characterization=characterization,
-            cache=cache,
-            scenario=scenario)
-        if best is None or result.edp_js < best:
-            best = result.edp_js
-    if best is None:
-        raise AssertionError("enumerate_tilings never returns empty")
-    return best
-
-
 def _sweep_point(parameter: str, value, layers, architecture, scenario,
-                 buffers, scheme, strategy, seed) -> SweepPoint:
+                 buffers, scheme) -> SweepPoint:
     """DRMap's and Mapping-2's min EDP, summed over ``layers``."""
     drmap = worst = 0.0
     for layer in layers:
-        drmap += _min_edp(layer, DRMAP, architecture, scenario, buffers,
-                          scheme, strategy, seed)
-        worst += _min_edp(layer, MAPPING_2, architecture, scenario,
-                          buffers, scheme, strategy, seed)
+        result = explore_layer(
+            layer, architectures=(architecture,), schemes=(scheme,),
+            policies=(DRMAP, MAPPING_2), buffers=buffers,
+            scenario=scenario)
+        drmap += result.best(policy=DRMAP).edp_js
+        worst += result.best(policy=MAPPING_2).edp_js
     return SweepPoint(parameter=parameter, value=value,
                       drmap_edp_js=drmap, worst_edp_js=worst)
 
@@ -130,8 +79,6 @@ def sweep_subarrays(
     architecture: DRAMArchitecture = DRAMArchitecture.SALP_MASA,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     scenario: Scenario = DEFAULT_SCENARIO,
-    strategy=None,
-    seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs subarrays-per-bank.
 
@@ -143,7 +90,7 @@ def sweep_subarrays(
         _sweep_point(
             "subarrays_per_bank", count, (layer,), architecture,
             scenario.with_organization(organization.with_subarrays(count)),
-            TABLE2_BUFFERS, scheme, strategy, seed)
+            TABLE2_BUFFERS, scheme)
         for count in subarray_counts
     ]
 
@@ -154,8 +101,6 @@ def sweep_buffers(
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     scenario: Scenario = DEFAULT_SCENARIO,
-    strategy=None,
-    seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs on-chip buffer capacity (all three buffers together)."""
     return [
@@ -164,7 +109,7 @@ def sweep_buffers(
             BufferConfig(ifms_bytes=size_kb * 1024,
                          wghs_bytes=size_kb * 1024,
                          ofms_bytes=size_kb * 1024),
-            scheme, strategy, seed)
+            scheme)
         for size_kb in sizes_kb
     ]
 
@@ -175,8 +120,6 @@ def sweep_precision(
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     scenario: Scenario = DEFAULT_SCENARIO,
-    strategy=None,
-    seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs data precision (int8 / fp16 / fp32 footprints).
 
@@ -185,8 +128,7 @@ def sweep_precision(
     return [
         _sweep_point(
             "bytes_per_element", bpe, (layer_factory(bpe),),
-            architecture, scenario, TABLE2_BUFFERS, scheme, strategy,
-            seed)
+            architecture, scenario, TABLE2_BUFFERS, scheme)
         for bpe in bytes_per_element
     ]
 
@@ -197,14 +139,12 @@ def sweep_batch(
     architecture: DRAMArchitecture = DRAMArchitecture.DDR3,
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     scenario: Scenario = DEFAULT_SCENARIO,
-    strategy=None,
-    seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs batch size (activations scale, weights amortize)."""
     return [
         _sweep_point(
             "batch", batch, (layer_factory(batch),), architecture,
-            scenario, TABLE2_BUFFERS, scheme, strategy, seed)
+            scenario, TABLE2_BUFFERS, scheme)
         for batch in batches
     ]
 
@@ -216,8 +156,6 @@ def sweep_network_batch(
     scheme: ReuseScheme = ReuseScheme.ADAPTIVE_REUSE,
     scenario: Scenario = DEFAULT_SCENARIO,
     buffers: BufferConfig = TABLE2_BUFFERS,
-    strategy=None,
-    seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """Network EDP vs batch size over a whole workload graph.
 
@@ -237,7 +175,7 @@ def sweep_network_batch(
             network = get_workload(workload, batch=batch)
         points.append(_sweep_point(
             f"{network.name}:batch", batch, network.lower(),
-            architecture, scenario, buffers, scheme, strategy, seed))
+            architecture, scenario, buffers, scheme))
     return points
 
 

@@ -33,7 +33,7 @@ specific inter-command waits:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .architecture import (
@@ -42,7 +42,7 @@ from .architecture import (
     behavior_of,
 )
 from .address import Coordinate
-from .bank import NEVER, BankState, RankState, SubarrayState
+from .bank import NEVER, BankState, RankState
 from .commands import (
     Command,
     CommandKind,

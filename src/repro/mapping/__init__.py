@@ -22,7 +22,6 @@ from .dims import Dim, INTRA_CHIP_DIMS, OUTER_DIMS, dim_size
 from .counts import TransitionCounts, count_transitions
 from .policy import MappingPolicy
 from .search import (
-    COST_MODELS,
     POLICY_FAMILIES,
     ScoredPolicy,
     all_permutation_policies,
@@ -40,7 +39,6 @@ from .walk import (
 )
 
 __all__ = [
-    "COST_MODELS",
     "DEFAULT_MAPPING",
     "DRMAP",
     "Dim",

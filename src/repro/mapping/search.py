@@ -10,7 +10,9 @@ row-outermost family against the rest.
 It also provides :func:`best_policy_for`, a small optimizer that
 returns the minimum-EDP-cost permutation for a given run length and
 architecture — a building block for studying non-Table-II geometries
-where DRMap's ordering might not be optimal.
+where DRMap's ordering might not be optimal.  Every function costs
+the run with the Fig.-1 characterization of its ``scenario`` (device,
+controller and channel), through the process-wide cache.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..dram.architecture import DRAMArchitecture
-from ..dram.characterize import (
-    CharacterizationResult,
-    characterize_cached,
-)
+from ..dram.characterize import CharacterizationResult, characterize_cached
 from ..dram.commands import RequestKind
 from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from .counts import count_transitions
@@ -81,29 +80,6 @@ def candidate_policies(family: str = "all") -> List[MappingPolicy]:
         f"{', '.join(POLICY_FAMILIES)}")
 
 
-#: Cost-model backends of :func:`score_policy` / :func:`rank_policies`.
-COST_MODELS = ("simulator", "analytical")
-
-
-def _characterization_for(
-    architecture: DRAMArchitecture,
-    scenario: Scenario,
-    model: str,
-) -> CharacterizationResult:
-    """Per-condition costs from the selected cost-model backend."""
-    if model == "simulator":
-        return characterize_cached(architecture, scenario)
-    if model == "analytical":
-        from ..dram.analytical import analytical_characterization
-
-        return analytical_characterization(architecture, scenario)
-    from ..errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"unknown cost model {model!r}; choose from: "
-        f"{', '.join(COST_MODELS)}")
-
-
 @dataclass(frozen=True)
 class ScoredPolicy:
     """A policy with its Eq. 2/3 cost for a given run."""
@@ -126,22 +102,18 @@ def score_policy(
     characterization: Optional[CharacterizationResult] = None,
     kind: RequestKind = RequestKind.READ,
     scenario: Scenario = DEFAULT_SCENARIO,
-    model: str = "simulator",
 ) -> ScoredPolicy:
     """Cost one policy for a contiguous run of ``n_accesses``.
 
     The run is counted on the geometry of ``scenario``'s device.
-    ``model`` selects the per-condition cost backend when no explicit
-    ``characterization`` is given: ``"simulator"`` (cycle-accurate,
-    cached, under the scenario's controller and channel) or
-    ``"analytical"`` (the closed-form model of
-    :mod:`repro.dram.analytical` — no simulation).
+    Without an explicit ``characterization``, the per-condition costs
+    are the scenario's Fig.-1 characterization (cached, under its
+    device, controller and channel).
     """
     from ..core.conditions import run_cost
 
     if characterization is None:
-        characterization = _characterization_for(
-            architecture, scenario, model)
+        characterization = characterize_cached(architecture, scenario)
     counts = count_transitions(
         policy, scenario.device.organization, n_accesses)
     cost = run_cost(counts, characterization, kind)
@@ -154,18 +126,17 @@ def rank_policies(
     architecture: DRAMArchitecture,
     policies: Optional[Sequence[MappingPolicy]] = None,
     scenario: Scenario = DEFAULT_SCENARIO,
-    model: str = "simulator",
 ) -> List[ScoredPolicy]:
     """All policies sorted by ascending EDP score.
 
     ``policies`` defaults to :func:`candidate_policies` over all 24
     permutations; pass any generated family (or your own list) to
-    rank a different candidate set.  ``model`` selects the cost
-    backend as in :func:`score_policy`.
+    rank a different candidate set.  Costs come from ``scenario`` as
+    in :func:`score_policy`.
     """
     if policies is None:
         policies = candidate_policies("all")
-    characterization = _characterization_for(architecture, scenario, model)
+    characterization = characterize_cached(architecture, scenario)
     scored = [
         score_policy(policy, n_accesses, architecture,
                      characterization=characterization,
@@ -179,18 +150,15 @@ def best_policy_for(
     n_accesses: int,
     architecture: DRAMArchitecture,
     scenario: Scenario = DEFAULT_SCENARIO,
-    model: str = "simulator",
 ) -> ScoredPolicy:
     """The minimum-EDP-cost permutation for a run of ``n_accesses``."""
-    return rank_policies(
-        n_accesses, architecture, scenario=scenario, model=model)[0]
+    return rank_policies(n_accesses, architecture, scenario=scenario)[0]
 
 
 def narrowing_is_sound(
     n_accesses: int,
     architecture: DRAMArchitecture,
     scenario: Scenario = DEFAULT_SCENARIO,
-    model: str = "simulator",
 ) -> bool:
     """Check the paper's Table-I narrowing for one configuration.
 
@@ -200,8 +168,7 @@ def narrowing_is_sound(
     still be terrible: Mapping-5 loses to several discarded
     permutations; the narrowing only protects the *minimum*.)
     """
-    ranked = rank_policies(
-        n_accesses, architecture, scenario=scenario, model=model)
+    ranked = rank_policies(n_accesses, architecture, scenario=scenario)
     best_overall = ranked[0].edp_score
     best_row_outer = min(
         s.edp_score for s in ranked

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cnn.scheduling import ReuseScheme
-from repro.cnn.tiling import BufferConfig, TilingConfig
+from repro.cnn.tiling import BufferConfig
 from repro.core.dse import (
     best_mapping_per_layer,
     explore_layer,
@@ -59,17 +59,6 @@ class TestExploration:
     def test_best_with_empty_filter_raises(self, dse):
         with pytest.raises(DseError):
             dse.best(architecture=DRAMArchitecture.SALP_1)
-
-    def test_explicit_tilings_respected(self, conv3):
-        tiling = TilingConfig(th=13, tw=13, tj=8, ti=8)
-        result = explore_layer(
-            conv3,
-            architectures=(DRAMArchitecture.DDR3,),
-            schemes=(ReuseScheme.OFMS_REUSE,),
-            tilings=[tiling],
-        )
-        assert len(result.points) == 6
-        assert all(p.tiling == tiling for p in result.points)
 
     def test_infeasible_buffers_raise(self, conv3):
         with pytest.raises(DseError):

@@ -111,10 +111,12 @@ class TestCompactBreakdown:
     """Vector-kernel points keep their per-type breakdown as six floats."""
 
     @pytest.fixture(scope="class")
-    def vector_points(self, conv2, tiling):
+    def vector_points(self, conv2):
+        from repro.cnn.tiling import enumerate_tilings
         from repro.core.engine import ExplorationEngine
-        return ExplorationEngine(jobs=1).explore_layer(
-            conv2, tilings=[tiling]).points
+        tiling = enumerate_tilings(conv2)[0]
+        return [point for point in ExplorationEngine(jobs=1).explore_layer(
+            conv2).points if point.tiling == tiling]
 
     def test_type_costs_is_a_flat_float_tuple(self, vector_points):
         from repro.core.conditions import AccessCost

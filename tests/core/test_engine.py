@@ -42,7 +42,7 @@ def tiny_layer():
 
 @pytest.fixture(scope="module")
 def serial_conv_dse(conv_layers):
-    return explore_network(conv_layers, jobs=1)
+    return explore_network(conv_layers)
 
 
 class TestDeterminism:
@@ -51,12 +51,14 @@ class TestDeterminism:
     def test_parallel_records_identical(self, conv_layers, serial_conv_dse):
         # An odd chunk size that does not divide the grid, so shards
         # straddle layer and architecture boundaries.
-        parallel = explore_network(conv_layers, jobs=2, chunk_size=157)
+        parallel = ExplorationEngine(jobs=2, chunk_size=157) \
+            .explore_network(conv_layers)
         assert parallel.points == serial_conv_dse.points
 
     def test_parallel_min_edp_selections_identical(
             self, conv_layers, serial_conv_dse):
-        parallel = explore_network(conv_layers, jobs=2, chunk_size=157)
+        parallel = ExplorationEngine(jobs=2, chunk_size=157) \
+            .explore_network(conv_layers)
         for layer in conv_layers:
             serial_best = serial_conv_dse.best(layer_name=layer.name)
             parallel_best = parallel.best(layer_name=layer.name)
@@ -67,8 +69,10 @@ class TestDeterminism:
                     == serial_conv_dse.best(architecture=architecture))
 
     def test_chunk_size_invariance(self, tiny_layer):
-        baseline = explore_layer(tiny_layer, jobs=1, chunk_size=1_000_000)
-        one_point_chunks = explore_layer(tiny_layer, jobs=1, chunk_size=1)
+        baseline = ExplorationEngine(jobs=1, chunk_size=1_000_000) \
+            .explore_layer(tiny_layer)
+        one_point_chunks = ExplorationEngine(jobs=1, chunk_size=1) \
+            .explore_layer(tiny_layer)
         assert baseline.points == one_point_chunks.points
 
     def test_reduced_matches_full(self, tiny_layer):
@@ -141,28 +145,27 @@ class TestDeviceThreading:
     def test_explicit_default_device_is_identical(self, tiny_layer):
         from repro.dram.device import default_device
 
-        implicit = explore_layer(tiny_layer, jobs=1)
+        implicit = explore_layer(tiny_layer)
         explicit = explore_layer(
-            tiny_layer, jobs=1, scenario=Scenario(default_device()))
+            tiny_layer, scenario=Scenario(default_device()))
         assert implicit.points == explicit.points
 
     def test_parallel_workers_reconstruct_the_device(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
 
         serial = explore_layer(
-            tiny_layer, jobs=1, scenario=Scenario(DDR4_2400_DEVICE))
-        parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=61,
-            scenario=Scenario(DDR4_2400_DEVICE))
+            tiny_layer, scenario=Scenario(DDR4_2400_DEVICE))
+        parallel = ExplorationEngine(jobs=2, chunk_size=61).explore_layer(
+            tiny_layer, scenario=Scenario(DDR4_2400_DEVICE))
         assert serial.points == parallel.points
 
     def test_devices_change_the_numbers(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
 
         ddr3 = explore_layer(
-            tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1)
+            tiny_layer, architectures=(DRAMArchitecture.DDR3,))
         ddr4 = explore_layer(
-            tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1,
+            tiny_layer, architectures=(DRAMArchitecture.DDR3,),
             scenario=Scenario(DDR4_2400_DEVICE))
         assert len(ddr3.points) == len(ddr4.points)
         assert ddr3.best().edp_js != ddr4.best().edp_js
@@ -297,9 +300,11 @@ class TestProgress:
 
 
 class TestValidation:
-    def test_empty_tilings_raise(self, tiny_layer):
-        with pytest.raises(DseError):
-            explore_layer(tiny_layer, tilings=[])
+    @pytest.mark.parametrize("axis", ["architectures", "schemes",
+                                      "policies"])
+    def test_empty_axis_is_named(self, tiny_layer, axis):
+        with pytest.raises(DseError, match=f"the {axis} axis"):
+            explore_layer(tiny_layer, **{axis: ()})
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -311,14 +316,6 @@ class TestValidation:
 
     def test_jobs_zero_means_all_cpus(self):
         assert ExplorationEngine(jobs=0).jobs >= 1
-
-    def test_explicit_tilings_still_filtered(self, tiny_layer):
-        from repro.cnn.tiling import enumerate_tilings
-
-        tilings = enumerate_tilings(tiny_layer)
-        via_engine = explore_layer(tiny_layer, tilings=tilings, jobs=1)
-        default = explore_layer(tiny_layer)
-        assert via_engine.points == default.points
 
 
 class TestParetoAccumulator:
@@ -380,10 +377,9 @@ class TestControllerThreading:
 
         config = controller_config("fr-fcfs", "closed")
         serial = explore_layer(
-            tiny_layer, jobs=1, scenario=Scenario(controller=config))
-        parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=7,
-            scenario=Scenario(controller=config))
+            tiny_layer, scenario=Scenario(controller=config))
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, scenario=Scenario(controller=config))
         assert parallel.points == serial.points
 
     def test_context_pickles_the_controller(self, tiny_layer):
@@ -398,7 +394,7 @@ class TestControllerThreading:
         context = _build_context(
             [tiny_layer], (DRAMArchitecture.DDR3,), ALL_SCHEMES,
             TABLE1_MAPPINGS, TABLE2_BUFFERS, Scenario(controller=config),
-            None, CharacterizationCache())
+            CharacterizationCache())
         clone = pickle.loads(pickle.dumps(context))
         assert clone.scenario.controller == config
         assert clone.characterizations[

@@ -73,11 +73,10 @@ class TestReducedMergeDeterminism:
         assert _reduced_snapshot(wide) == _reduced_snapshot(narrow)
 
     def test_strategy_reduction_parallel_matches_serial(self, tiny_layer):
-        serial = ExplorationEngine(jobs=1, strategy="funnel") \
-            .explore_reduced([tiny_layer])
-        parallel = ExplorationEngine(jobs=2, chunk_size=7,
-                                     strategy="funnel") \
-            .explore_reduced([tiny_layer])
+        serial = ExplorationEngine(jobs=1) \
+            .explore_reduced([tiny_layer], strategy="funnel")
+        parallel = ExplorationEngine(jobs=2, chunk_size=7) \
+            .explore_reduced([tiny_layer], strategy="funnel")
         assert _reduced_snapshot(parallel) == _reduced_snapshot(serial)
 
 
@@ -129,12 +128,12 @@ class TestProgressUnderParallelism:
     """Chunk accounting must be exact with a worker pool."""
 
     def _explore_with_progress(self, layers, jobs, chunk_size,
-                               **engine_kwargs):
+                               **explore_kwargs):
         snapshots = []
         engine = ExplorationEngine(
             jobs=jobs, chunk_size=chunk_size,
-            progress=snapshots.append, **engine_kwargs)
-        result = engine.explore_network(layers)
+            progress=snapshots.append)
+        result = engine.explore_network(layers, **explore_kwargs)
         return result, snapshots
 
     def test_callback_count_equals_chunk_count(self, tiny_layer):

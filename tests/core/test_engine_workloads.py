@@ -14,7 +14,7 @@ def _context_for(workload):
     return _build_context(
         workload, (DRAMArchitecture.DDR3,),
         (ReuseScheme.ADAPTIVE_REUSE,), tuple(TABLE1_MAPPINGS),
-        TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+        TABLE2_BUFFERS, DEFAULT_SCENARIO,
         DEFAULT_CHARACTERIZATION_CACHE)
 
 
@@ -22,20 +22,14 @@ class TestContextWorkload:
     def test_network_rides_in_context(self):
         net = zoo.tiny()
         context = _context_for(net)
-        assert context.workload is net
         assert [grid.layer.name for grid in context.layers] \
             == ["TINY_CONV", "TINY_FC"]
-
-    def test_layer_list_leaves_workload_unset(self):
-        context = _context_for(zoo.tiny().lower())
-        assert context.workload is None
 
     def test_context_with_network_pickles(self):
         import pickle
 
         context = _context_for(zoo.tiny())
         clone = pickle.loads(pickle.dumps(context))
-        assert clone.workload.name == "tiny"
         assert clone.total_points == context.total_points
 
 

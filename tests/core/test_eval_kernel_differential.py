@@ -27,11 +27,12 @@ from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
 from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
-from repro.cnn.scheduling import ALL_SCHEMES
-from repro.cnn.tiling import TABLE2_BUFFERS
+from repro.cnn.scheduling import ALL_SCHEMES, CONCRETE_SCHEMES
+from repro.cnn.tiling import TABLE2_BUFFERS, enumerate_tilings
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
+from repro.mapping.dims import Dim
 from repro.workloads import get_workload
 
 
@@ -137,6 +138,57 @@ class TestBitIdentityOnAlexNet:
         assert _hex_points(vector) == _hex_points(scalar)
 
 
+class TestRowWrapMerge:
+    """Tiles whose run wraps the row loop, scalar vs ``auto``.
+
+    Where the row loop wrapped, the kernel merges the tile-opening
+    access into the row-conflict slot instead of appending it last
+    (see the :mod:`repro.core.eval_kernel` docstring).  AlexNet on the
+    Table-II geometry never reaches that branch, so these grids do:
+    the tiny workload on the tiny device (rows wrap above 1 KB) and an
+    AlexNet layer on a one-subarray DDR3 geometry (rows wrap above
+    8 KB), which is what ``sweep_subarrays`` explores at count 1.
+    """
+
+    @staticmethod
+    def _wraps_rows(layers, scenario):
+        """Whether some tile run of the grid wraps the row loop."""
+        organization = scenario.device.organization
+        cache = EvaluationCache()
+        for layer in layers:
+            for tiling in enumerate_tilings(layer):
+                for scheme in CONCRETE_SCHEMES:
+                    traffic = cache.traffic(layer, tiling, scheme)
+                    for type_traffic in traffic.by_type().values():
+                        n = organization.accesses_for_bytes(
+                            type_traffic.tile_bytes)
+                        if n and any(
+                                count_transitions(policy, organization, n)
+                                .by_dim.get(Dim.ROW, 0)
+                                for policy in TABLE1_MAPPINGS):
+                            return True
+        return False
+
+    def _assert_bit_equal(self, layers, scenario):
+        assert self._wraps_rows(layers, scenario)
+        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+            .explore_network(layers, scenario=scenario)
+        vector = ExplorationEngine(jobs=1, eval_model="auto") \
+            .explore_network(layers, scenario=scenario)
+        assert _hex_points(vector) == _hex_points(scalar)
+        return scalar
+
+    def test_tiny_workload_on_tiny_device(self):
+        scalar = self._assert_bit_equal(
+            get_workload("tiny").lower(), Scenario(get_device("tiny")))
+        assert scalar.total_points == 192
+
+    def test_alexnet_layer_on_one_subarray_ddr3(self, conv1):
+        organization = DEFAULT_SCENARIO.device.organization
+        self._assert_bit_equal(conv1, Scenario().with_organization(
+            organization.with_subarrays(1)))
+
+
 class TestReducedAndPareto:
     """Reduced merge + Pareto front under the vector backend."""
 
@@ -161,7 +213,7 @@ class TestFunnelAndScores:
     def _context(self, layers):
         return _build_context(
             layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-            DEFAULT_SCENARIO, None, DEFAULT_CHARACTERIZATION_CACHE)
+            DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
 
     def test_batch_scores_bit_equal(self, conv1):
         context = self._context(conv1)
@@ -180,12 +232,10 @@ class TestFunnelAndScores:
         assert [a.hex() for a in auto] == [s.hex() for s in scalar]
 
     def test_funnel_end_to_end_bit_equal(self, conv1):
-        scalar = ExplorationEngine(jobs=1, strategy="funnel",
-                                   eval_model="scalar") \
-            .explore_network(conv1)
-        vector = ExplorationEngine(jobs=1, strategy="funnel",
-                                   eval_model="auto") \
-            .explore_network(conv1)
+        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+            .explore_network(conv1, strategy="funnel")
+        vector = ExplorationEngine(jobs=1, eval_model="auto") \
+            .explore_network(conv1, strategy="funnel")
         assert _hex_points(vector) == _hex_points(scalar)
         assert vector.scored_points == scalar.scored_points
 
@@ -205,7 +255,7 @@ class TestEvalModelKnob:
         sentinel = object()
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            TABLE2_BUFFERS, DEFAULT_SCENARIO,
             DEFAULT_CHARACTERIZATION_CACHE)
         assert make_chunk_evaluator(
             context, EvaluationCache(), "scalar", sentinel) is sentinel
@@ -213,7 +263,7 @@ class TestEvalModelKnob:
     def test_layer_segments_respect_boundaries(self, conv1, tiny_layer):
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            TABLE2_BUFFERS, DEFAULT_SCENARIO,
             DEFAULT_CHARACTERIZATION_CACHE)
         segments = list(iter_layer_segments(
             context, 0, context.total_points))
@@ -230,7 +280,7 @@ class TestEvalModelKnob:
         engine = ExplorationEngine(jobs=1, chunk_size=7)
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None,
+            TABLE2_BUFFERS, DEFAULT_SCENARIO,
             DEFAULT_CHARACTERIZATION_CACHE)
         chunks = list(engine._chunks(context))
         # Gapless, in-order cover of the grid ...

@@ -14,8 +14,8 @@ from repro.workloads import handoff_summary, zoo
 @pytest.fixture(scope="module")
 def tiny_summary():
     _, _, summary = explore_workload(
-        "tiny", architecture=DRAMArchitecture.DDR3,
-        scheme=ReuseScheme.ADAPTIVE_REUSE)
+        "tiny", architectures=(DRAMArchitecture.DDR3,),
+        schemes=(ReuseScheme.ADAPTIVE_REUSE,))
     return summary
 
 

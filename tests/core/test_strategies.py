@@ -93,9 +93,9 @@ class TestRegistry:
 
             del module._STRATEGIES["probe-everything"]
 
-    def test_engine_rejects_unknown_strategy_eagerly(self):
+    def test_engine_rejects_unknown_strategy_eagerly(self, tiny_layer):
         with pytest.raises(ConfigurationError):
-            ExplorationEngine(strategy="nope")
+            ExplorationEngine().explore_layer(tiny_layer, strategy="nope")
 
 
 class TestExhaustiveByteIdentity:
@@ -113,8 +113,8 @@ class TestExhaustiveByteIdentity:
 
     def test_parallel_exhaustive_still_identical(
             self, tiny_layer, tiny_full):
-        parallel = explore_layer(
-            tiny_layer, strategy="exhaustive", jobs=2, chunk_size=17)
+        parallel = ExplorationEngine(jobs=2, chunk_size=17).explore_layer(
+            tiny_layer, strategy="exhaustive")
         assert parallel.points == tiny_full.points
 
     def test_run_records_strategy_and_seed(self, tiny_layer):
@@ -122,10 +122,10 @@ class TestExhaustiveByteIdentity:
         from repro.cnn.tiling import TABLE2_BUFFERS
         from repro.mapping.catalog import TABLE1_MAPPINGS
 
-        engine = ExplorationEngine(strategy="random", seed=11)
-        _search, run, _iter = engine._start(
+        engine = ExplorationEngine()
+        run, _iter = engine._start(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, None, None, None)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, "random", 11, None)
         assert (run.strategy, run.seed) == ("random", 11)
 
     def test_context_dataclass_carries_provenance(self, tiny_layer):
@@ -138,10 +138,13 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], (DDR3,), ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache(),
-            strategy="funnel", seed=5)
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
         clone = pickle.loads(pickle.dumps(context))
-        assert (clone.strategy, clone.seed) == ("funnel", 5)
+        assert clone.scenario == DEFAULT_SCENARIO
+        # The search provenance is recorded on the result.
+        result = explore_layer(tiny_layer, architectures=(DDR3,),
+                               strategy="funnel", seed=5)
+        assert (result.strategy, result.seed) == ("funnel", 5)
 
     def test_encode_inverts_decode(self, tiny_layer):
         from repro.cnn.scheduling import ALL_SCHEMES
@@ -151,7 +154,7 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache())
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
         for index in range(context.total_points):
             layer, arch, scheme, policy, tiling = context.decode(index)
             encoded = context.encode(
@@ -191,8 +194,8 @@ class TestRandomStrategy:
 
     def test_parallel_matches_serial(self, tiny_layer):
         serial = explore_layer(tiny_layer, strategy="random", seed=5)
-        parallel = explore_layer(
-            tiny_layer, strategy="random", seed=5, jobs=2, chunk_size=7)
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, strategy="random", seed=5)
         assert parallel.points == serial.points
 
 
@@ -229,7 +232,7 @@ class TestFunnel:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO, None, CharacterizationCache())
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
         scores = analytical_scores(context, EvaluationCache())
         assert len(scores) == context.total_points
         assert all(score > 0 for score in scores)
@@ -242,13 +245,13 @@ class TestFunnel:
 
     def test_parallel_matches_serial(self, tiny_layer):
         serial = explore_layer(tiny_layer, strategy="funnel")
-        parallel = explore_layer(
-            tiny_layer, strategy="funnel", jobs=2, chunk_size=7)
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, strategy="funnel")
         assert parallel.points == serial.points
 
     def test_reduced_mode_works_with_funnel(self, tiny_layer, tiny_full):
-        engine = ExplorationEngine(strategy="funnel")
-        reduced = engine.explore_reduced([tiny_layer])
+        engine = ExplorationEngine()
+        reduced = engine.explore_reduced([tiny_layer], strategy="funnel")
         assert reduced.best() == tiny_full.best()
 
     def test_min_exact_floor_covers_every_slice(self, tiny_layer,
@@ -321,21 +324,6 @@ class TestFunnelAlexNetPinned:
         for layer in layers:
             assert funnel.best(layer_name=layer.name) \
                 == exhaustive.best(layer_name=layer.name)
-
-
-class TestSweepThreading:
-    def test_sweep_accepts_strategy(self, tiny_layer):
-        from repro.core.sweep import sweep_subarrays
-
-        exhaustive = sweep_subarrays(tiny_layer, subarray_counts=(2, 4))
-        funnel = sweep_subarrays(
-            tiny_layer, subarray_counts=(2, 4), strategy="funnel")
-        # The funnel floor covers these tiny one-policy grids fully,
-        # so the sweep values are identical.
-        assert [p.drmap_edp_js for p in funnel] \
-            == [p.drmap_edp_js for p in exhaustive]
-        assert [p.worst_edp_js for p in funnel] \
-            == [p.worst_edp_js for p in exhaustive]
 
 
 class TestResultMerging:

@@ -110,8 +110,8 @@ class TestNetworkDseSummary:
 class TestExploreWorkload:
     def test_by_name_end_to_end(self):
         net, result, summary = explore_workload(
-            "tiny", architecture=DRAMArchitecture.DDR3,
-            scheme=ReuseScheme.ADAPTIVE_REUSE)
+            "tiny", architectures=(DRAMArchitecture.DDR3,),
+            schemes=(ReuseScheme.ADAPTIVE_REUSE,))
         assert net.name == "tiny"
         assert [name for name, _ in summary.per_op] \
             == ["TINY_CONV", "TINY_FC"]
@@ -123,19 +123,7 @@ class TestExploreWorkload:
     def test_accepts_prebuilt_network(self):
         net = residual_net()
         same, _, summary = explore_workload(
-            net, architecture=DRAMArchitecture.DDR3,
-            scheme=ReuseScheme.OFMS_REUSE)
+            net, architectures=(DRAMArchitecture.DDR3,),
+            schemes=(ReuseScheme.OFMS_REUSE,))
         assert same is net
         assert summary.handoffs.network_name == "res-toy"
-
-    def test_conflicting_grid_kwargs_rejected(self):
-        from repro.errors import DseError
-
-        with pytest.raises(DseError, match="not both"):
-            explore_workload(
-                "tiny", architecture=DRAMArchitecture.DDR3,
-                architectures=(DRAMArchitecture.SALP_MASA,))
-        with pytest.raises(DseError, match="not both"):
-            explore_workload(
-                "tiny", scheme=ReuseScheme.OFMS_REUSE,
-                schemes=(ReuseScheme.IFMS_REUSE,))
