@@ -22,6 +22,7 @@ from typing import Callable, Dict, Tuple
 
 from .layer import ConvLayer
 from .scheduling import (
+    CONCRETE_SCHEMES,
     DEPENDENCIES,
     LoopVar,
     ReuseScheme,
@@ -84,24 +85,29 @@ class LayerTraffic:
         return {"ifms": self.ifms, "wghs": self.wghs, "ofms": self.ofms}
 
 
-def _trip_count_map(layer: ConvLayer, tiling: TilingConfig
-                    ) -> Dict[LoopVar, int]:
-    n_h, n_w, n_j, n_i = tiling.trip_counts(layer)
-    return {LoopVar.H: n_h, LoopVar.W: n_w, LoopVar.J: n_j, LoopVar.I: n_i}
+#: Position of each loop variable in ``TilingConfig.trip_counts``.
+_TRIP_POSITION = {LoopVar.H: 0, LoopVar.W: 1, LoopVar.J: 2, LoopVar.I: 3}
 
 
-def _visits(order: Tuple[LoopVar, ...], trips: Dict[LoopVar, int],
-            dependencies: frozenset) -> int:
-    """Tile fetches: product of trips down to the innermost dependency."""
-    innermost_dep = max(
-        (position for position, var in enumerate(order)
-         if var in dependencies),
-        default=-1,
-    )
-    visits = 1
-    for position in range(innermost_dep + 1):
-        visits *= trips[order[position]]
-    return visits
+def _fetch_plan(scheme: ReuseScheme) -> Tuple[Tuple[int, ...],
+                                              Tuple[int, int, int]]:
+    """``(trip positions outermost first, fetch depth per data type)``.
+
+    A data type's fetch depth is the number of loops, counted from the
+    outermost, down to and including the innermost loop it depends on;
+    its tile fetches are the product of those loops' trip counts.
+    ``ADAPTIVE_REUSE`` raises through :func:`loop_order`.
+    """
+    order = loop_order(scheme)
+    depths = tuple(
+        1 + max((position for position, var in enumerate(order)
+                 if var in DEPENDENCIES[name]), default=-1)
+        for name in ("ifms", "wghs", "ofms"))
+    return tuple(_TRIP_POSITION[var] for var in order), depths
+
+
+#: Fetch plans of the concrete schemes, computed once.
+_FETCH_PLANS = {scheme: _fetch_plan(scheme) for scheme in CONCRETE_SCHEMES}
 
 
 def layer_traffic(
@@ -114,15 +120,20 @@ def layer_traffic(
     Grouped convolutions run their groups back to back; all counts are
     scaled by ``layer.groups``.
     """
-    order = loop_order(scheme)
-    trips = _trip_count_map(layer, tiling)
+    positions, (ifms_depth, wghs_depth, ofms_depth) = \
+        _FETCH_PLANS.get(scheme) or _fetch_plan(scheme)
+    trips = tiling.trip_counts(layer)
     groups = layer.groups
     batch = layer.batch
 
-    ifms_visits = _visits(order, trips, DEPENDENCIES["ifms"])
-    wghs_visits = _visits(order, trips, DEPENDENCIES["wghs"])
-    ofms_visits = _visits(order, trips, DEPENDENCIES["ofms"])
-    distinct_ofms = trips[LoopVar.H] * trips[LoopVar.W] * trips[LoopVar.J]
+    # visits[d]: product of the trip counts of the d outermost loops.
+    visits = [1]
+    for position in positions:
+        visits.append(visits[-1] * trips[position])
+    ifms_visits = visits[ifms_depth]
+    wghs_visits = visits[wghs_depth]
+    ofms_visits = visits[ofms_depth]
+    distinct_ofms = trips[0] * trips[1] * trips[2]  # n_h * n_w * n_j
 
     scale = groups * batch
     ifms = DataTypeTraffic(
@@ -161,8 +172,6 @@ def best_concrete_scheme(
     :meth:`repro.core.engine.EvaluationCache.traffic`) to reuse
     traffic already computed for the concrete schemes.
     """
-    from .scheduling import CONCRETE_SCHEMES
-
     best_scheme = None
     best_traffic = None
     for scheme in CONCRETE_SCHEMES:

@@ -22,8 +22,6 @@ from .engine import (
     DEFAULT_CHUNK_SIZE,
     EvaluationCache,
     ExplorationEngine,
-    ExplorationProgress,
-    ReducedExploration,
 )
 from .eval_kernel import (
     EVAL_MODELS,
@@ -33,7 +31,6 @@ from .eval_kernel import (
 )
 from .pareto import (
     ObjectivePoint,
-    ParetoAccumulator,
     hypervolume_2d,
     pareto_front,
     points_from_dse,
@@ -80,16 +77,13 @@ __all__ = [
     "EvaluationCache",
     "ExhaustiveStrategy",
     "ExplorationEngine",
-    "ExplorationProgress",
     "FunnelStrategy",
     "GreedyRefineStrategy",
     "INITIAL_ACCESS_CONDITION",
     "LayerEDP",
     "NetworkEDP",
     "ObjectivePoint",
-    "ParetoAccumulator",
     "RandomStrategy",
-    "ReducedExploration",
     "SearchStrategy",
     "StrategyRun",
     "SweepPoint",
@@ -119,6 +113,7 @@ __all__ = [
     "project",
     "resolve_adaptive",
     "run_cost",
+    "series_table",
     "sparkline",
     "strategy_names",
     "strategy_summaries",

@@ -103,7 +103,10 @@ class DseResult:
         policy: Optional[MappingPolicy] = None,
         layer_name: Optional[str] = None,
     ) -> DsePoint:
-        """Minimum-EDP point among those matching the given filters."""
+        """Minimum-EDP point among those matching the given filters.
+
+        Ties go to the earliest point in grid order.
+        """
         candidates = self.filtered(
             architecture=architecture, scheme=scheme, policy=policy,
             layer_name=layer_name)
@@ -132,24 +135,6 @@ class DseResult:
             return True
 
         return [point for point in self.points if keep(point)]
-
-    def extend(self, other: "DseResult") -> None:
-        """Merge another exploration record into this one.
-
-        Evaluation counts accumulate; the strategy label is kept when
-        both records agree and becomes ``"mixed"`` otherwise.
-        """
-        self.points.extend(other.points)
-        self.total_points += other.total_points
-        self.evaluated_points += other.evaluated_points
-        self.scored_points += other.scored_points
-        if other.eval_cache_stats is not None:
-            mine = self.eval_cache_stats or CacheStats(hits=0, misses=0)
-            self.eval_cache_stats = CacheStats(
-                hits=mine.hits + other.eval_cache_stats.hits,
-                misses=mine.misses + other.eval_cache_stats.misses)
-        if self.strategy != other.strategy:
-            self.strategy = "mixed"
 
 
 def _engine():
@@ -235,7 +220,11 @@ def best_mapping_per_layer(
     architecture: DRAMArchitecture,
     scheme: ReuseScheme,
 ) -> Dict[str, DsePoint]:
-    """Algorithm 1 output: min-EDP mapping (and tiling) per layer."""
+    """Algorithm 1 output: min-EDP mapping (and tiling) per layer.
+
+    Ties go to the earliest point in grid order, as in
+    :meth:`DseResult.best`.
+    """
     by_layer: Dict[str, DsePoint] = {}
     for point in result.filtered(architecture=architecture, scheme=scheme):
         incumbent = by_layer.get(point.layer_name)

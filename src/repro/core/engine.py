@@ -24,18 +24,12 @@ intermediate per point.  This module is the scalable replacement:
    length)``.  On the Table-II grid each traffic entry is reused 24x
    (6 policies x 4 architectures) and the transition counts collapse to
    a few hundred distinct keys.
-4. **Streaming** — an :class:`ExplorationProgress` callback fires after
-   every completed chunk, and :meth:`ExplorationEngine.explore_reduced`
-   folds chunks into per-key minimum-EDP records plus an incremental
-   Pareto front as they arrive, so arbitrarily large sweeps run in
-   memory bounded by the front and the reduction keys, not the point
-   count.
-5. **Vectorized chunk evaluation** — chunks are evaluated as numpy
+4. **Vectorized chunk evaluation** — chunks are evaluated as numpy
    batches through :mod:`repro.core.eval_kernel` (grid decode, Eq. 2/3
    counts and the EDP fold all run as array programs), bit-for-bit
    identical to the scalar reference loop, which a poisoned segment
    falls back to and ``eval_model="scalar"`` selects throughout.
-6. **Pluggable search** — each explore call names a registered
+5. **Pluggable search** — each explore call names a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
    ``seed=`` / ``strategy_options=``) instead of hard-coding the grid
    walk.  The default ``exhaustive`` strategy evaluates the full grid;
@@ -48,7 +42,11 @@ The engine is the only code that searches for a minimum-EDP point:
 :func:`repro.quick_layer_edp` all run on it.  Worker count and chunk
 size are the engine's; the strategy is the call's; the device,
 controller and channel the costs are measured under come from the
-call's :class:`~repro.dram.scenario.Scenario`.
+call's :class:`~repro.dram.scenario.Scenario`.  Every exploration
+returns one grid-ordered :class:`~repro.core.dse.DseResult`; its
+minima (:meth:`~repro.core.dse.DseResult.best`,
+:func:`~repro.core.dse.best_mapping_per_layer`) and its Pareto front
+(``pareto_front(points_from_dse(result.points))``) are read off it.
 
 Determinism guarantees
 ----------------------
@@ -59,8 +57,8 @@ For any ``jobs`` and ``chunk_size``:
   exactly the serial nested-loop order (architecture outermost, tiling
   innermost), so the records are byte-identical to a ``jobs=1`` run.
 * minimum-EDP selections break ties by the *lowest flattened grid
-  index*, matching what serial ``min()`` returns, independent of chunk
-  completion order.
+  index*: the record is in grid order and the selections keep the
+  first minimum, independent of chunk completion order.
 
 The CLI exposes the knobs as ``repro dse --jobs N --chunk-size M``
 (``--jobs 0`` means one worker per CPU).
@@ -81,7 +79,7 @@ import bisect
 import itertools
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import (
     Callable,
@@ -124,12 +122,11 @@ from .eval_kernel import (
     make_chunk_evaluator,
     validate_eval_model,
 )
-from .pareto import ObjectivePoint, ParetoAccumulator
 from .strategies import StrategyRun, get_strategy
 
 #: Default points per shard.  Large enough that inter-process message
-#: overhead is negligible, small enough that progress ticks regularly
-#: and merge buffers stay shallow.
+#: overhead is negligible, small enough that the bounded in-flight
+#: window of a parallel run holds few points.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Process-wide memo of admissible tilings per (layer, buffers): the
@@ -268,8 +265,6 @@ class ExplorationContext:
     @property
     def total_points(self) -> int:
         """Number of points in the flattened grid."""
-        if not self.layers:
-            return 0
         last = self.layers[-1]
         return last.offset + self._points_per_layer(last)
 
@@ -332,9 +327,11 @@ def _build_context(
     ``layers`` may be a :class:`repro.workloads.Network`; it is
     lowered to the 7-dim loop nests here.
     """
+    layers = as_layers(layers)
     if architectures is None:
         architectures = scenario.device.supported_architectures
-    for axis, values in (("architectures", architectures),
+    for axis, values in (("layers", layers),
+                         ("architectures", architectures),
                          ("schemes", schemes), ("policies", policies)):
         if not values:
             raise DseError(
@@ -344,7 +341,7 @@ def _build_context(
     grids: List[_LayerGrid] = []
     offset = 0
     per_point = len(architectures) * len(schemes) * len(policies)
-    for layer in as_layers(layers):
+    for layer in layers:
         # Candidate enumeration is pure in (layer, buffers); memoize it
         # so repeated explorations (and the funnel's two phases)
         # enumerate once.
@@ -439,112 +436,6 @@ def _run_chunk(
 
 
 # ----------------------------------------------------------------------
-# Progress streaming
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExplorationProgress:
-    """Snapshot delivered to the progress callback after each chunk."""
-
-    completed_points: int
-    total_points: int
-    completed_chunks: int
-    total_chunks: int
-    best_edp_js: Optional[float]
-
-    @property
-    def fraction(self) -> float:
-        """Completed fraction in ``[0, 1]``."""
-        if not self.total_points:
-            return 1.0
-        return self.completed_points / self.total_points
-
-
-ProgressCallback = Callable[[ExplorationProgress], None]
-
-
-# ----------------------------------------------------------------------
-# Reduced (bounded-memory) results
-# ----------------------------------------------------------------------
-
-@dataclass
-class ReducedExploration:
-    """Streaming reduction of an exploration: minima + Pareto front.
-
-    Holds one record per ``(layer, architecture, scheme, policy)``
-    instead of one per point, so memory is bounded by the grid's
-    *categorical* dimensions regardless of how many tilings are swept.
-    """
-
-    total_points: int = 0
-    best_by_key: Dict[Tuple[str, DRAMArchitecture, ReuseScheme,
-                            MappingPolicy], DsePoint] = \
-        field(default_factory=dict)
-    _best_index: Dict[Tuple[str, DRAMArchitecture, ReuseScheme,
-                            MappingPolicy], int] = field(default_factory=dict)
-    pareto: ParetoAccumulator = field(default_factory=ParetoAccumulator)
-
-    def absorb(self, start: int, points: Sequence[DsePoint]) -> None:
-        """Fold one shard's points into the reduction.
-
-        Ties on EDP keep the lowest flattened grid index, so the result
-        is independent of shard arrival order.
-        """
-        self.total_points += len(points)
-        for position, point in enumerate(points):
-            index = start + position
-            key = (point.layer_name, point.architecture, point.scheme,
-                   point.policy)
-            incumbent = self.best_by_key.get(key)
-            if incumbent is None or (point.edp_js, index) < (
-                    incumbent.edp_js, self._best_index[key]):
-                self.best_by_key[key] = point
-                self._best_index[key] = index
-            self.pareto.add(ObjectivePoint(
-                energy_nj=point.result.energy_nj,
-                latency_ns=point.result.latency_ns,
-                payload=point,
-            ), order=index)
-
-    def best(
-        self,
-        layer_name: Optional[str] = None,
-        architecture: Optional[DRAMArchitecture] = None,
-        scheme: Optional[ReuseScheme] = None,
-        policy: Optional[MappingPolicy] = None,
-    ) -> DsePoint:
-        """Minimum-EDP record among those matching the filters."""
-        candidates = [
-            (point.edp_js, self._best_index[key], point)
-            for key, point in self.best_by_key.items()
-            if (layer_name is None or key[0] == layer_name)
-            and (architecture is None or key[1] is architecture)
-            and (scheme is None or key[2] is scheme)
-            and (policy is None or key[3] == policy)
-        ]
-        if not candidates:
-            raise DseError("no reduced record matches the given filters")
-        return min(candidates)[2]
-
-    def best_per_layer(
-        self,
-        architecture: DRAMArchitecture,
-        scheme: ReuseScheme,
-    ) -> Dict[str, DsePoint]:
-        """Algorithm-1 output: min-EDP point per layer."""
-        by_layer: Dict[str, Tuple[float, int, DsePoint]] = {}
-        for key, point in self.best_by_key.items():
-            name, arch, sch, _policy = key
-            if arch is not architecture or sch is not scheme:
-                continue
-            candidate = (point.edp_js, self._best_index[key], point)
-            incumbent = by_layer.get(name)
-            if incumbent is None or candidate[:2] < incumbent[:2]:
-                by_layer[name] = candidate
-        return {name: entry[2] for name, entry in by_layer.items()}
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
@@ -563,8 +454,6 @@ class ExplorationEngine:
     characterization_cache:
         LRU cache for Fig.-1 characterizations; defaults to the
         process-wide shared cache.
-    progress:
-        Optional :data:`ProgressCallback` invoked after every chunk.
     eval_model:
         ``"auto"`` (default) evaluates chunks with the vectorized
         kernel of :mod:`repro.core.eval_kernel`, falling back to the
@@ -584,8 +473,8 @@ class ExplorationEngine:
     >>> from repro.workloads import get_workload
     >>> engine = ExplorationEngine(jobs=2, chunk_size=128)
     >>> layers = get_workload("alexnet").lower()[:1]
-    >>> reduced = engine.explore_reduced(layers)
-    >>> reduced.total_points > 0
+    >>> result = engine.explore_network(layers)
+    >>> result.evaluated_points == result.total_points > 0
     True
     """
 
@@ -594,7 +483,6 @@ class ExplorationEngine:
         jobs: Optional[int] = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         characterization_cache: Optional[CharacterizationCache] = None,
-        progress: Optional[ProgressCallback] = None,
         eval_model: str = "auto",
     ) -> None:
         if jobs is None or jobs == 0:
@@ -611,7 +499,6 @@ class ExplorationEngine:
             characterization_cache
             if characterization_cache is not None
             else DEFAULT_CHARACTERIZATION_CACHE)
-        self.progress = progress
         #: Serial-path evaluation memo; persists across explore calls
         #: so network-level sweeps reuse layer-level intermediates.
         self.evaluation_cache = EvaluationCache()
@@ -688,37 +575,6 @@ class ExplorationEngine:
             result.points.extend(shards[start])
         return result
 
-    def explore_reduced(
-        self,
-        layers,
-        architectures: Optional[Sequence[DRAMArchitecture]] = None,
-        schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
-        policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
-        buffers: BufferConfig = TABLE2_BUFFERS,
-        scenario: Scenario = DEFAULT_SCENARIO,
-        strategy="exhaustive",
-        seed: Optional[int] = None,
-        strategy_options: Optional[Dict] = None,
-    ) -> ReducedExploration:
-        """Bounded-memory exploration: stream shards into minima.
-
-        Use this instead of :meth:`explore_network` when the grid is
-        too large to keep every :class:`DsePoint`; only the per-key
-        minima and the Pareto front are retained.  Works with every
-        search strategy (shards stream into the reduction as they
-        arrive).
-        """
-        run, shard_iter = self._start(
-            layers, architectures, schemes, policies, buffers,
-            scenario, strategy, seed, strategy_options)
-        reduced = ReducedExploration()
-        serial_before = self.evaluation_cache.stats
-        for start, points in shard_iter:
-            run.exact_points += len(points)
-            reduced.absorb(start, points)
-        self._account_serial_cache(run, serial_before)
-        return reduced
-
     def _account_serial_cache(
         self,
         run: StrategyRun,
@@ -747,7 +603,7 @@ class ExplorationEngine:
         seed,
         strategy_options,
     ):
-        """Common front half of the explore methods.
+        """Front half of :meth:`explore_network`.
 
         Resolves the strategy, builds the context and returns
         ``(run, shard_iterator)``.
@@ -787,17 +643,12 @@ class ExplorationEngine:
         context: ExplorationContext,
         run: Optional[StrategyRun] = None,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Yield ``(start, points)`` for the full grid, ticking progress.
+        """Yield ``(start, points)`` for the full grid.
 
         The exhaustive strategy's executor — byte-identical shard
         order and contents to the pre-strategy engine.
         """
-        total = context.total_points
-        total_chunks = sum(
-            -(-context.points_in_layer(position) // self.chunk_size)
-            for position in range(len(context.layers)))
-        return self._execute_shards(
-            context, self._chunks(context), total, total_chunks, run)
+        return self._execute_shards(context, self._chunks(context), run)
 
     def _evaluate_selected(
         self,
@@ -811,71 +662,42 @@ class ExplorationEngine:
         ranges, split at layer boundaries (so the vector kernel gets
         single-layer batches) and at ``chunk_size``, and run through
         the same serial / process-pool machinery as the full grid —
-        so subset strategies inherit ``jobs`` parallelism and progress
-        streaming (progress totals count the selection, not the
-        grid).
+        so subset strategies inherit ``jobs`` parallelism.
         """
-        shards: List[Tuple[int, int]] = []
-        position = 0
-        while position < len(indices):
-            stop = position + 1
-            while stop < len(indices) \
-                    and indices[stop] == indices[stop - 1] + 1:
-                stop += 1
-            start_index = indices[position]
-            stop_index = indices[stop - 1] + 1
-            for _pos, seg_start, seg_stop in iter_layer_segments(
-                    context, start_index, stop_index):
-                for piece in range(seg_start, seg_stop, self.chunk_size):
-                    shards.append(
-                        (piece, min(piece + self.chunk_size, seg_stop)))
-            position = stop
-        return self._execute_shards(
-            context, iter(shards), len(indices), len(shards), run)
+        def chunks() -> Iterator[Tuple[int, int]]:
+            position = 0
+            while position < len(indices):
+                stop = position + 1
+                while stop < len(indices) \
+                        and indices[stop] == indices[stop - 1] + 1:
+                    stop += 1
+                for _pos, seg_start, seg_stop in iter_layer_segments(
+                        context, indices[position], indices[stop - 1] + 1):
+                    for piece in range(seg_start, seg_stop,
+                                       self.chunk_size):
+                        yield piece, min(piece + self.chunk_size, seg_stop)
+                position = stop
+
+        return self._execute_shards(context, chunks(), run)
 
     def _execute_shards(
         self,
         context: ExplorationContext,
         shards: Iterator[Tuple[int, int]],
-        total_points: int,
-        total_chunks: int,
         run: Optional[StrategyRun] = None,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Evaluate ``(start, stop)`` shards, ticking progress.
+        """Evaluate ``(start, stop)`` shards.
 
         Worker evaluation-cache deltas are folded into ``run`` (the
         serial path's cache activity is accounted once per exploration
-        by the explore methods instead).
+        by :meth:`explore_network` instead).
         """
-        completed_points = 0
-        completed_chunks = 0
-        best_edp: Optional[float] = None
-
-        def tick(points: List[DsePoint]) -> None:
-            nonlocal completed_points, completed_chunks, best_edp
-            completed_points += len(points)
-            completed_chunks += 1
-            # Only the progress snapshot reads the running best EDP.
-            if self.progress is not None:
-                for point in points:
-                    if best_edp is None or point.edp_js < best_edp:
-                        best_edp = point.edp_js
-                self.progress(ExplorationProgress(
-                    completed_points=completed_points,
-                    total_points=total_points,
-                    completed_chunks=completed_chunks,
-                    total_chunks=total_chunks,
-                    best_edp_js=best_edp,
-                ))
-
         if self.jobs == 1:
             evaluator = make_chunk_evaluator(
                 context, self.evaluation_cache, self.eval_model,
                 partial(_evaluate_range, context, self.evaluation_cache))
             for start, stop in shards:
-                points = evaluator(start, stop)
-                tick(points)
-                yield start, points
+                yield start, evaluator(start, stop)
             return
 
         # Bounded in-flight window: at most jobs * 4 chunks are queued
@@ -896,7 +718,6 @@ class ExplorationEngine:
                     if run is not None:
                         run.cache_hits += cache_delta[0]
                         run.cache_misses += cache_delta[1]
-                    tick(points)
                     yield start, points
                 for chunk in itertools.islice(shards, len(done)):
                     pending.add(pool.submit(_run_chunk, chunk))

@@ -54,11 +54,11 @@ over the batch.
 Eligibility and fallback
 ------------------------
 The engine vectorizes every chunk the closed-form Eq. 2/3 model
-backs — which today is every chunk it produces (the walk-based and
-cycle-replay backends of :mod:`repro.core.walk_edp` are
-higher-fidelity *validation* paths, not engine backends; adaptive
-reuse is resolved per ``(layer, tiling, scheme)`` at table-build time
-through the same memo the scalar path uses).  A segment falls back to
+backs — which today is every chunk it produces (the walk-based
+estimator of :mod:`repro.core.walk_edp` is a higher-fidelity
+*validation* path, not an engine backend; adaptive reuse is resolved
+per ``(layer, tiling, scheme)`` at table-build time through the same
+memo the scalar path uses).  A segment falls back to
 the scalar loop only when it contains a *poisoned* point: a run
 longer than the DRAM capacity (the scalar path raises
 :class:`~repro.errors.CapacityError` there, and the fallback raises

@@ -2,13 +2,14 @@
 
 The paper's abstract promises identification of "the pareto-optimal
 design choices"; these helpers extract the energy/latency front from a
-DSE record.
+DSE record: ``pareto_front(points_from_dse(result.points))`` is the
+front of a :class:`~repro.core.dse.DseResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -31,71 +32,18 @@ class ObjectivePoint:
         return no_worse and strictly_better
 
 
-class ParetoAccumulator:
-    """Incrementally maintained non-dominated set.
-
-    The batch :func:`pareto_front` needs every point in memory; this
-    accumulator supports the streaming reduction of
-    :class:`repro.core.engine.ExplorationEngine` by folding points in
-    one at a time, in any arrival order, while holding only the current
-    front.
-
-    Points with identical objective vectors are collapsed to a single
-    entry; the optional ``order`` argument of :meth:`add` makes the
-    survivor deterministic under out-of-order arrival (the lowest
-    ``order`` wins, e.g. the flattened grid index of a sharded DSE).
-
-    Example
-    -------
-    >>> acc = ParetoAccumulator()
-    >>> acc.add(ObjectivePoint(2.0, 1.0))
-    True
-    >>> acc.add(ObjectivePoint(1.0, 2.0))
-    True
-    >>> acc.add(ObjectivePoint(3.0, 3.0))  # dominated
-    False
-    >>> [(p.energy_nj, p.latency_ns) for p in acc.front()]
-    [(1.0, 2.0), (2.0, 1.0)]
-    """
-
-    def __init__(self) -> None:
-        self._kept: List[Tuple[Optional[int], ObjectivePoint]] = []
-
-    def __len__(self) -> int:
-        return len(self._kept)
-
-    def add(self, point: ObjectivePoint,
-            order: Optional[int] = None) -> bool:
-        """Fold one point in; True when it joins the front."""
-        for position, (kept_order, kept) in enumerate(self._kept):
-            if (kept.energy_nj == point.energy_nj
-                    and kept.latency_ns == point.latency_ns):
-                # Identical vector: the earlier arrival survives.
-                if (order is not None and kept_order is not None
-                        and order < kept_order):
-                    self._kept[position] = (order, point)
-                    return True
-                return False
-            if kept.dominates(point):
-                return False
-        self._kept = [
-            (kept_order, kept) for kept_order, kept in self._kept
-            if not point.dominates(kept)
-        ]
-        self._kept.append((order, point))
-        return True
-
-    def front(self) -> List[ObjectivePoint]:
-        """The current front, sorted by increasing energy."""
-        return [point for _order, point in sorted(
-            self._kept,
-            key=lambda entry: (entry[1].energy_nj, entry[1].latency_ns))]
-
-
 def pareto_front(points: Sequence[ObjectivePoint]) -> List[ObjectivePoint]:
     """Non-dominated subset, sorted by increasing energy.
 
     Duplicate objective vectors are collapsed to a single entry.
+
+    Example
+    -------
+    >>> front = pareto_front([ObjectivePoint(2.0, 1.0),
+    ...                       ObjectivePoint(1.0, 2.0),
+    ...                       ObjectivePoint(3.0, 3.0)])  # dominated
+    >>> [(p.energy_nj, p.latency_ns) for p in front]
+    [(1.0, 2.0), (2.0, 1.0)]
     """
     if not points:
         return []

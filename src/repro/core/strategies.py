@@ -24,13 +24,13 @@ component, independent of the parallel execution machinery:
   evaluating >=10x fewer points.
 
 Strategies yield ``(start_index, points)`` shards exactly like the
-engine's internal sharding, so streaming consumers
-(:class:`~repro.core.engine.ReducedExploration`, progress callbacks)
-work with every strategy unchanged.  Each explore call names its
-strategy (``strategy=``, ``seed=``, ``strategy_options=``).  All
-strategies are deterministic: randomized ones derive their choices
-from the run's ``seed`` (default 0), which is recorded — together
-with the strategy name and the evaluation counts — in the returned
+engine's internal sharding, and the engine assembles them into one
+grid-ordered :class:`~repro.core.dse.DseResult` whatever the
+strategy.  Each explore call names its strategy (``strategy=``,
+``seed=``, ``strategy_options=``).  All strategies are deterministic:
+randomized ones derive their choices from the run's ``seed``
+(default 0), which is recorded — together with the strategy name and
+the evaluation counts — in the returned
 :class:`~repro.core.dse.DseResult`.
 
 Example

@@ -183,6 +183,7 @@ __all__ = [
     "resolve_controller",
     "row_policy_names",
     "scheduler_names",
+    "split_stream",
     "write_command_trace",
     "write_request_trace",
 ]

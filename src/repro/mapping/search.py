@@ -52,10 +52,11 @@ POLICY_FAMILIES = ("all", "row-outermost", "table1")
 def candidate_policies(family: str = "all") -> List[MappingPolicy]:
     """Generate a candidate mapping-policy family, without scoring.
 
-    Candidate generation and scoring are deliberately decoupled: the
-    same families feed the closed-form ranking below, the exhaustive
-    DSE grid, and the local moves of the ``greedy-refine`` search
-    strategy.
+    Candidate generation and scoring are decoupled: any family can be
+    passed to :func:`rank_policies` as its ``policies``, which default
+    to the ``"all"`` family.  (The exploration engine's mapping axis
+    is :data:`~repro.mapping.catalog.TABLE1_MAPPINGS`, not a family
+    generated here.)
 
     ``family`` is one of :data:`POLICY_FAMILIES`:
 

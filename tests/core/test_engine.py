@@ -8,24 +8,18 @@ selections to the serial Algorithm-1 path.
 import pytest
 
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import explore_layer, explore_network
-from repro.core.engine import (
-    EvaluationCache,
-    ExplorationEngine,
-    ExplorationProgress,
+from repro.core.dse import (
+    best_mapping_per_layer,
+    explore_layer,
+    explore_network,
 )
-from repro.core.pareto import (
-    ObjectivePoint,
-    ParetoAccumulator,
-    pareto_front,
-    points_from_dse,
-)
+from repro.core.engine import EvaluationCache, ExplorationEngine
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
 from repro.dram.scenario import Scenario
 from repro.errors import DseError
-from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
-from repro.workloads import get_workload
+from repro.mapping.catalog import TABLE1_MAPPINGS
+from repro.workloads import Network, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -75,30 +69,12 @@ class TestDeterminism:
             .explore_layer(tiny_layer)
         assert baseline.points == one_point_chunks.points
 
-    def test_reduced_matches_full(self, tiny_layer):
-        engine = ExplorationEngine(jobs=1, chunk_size=37)
-        reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
-        assert reduced.total_points == len(full.points)
-        assert reduced.best() == full.best()
-        for policy in TABLE1_MAPPINGS:
-            assert reduced.best(policy=policy) == full.best(policy=policy)
-
-    def test_reduced_pareto_matches_batch(self, tiny_layer):
-        engine = ExplorationEngine(jobs=1, chunk_size=13)
-        reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
-        batch = pareto_front(points_from_dse(full.points))
-        streamed = reduced.pareto.front()
-        assert [(p.energy_nj, p.latency_ns) for p in streamed] \
-            == [(p.energy_nj, p.latency_ns) for p in batch]
-
     def test_reduced_tie_breaks_by_grid_index(self):
-        """Equal-EDP points: the lowest flattened index must win,
-        regardless of shard arrival order."""
-        from repro.core.dse import DsePoint
+        """Equal-EDP points: the one earliest in grid order wins, in
+        ``best()`` and in ``best_mapping_per_layer`` (the CLI's ``dse``
+        table reads its per-layer choice from the latter)."""
+        from repro.core.dse import DsePoint, DseResult
         from repro.core.edp import LayerEDP
-        from repro.core.engine import ReducedExploration
         from repro.cnn.tiling import TilingConfig
         from repro.mapping.catalog import MAPPING_1, MAPPING_2
 
@@ -112,30 +88,14 @@ class TestDeterminism:
                     tck_ns=1.0, type_costs=(0.0,) * 6,
                     resolved_scheme=ReuseScheme.IFMS_REUSE))
 
-        first, second = point(MAPPING_1), point(MAPPING_2)
-        assert first.edp_js == second.edp_js
-        in_order = ReducedExploration()
-        in_order.absorb(0, [first])
-        in_order.absorb(1, [second])
-        reversed_arrival = ReducedExploration()
-        reversed_arrival.absorb(1, [second])
-        reversed_arrival.absorb(0, [first])
-        for reduced in (in_order, reversed_arrival):
-            assert reduced.best().policy == MAPPING_1
-            assert reduced.best_per_layer(
-                DRAMArchitecture.DDR3,
-                ReuseScheme.IFMS_REUSE)["L"].policy == MAPPING_1
-
-    def test_reduced_best_per_layer(self, tiny_layer):
-        engine = ExplorationEngine(jobs=1)
-        reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
-        by_layer = reduced.best_per_layer(
-            DRAMArchitecture.DDR3, ReuseScheme.ADAPTIVE_REUSE)
-        assert by_layer[tiny_layer.name] == full.best(
-            architecture=DRAMArchitecture.DDR3,
-            scheme=ReuseScheme.ADAPTIVE_REUSE,
-            layer_name=tiny_layer.name)
+        for first, second in ((MAPPING_1, MAPPING_2),
+                              (MAPPING_2, MAPPING_1)):
+            result = DseResult(points=[point(first), point(second)])
+            assert result.points[0].edp_js == result.points[1].edp_js
+            assert result.best().policy == first
+            assert best_mapping_per_layer(
+                result, DRAMArchitecture.DDR3,
+                ReuseScheme.IFMS_REUSE)["L"].policy == first
 
 
 class TestDeviceThreading:
@@ -274,37 +234,22 @@ class TestCaching:
         assert after.hits > before.hits
 
 
-class TestProgress:
-    def test_progress_streams_monotonically(self, tiny_layer):
-        snapshots = []
-        engine = ExplorationEngine(
-            jobs=1, chunk_size=50, progress=snapshots.append)
-        result = engine.explore_layer(tiny_layer)
-        assert snapshots
-        assert all(isinstance(s, ExplorationProgress) for s in snapshots)
-        completed = [s.completed_points for s in snapshots]
-        assert completed == sorted(completed)
-        final = snapshots[-1]
-        assert final.completed_points == final.total_points \
-            == len(result.points)
-        assert final.completed_chunks == final.total_chunks
-        assert final.fraction == 1.0
-        assert final.best_edp_js == result.best().edp_js
-
-    def test_progress_fires_in_parallel_mode(self, tiny_layer):
-        snapshots = []
-        engine = ExplorationEngine(
-            jobs=2, chunk_size=64, progress=snapshots.append)
-        result = engine.explore_layer(tiny_layer)
-        assert snapshots[-1].completed_points == len(result.points)
-
-
 class TestValidation:
     @pytest.mark.parametrize("axis", ["architectures", "schemes",
                                       "policies"])
     def test_empty_axis_is_named(self, tiny_layer, axis):
         with pytest.raises(DseError, match=f"the {axis} axis"):
             explore_layer(tiny_layer, **{axis: ()})
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "funnel"])
+    @pytest.mark.parametrize("workload", [[], Network("no-ops")],
+                             ids=["list", "network"])
+    def test_empty_layers_axis_is_named(self, workload, strategy):
+        cache = CharacterizationCache()
+        engine = ExplorationEngine(characterization_cache=cache)
+        with pytest.raises(DseError, match="the layers axis"):
+            engine.explore_network(workload, strategy=strategy)
+        assert cache.stats.lookups == 0   # nothing was characterized
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -316,37 +261,6 @@ class TestValidation:
 
     def test_jobs_zero_means_all_cpus(self):
         assert ExplorationEngine(jobs=0).jobs >= 1
-
-
-class TestParetoAccumulator:
-    def test_matches_batch_front(self):
-        points = [
-            ObjectivePoint(energy_nj=float(e), latency_ns=float(l))
-            for e, l in [(5, 1), (1, 5), (3, 3), (2, 4), (4, 4),
-                         (2, 4), (6, 6), (1, 5)]
-        ]
-        acc = ParetoAccumulator()
-        for order, point in enumerate(points):
-            acc.add(point, order=order)
-        assert [(p.energy_nj, p.latency_ns) for p in acc.front()] \
-            == [(p.energy_nj, p.latency_ns)
-                for p in pareto_front(points)]
-
-    def test_duplicate_vector_keeps_lowest_order(self):
-        acc = ParetoAccumulator()
-        first = ObjectivePoint(1.0, 1.0, payload="late")
-        second = ObjectivePoint(1.0, 1.0, payload="early")
-        acc.add(first, order=10)
-        assert not acc.add(ObjectivePoint(1.0, 1.0, payload="later"),
-                           order=20)
-        assert acc.add(second, order=5)
-        assert acc.front()[0].payload == "early"
-
-    def test_dominated_point_rejected(self):
-        acc = ParetoAccumulator()
-        assert acc.add(ObjectivePoint(1.0, 1.0))
-        assert not acc.add(ObjectivePoint(2.0, 2.0))
-        assert len(acc) == 1
 
 
 class TestControllerThreading:

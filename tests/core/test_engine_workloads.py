@@ -49,10 +49,3 @@ class TestEngineOnNetworks:
         sharded = ExplorationEngine(jobs=2, chunk_size=7) \
             .explore_network(net)
         assert sharded.points == serial.points
-
-    def test_reduced_exploration_accepts_network(self):
-        net = zoo.tiny()
-        reduced = ExplorationEngine(jobs=1).explore_reduced(net)
-        full = ExplorationEngine(jobs=1).explore_network(net)
-        assert reduced.total_points == len(full.points)
-        assert reduced.best().edp_js == full.best().edp_js

@@ -4,8 +4,8 @@ The vectorized kernel (:mod:`repro.core.eval_kernel`) is contractually
 bit-for-bit identical to the scalar per-point loop — not "numerically
 close".  This module pins that contract on the paper's AlexNet/DDR3
 workload across every supported architecture, every jobs/chunk-size
-combination the streaming tests exercise, the funnel's batched
-analytical scoring, and the reduced/Pareto merge paths.
+combination the shard-merge tests exercise, the funnel's batched
+analytical scoring, and the Pareto front of a merged record.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.core.eval_kernel import (
     make_chunk_evaluator,
     validate_eval_model,
 )
+from repro.core.pareto import pareto_front, points_from_dse
 from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
@@ -190,20 +191,24 @@ class TestRowWrapMerge:
 
 
 class TestReducedAndPareto:
-    """Reduced merge + Pareto front under the vector backend."""
+    """Merged record and Pareto front under the vector backend."""
 
-    def test_parallel_vector_reduced_equals_serial_scalar(self, conv1):
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
-            .explore_reduced(conv1)
+    def test_parallel_vector_reduced_equals_serial_scalar(
+            self, conv1, scalar_reference):
         vector = ExplorationEngine(jobs=2, chunk_size=61,
                                    eval_model="auto") \
-            .explore_reduced(conv1)
+            .explore_network(conv1)
+        scalar = scalar_reference
+        assert (vector.total_points, vector.evaluated_points) \
+            == (scalar.total_points, scalar.evaluated_points)
+        assert _hex_points(vector) == _hex_points(scalar)
         assert vector.best() == scalar.best()
-        assert vector.best_by_key == scalar.best_by_key
-        scalar_front = [(p.energy_nj, p.latency_ns)
-                        for p in scalar.pareto.front()]
-        vector_front = [(p.energy_nj, p.latency_ns)
-                        for p in vector.pareto.front()]
+        scalar_front = [(p.energy_nj.hex(), p.latency_ns.hex())
+                        for p in pareto_front(points_from_dse(
+                            scalar.points))]
+        vector_front = [(p.energy_nj.hex(), p.latency_ns.hex())
+                        for p in pareto_front(points_from_dse(
+                            vector.points))]
         assert vector_front == scalar_front
 
 
@@ -305,13 +310,3 @@ class TestEvalModelKnob:
             .explore_network([tiny_layer])
         assert parallel.eval_cache_stats is not None
         assert parallel.eval_cache_stats.lookups > 0
-
-    def test_cache_stats_merge_on_extend(self, tiny_layer):
-        first = ExplorationEngine(jobs=1, eval_model="auto") \
-            .explore_network([tiny_layer])
-        second = ExplorationEngine(jobs=1, eval_model="scalar") \
-            .explore_network([tiny_layer])
-        lookups = (first.eval_cache_stats.lookups
-                   + second.eval_cache_stats.lookups)
-        first.extend(second)
-        assert first.eval_cache_stats.lookups == lookups

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.pareto import (
     ObjectivePoint,
-    ParetoAccumulator,
     hypervolume_2d,
     pareto_front,
     project,
@@ -93,50 +92,3 @@ class TestHypervolume:
         volume = hypervolume_2d([P(1, 3), P(3, 1)], reference=(4, 4))
         # (4-1)*(4-3) + (4-3)*(3-1) = 3 + 2.
         assert volume == pytest.approx(5.0)
-
-
-class TestParetoAccumulator:
-    """Streaming accumulator: arrival-order determinism invariants."""
-
-    def test_matches_batch_front(self):
-        points = [P(5, 1), P(1, 5), P(3, 3), P(2, 4), P(4, 4), P(6, 6)]
-        acc = ParetoAccumulator()
-        for order, point in enumerate(points):
-            acc.add(point, order=order)
-        batch = [(p.energy_nj, p.latency_ns)
-                 for p in pareto_front(points)]
-        streamed = [(p.energy_nj, p.latency_ns) for p in acc.front()]
-        assert streamed == batch
-
-    def test_arrival_order_invariance(self):
-        points = list(enumerate(
-            [P(5, 1), P(1, 5), P(3, 3), P(3, 3), P(2, 4), P(7, 1)]))
-        forward = ParetoAccumulator()
-        for order, point in points:
-            forward.add(point, order=order)
-        backward = ParetoAccumulator()
-        for order, point in reversed(points):
-            backward.add(point, order=order)
-        assert [(p.energy_nj, p.latency_ns) for p in forward.front()] \
-            == [(p.energy_nj, p.latency_ns) for p in backward.front()]
-
-    def test_duplicate_vector_lowest_order_wins(self):
-        early = P(2, 2, payload="early")
-        late = P(2, 2, payload="late")
-        acc = ParetoAccumulator()
-        acc.add(late, order=9)
-        acc.add(early, order=1)
-        assert [p.payload for p in acc.front()] == ["early"]
-        reordered = ParetoAccumulator()
-        reordered.add(early, order=1)
-        reordered.add(late, order=9)
-        assert [p.payload for p in reordered.front()] == ["early"]
-
-    def test_dominated_point_rejected_and_front_pruned(self):
-        acc = ParetoAccumulator()
-        assert acc.add(P(3, 3), order=0)
-        assert not acc.add(P(4, 4), order=1)
-        assert acc.add(P(1, 1), order=2)  # dominates and evicts (3, 3)
-        assert len(acc) == 1
-        assert [(p.energy_nj, p.latency_ns) for p in acc.front()] \
-            == [(1, 1)]

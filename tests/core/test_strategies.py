@@ -249,11 +249,6 @@ class TestFunnel:
             tiny_layer, strategy="funnel")
         assert parallel.points == serial.points
 
-    def test_reduced_mode_works_with_funnel(self, tiny_layer, tiny_full):
-        engine = ExplorationEngine()
-        reduced = engine.explore_reduced([tiny_layer], strategy="funnel")
-        assert reduced.best() == tiny_full.best()
-
     def test_min_exact_floor_covers_every_slice(self, tiny_layer,
                                                 tiny_full):
         funnel = explore_layer(
@@ -324,19 +319,3 @@ class TestFunnelAlexNetPinned:
         for layer in layers:
             assert funnel.best(layer_name=layer.name) \
                 == exhaustive.best(layer_name=layer.name)
-
-
-class TestResultMerging:
-    def test_extend_accumulates_counts(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="funnel")
-        second = explore_layer(tiny_layer, strategy="funnel")
-        merged_total = first.total_points + second.total_points
-        first.extend(second)
-        assert first.total_points == merged_total
-        assert first.strategy == "funnel"
-
-    def test_extend_mixed_strategies_flagged(self, tiny_layer):
-        funnel = explore_layer(tiny_layer, strategy="funnel")
-        random_result = explore_layer(tiny_layer, strategy="random")
-        funnel.extend(random_result)
-        assert funnel.strategy == "mixed"

@@ -141,6 +141,25 @@ class TestExactEquality:
         simulator = on_simulator(DRAMArchitecture.SALP_MASA, wide)
         assert_exactly_equal(kernel, simulator)
 
+    @pytest.mark.parametrize("device_name", ["ddr3-1600-2gb-x8", "tiny"])
+    def test_column_to_column_gate(self, device_name):
+        """tCCD above the burst length binds the column commands.
+
+        On every preset tCCD equals the burst length tBL, so the
+        data-bus gate always covers the kernel's ``last_col + tCCD``
+        term; a tCCD of ``tBL + 2`` makes that term the binding one.
+        """
+        base = get_device(device_name)
+        timings = dataclasses.replace(
+            base.timings, tCCD=base.timings.tBL + 2)
+        slow = dataclasses.replace(
+            base, name=f"{base.name}-slow-ccd", timings=timings)
+        assert set(slow.supported_architectures) == set(DRAMArchitecture)
+        for architecture in DRAMArchitecture:
+            kernel = characterize(architecture, device=slow)
+            simulator = on_simulator(architecture, slow)
+            assert_exactly_equal(kernel, simulator)
+
 
 class TestBatch:
     def test_batch_equals_per_triple_calls(self):

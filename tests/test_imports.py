@@ -1,12 +1,15 @@
-"""Lint: no module under ``src/repro`` imports a name it never uses.
+"""Lint: every import under ``src/repro`` is used or re-exported.
 
 Deleting code tends to leave its imports behind, and the checkout has
-no pyflakes or ruff to catch them, so this test does the one check with
-the standard library's :mod:`ast`.  A name bound by an ``import`` or
-``from ... import`` must appear as a name somewhere else in the module:
-in code, in an annotation (string annotations included) or in
-``__all__``.  The package ``__init__.py`` files are skipped, because
-they import names only to re-export them.
+no pyflakes or ruff to catch them, so these tests do the two checks
+with the standard library's :mod:`ast`:
+
+* in a module, a name bound by an ``import`` or ``from ... import``
+  must appear as a name somewhere else in the module: in code, in an
+  annotation (string annotations included) or in ``__all__``;
+* a package ``__init__.py`` imports names only to re-export them, so
+  each name its module-level imports bind must be in its ``__all__``,
+  and each ``__all__`` entry must be bound or defined in the file.
 """
 
 import ast
@@ -17,12 +20,13 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).parent
 MODULES = sorted(path for path in PACKAGE_ROOT.rglob("*.py")
                  if path.name != "__init__.py")
+PACKAGES = sorted(PACKAGE_ROOT.rglob("__init__.py"))
 
 
-def _imported_names(tree):
-    """``{bound name: line}`` of every import in ``tree``."""
+def _imported_names(nodes):
+    """``{bound name: line}`` of every import among ``nodes``."""
     names = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
@@ -56,12 +60,34 @@ def _used_names(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used | _exported_names(tree)
+
+
+def _exported_names(tree):
+    """The string entries of the module's ``__all__``."""
+    exported = set()
     for node in tree.body if isinstance(tree, ast.Module) else ():
         if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets):
-            used |= {element.value for element in node.value.elts}
-    return used
+            exported |= {element.value for element in node.value.elts}
+    return exported
+
+
+def _defined_names(tree):
+    """Names bound at module level other than by an import."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined |= {name.id for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name)}
+    return defined
 
 
 def test_every_import_is_used():
@@ -69,9 +95,30 @@ def test_every_import_is_used():
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
+        imported = _imported_names(ast.walk(tree))
         unused += [
             f"{path.relative_to(PACKAGE_ROOT)}:{line}: {name}"
-            for name, line in sorted(_imported_names(tree).items(),
+            for name, line in sorted(imported.items(),
                                      key=lambda item: item[1])
             if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_package_reexports_match_all():
+    mismatched = []
+    for path in PACKAGES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        package = path.parent.relative_to(PACKAGE_ROOT.parent)
+        imported = _imported_names(tree.body)
+        exported = _exported_names(tree)
+        mismatched += [
+            f"{package}: imports {name} (line {line}) but leaves it out "
+            "of __all__"
+            for name, line in sorted(imported.items(),
+                                     key=lambda item: item[1])
+            if name not in exported]
+        mismatched += [
+            f"{package}: __all__ names {name}, which it never binds"
+            for name in sorted(exported - set(imported)
+                               - _defined_names(tree))]
+    assert not mismatched, "\n".join(mismatched)
