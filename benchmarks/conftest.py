@@ -47,6 +47,6 @@ def alexnet_dse(alexnet_layers, characterizations):
     del characterizations  # ensure Fig.-1 costs are cached first
     from repro.core.engine import ExplorationEngine
 
-    engine = ExplorationEngine(jobs=1)
+    engine = ExplorationEngine()
     return {layer.name: engine.explore_layer(layer)
             for layer in alexnet_layers}

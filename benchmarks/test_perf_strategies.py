@@ -34,8 +34,8 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
     # *strategy's* search-space reduction, and the vector kernel
     # (gated separately in test_perf_eval.py) compresses the exact
     # per-point cost the funnel saves — auto would conflate the two.
-    exhaustive_engine = ExplorationEngine(jobs=1, eval_model="scalar")
-    funnel_engine = ExplorationEngine(jobs=1, eval_model="scalar")
+    exhaustive_engine = ExplorationEngine(eval_model="scalar")
+    funnel_engine = ExplorationEngine(eval_model="scalar")
     # Warm-up pass each (fills the evaluation memos, as in steady
     # state); matched optimum is asserted on the warm-up results.
     exhaustive = exhaustive_engine.explore_network(network)
@@ -84,7 +84,7 @@ def test_analytical_scoring_is_a_fraction_of_exact_evaluation():
     context = _build_context(
         network, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
         DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
-    engine = ExplorationEngine(jobs=1)
+    engine = ExplorationEngine()
     engine.explore_network(network)  # warm evaluation memos
 
     def score():

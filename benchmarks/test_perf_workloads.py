@@ -36,8 +36,8 @@ def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
     # *lowering* overhead as a fraction of the sweep, and the vector
     # kernel (gated in test_perf_eval.py) shrinks the denominator ~8x
     # — a microsecond-level fixed cost would then flake a 5% bound.
-    list_engine = ExplorationEngine(jobs=1, eval_model="scalar")
-    graph_engine = ExplorationEngine(jobs=1, eval_model="scalar")
+    list_engine = ExplorationEngine(eval_model="scalar")
+    graph_engine = ExplorationEngine(eval_model="scalar")
     # One warm-up pass each fills the evaluation memos, mirroring how
     # the engines run in steady state; identical output is asserted on
     # the warm-up results.

@@ -4,7 +4,7 @@
 Run with::
 
     python examples/cross_device_dse.py [--devices ddr3-1600-2gb-x8 ddr4-2400]
-                                        [--arch DDR3] [--jobs 1]
+                                        [--arch DDR3]
 
 The paper's claim is that DRMap is *generic*: the same mapping policy
 should minimize EDP on every DRAM generation, even though timings, IDD
@@ -37,9 +37,6 @@ def parse_args() -> argparse.Namespace:
         choices=[a.value for a in DRAMArchitecture],
         help="DRAM architecture behaviour; must be in both devices' "
              "capability sets (default: DDR3 = commodity)")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the exploration grid")
     return parser.parse_args()
 
 
@@ -51,7 +48,7 @@ def main() -> None:
         device.require_architecture(architecture)
     layers = get_workload("alexnet").lower()
 
-    engine = ExplorationEngine(jobs=args.jobs)
+    engine = ExplorationEngine()
     best = {device.name: {} for device in devices}
     for device in devices:
         for layer in layers:

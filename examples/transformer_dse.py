@@ -4,7 +4,7 @@
 Run with::
 
     python examples/transformer_dse.py [--seq-len 128] [--batch 1]
-                                       [--arch DDR3] [--jobs 1]
+                                       [--arch DDR3]
 
 The paper's DSE consumes a flat list of conv layers, which cannot
 express a transformer.  The workload IR lowers every BERT-style matmul
@@ -36,15 +36,13 @@ def parse_args() -> argparse.Namespace:
         "--arch", default="DDR3",
         choices=[a.value for a in DRAMArchitecture],
         help="DRAM architecture behaviour (default: DDR3)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the exploration grid")
     return parser.parse_args()
 
 
 def main() -> None:
     args = parse_args()
     network = zoo.bert_encoder(batch=args.batch, seq_len=args.seq_len)
-    result = ExplorationEngine(jobs=args.jobs).explore_network(
+    result = ExplorationEngine().explore_network(
         network,
         architectures=(DRAMArchitecture(args.arch),),
         schemes=(ReuseScheme.ADAPTIVE_REUSE,),

@@ -12,7 +12,7 @@ Usage::
                         [--scheduler NAME] [--row-policy NAME]
                         [--requestors N] [--arbiter NAME]
     python -m repro dse --model alexnet [--arch SALP-MASA] [--layer FC6]
-                        [--jobs N] [--chunk-size M] [--device NAME]
+                        [--device NAME]
                         [--batch B] [--bytes-per-element N]
                         [--scheduler NAME] [--row-policy NAME]
                         [--requestors N] [--arbiter NAME]
@@ -74,22 +74,16 @@ identical numbers where both apply.  ``characterize --analytical``
 prints the closed-form model's costs instead; that model is
 contention-blind, so it refuses a non-default channel.
 
-``dse`` runs on the sharded :mod:`repro.core.engine`:
+``dse`` runs on :mod:`repro.core.engine`:
 
-``--jobs N``
-    Worker processes for the exploration grid.  ``1`` (default) stays
-    in-process; ``0`` spawns one worker per CPU.  Output is identical
-    for every value — shards merge deterministically in grid order.
-``--chunk-size M``
-    Grid points per shard (default 256).  Smaller chunks smooth load
-    balancing across workers; larger chunks cut scheduling overhead.
 ``--strategy NAME``
     Search strategy over the grid (see ``repro strategies``).  The
     default ``exhaustive`` evaluates every point and its output is
     byte-identical to the pre-strategy CLI; ``funnel`` prunes with
     the closed-form analytical cost model and exactly re-evaluates
     only the top ``--funnel-topk`` percent per layer; ``random`` /
-    ``greedy-refine`` are seeded heuristics (``--seed``).
+    ``greedy-refine`` are seeded heuristics (``--seed``, which the
+    strategies that draw no random numbers refuse).
     Non-exhaustive runs are tagged in the table title and followed by
     a one-line evaluation-count summary.
 
@@ -178,8 +172,14 @@ def _configure_store(args: argparse.Namespace):
 
 def _strategy_options(args: argparse.Namespace):
     """``(strategy, seed, options)`` from the dse flags."""
+    from .core.strategies import get_strategy
+
     strategy = getattr(args, "strategy", "exhaustive")
     seed = getattr(args, "seed", None)
+    if seed is not None and not get_strategy(strategy).uses_seed:
+        raise ConfigurationError(
+            f"strategy {strategy} draws no random numbers, so --seed "
+            "would change nothing; drop --seed")
     topk = getattr(args, "funnel_topk", 5.0)
     if not 0.0 < topk <= 100.0:
         raise ConfigurationError(
@@ -318,22 +318,14 @@ def cmd_edp(args: argparse.Namespace) -> int:
 
 def cmd_dse(args: argparse.Namespace) -> int:
     """Algorithm 1: min-EDP design point per layer."""
-    from .core.engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
+    from .core.engine import ExplorationEngine
 
     _configure_store(args)
     architecture = _architecture(args.arch)
     scenario = _scenario(args)
     scenario.device.require_architecture(architecture)
     strategy, seed, options = _strategy_options(args)
-    if args.jobs < 0:
-        raise ConfigurationError(f"--jobs must be >= 0, got {args.jobs}")
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        raise ConfigurationError(
-            f"--chunk-size must be positive, got {args.chunk_size}")
-    engine = ExplorationEngine(
-        jobs=args.jobs,
-        chunk_size=(args.chunk_size if args.chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE))
+    engine = ExplorationEngine()
     rows = []
     total = 0.0
     evaluated = 0
@@ -635,14 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dse", help="Algorithm 1: min-EDP design point per layer")
     add_workload_arguments(p_dse)
     p_dse.add_argument("--arch", default="DDR3")
-    p_dse.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the exploration grid "
-             "(1: in-process, 0: one per CPU); results are identical "
-             "for every value")
-    p_dse.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="grid points per shard (default: 256)")
     add_scenario_arguments(p_dse)
     add_cache_arguments(p_dse)
     from .core.strategies import strategy_names
@@ -655,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
              "strategies')")
     p_dse.add_argument(
         "--seed", type=int, default=None,
-        help="seed of the strategy's randomized choices (default: "
-             "the strategy's deterministic default, 0)")
+        help="seed of the strategy's randomized choices, for random "
+             "and greedy-refine only (default: the strategy's "
+             "deterministic default, 0)")
     p_dse.add_argument(
         "--funnel-topk", dest="funnel_topk", type=float, default=5.0,
         help="funnel strategy: percentage of each layer's grid "

@@ -18,11 +18,7 @@ from .dse import (
     min_edp_series,
 )
 from .edp import LayerEDP, NetworkEDP, layer_edp, network_edp
-from .engine import (
-    DEFAULT_CHUNK_SIZE,
-    EvaluationCache,
-    ExplorationEngine,
-)
+from .engine import EvaluationCache, ExplorationEngine
 from .eval_kernel import (
     EVAL_MODELS,
     batch_scores,
@@ -69,7 +65,6 @@ from .walk_edp import layer_edp_via_walk, walk_cost
 
 __all__ = [
     "AccessCost",
-    "DEFAULT_CHUNK_SIZE",
     "DIM_TO_CONDITION",
     "DsePoint",
     "DseResult",

@@ -11,13 +11,11 @@ estimates the EDP of every admissible combination with the analytical
 model (step 3), and returns both the full exploration record and the
 minimum-EDP choice.
 
-The three ``explore_*`` functions run the search on a fresh serial
+The three ``explore_*`` functions run the search on a fresh
 :class:`~repro.core.engine.ExplorationEngine` and forward the grid
-keywords to it.  To shard the grid across worker processes, or to
-share evaluation memos across calls, build an engine
-(``ExplorationEngine(jobs=..., chunk_size=...)``) and call its
-methods; results are identical for every ``jobs`` value — points
-come back in the serial nested-loop order.
+keywords to it.  To share evaluation memos across calls, build one
+engine (``ExplorationEngine()``) and call its methods; points come
+back in the nested-loop grid order either way.
 
 Workloads can be given as flat layer lists (the paper's shape) or as
 :class:`repro.workloads.Network` graphs; graphs lower to the same
@@ -75,10 +73,10 @@ class DseResult:
 
     ``eval_cache_stats`` reports the
     :class:`~repro.core.engine.EvaluationCache` hit/miss counters the
-    exploration caused — the engine's serial-path delta plus every
-    worker's per-chunk deltas — so cache effectiveness is visible per
-    run, not just process-wide (``None`` for records built outside
-    the engine).
+    exploration caused — the delta of the engine's cache across the
+    whole search, a funnel's analytical scoring pass included — so
+    cache effectiveness is visible per run, not just process-wide
+    (``None`` for records built outside the engine).
     """
 
     points: List[DsePoint] = field(default_factory=list)
@@ -138,8 +136,8 @@ class DseResult:
 
 
 def _engine():
-    """A fresh serial engine (imported lazily: the engine imports
-    this module)."""
+    """A fresh engine (imported lazily: the engine imports this
+    module)."""
     from .engine import ExplorationEngine
 
     return ExplorationEngine()

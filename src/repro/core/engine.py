@@ -1,73 +1,55 @@
-"""Parallel, sharded design-space exploration engine.
+"""Cached, vectorized design-space exploration engine.
 
-The paper's Algorithm 1 walks an embarrassingly parallel grid —
-``layer x architecture x scheme x policy x tiling`` — and evaluates
-every admissible point with the analytical Eq. 2/3 model.  The seed
-reproduction did this strictly serially and recomputed every
-intermediate per point.  This module is the scalable replacement:
+The paper's Algorithm 1 walks the grid ``layer x architecture x scheme
+x policy x tiling`` and evaluates every admissible point with the
+analytical Eq. 2/3 model.  The seed reproduction did this one point at
+a time and recomputed every intermediate per point.  This module
+evaluates the grid in the calling process with:
 
-1. **Sharding** — the flattened grid is cut into contiguous chunks of
-   ``chunk_size`` points.  With ``jobs > 1`` the chunks are evaluated
-   on a :class:`concurrent.futures.ProcessPoolExecutor`; each worker
-   receives the full exploration context (layers, admissible tilings,
-   pre-computed characterizations) once via the pool initializer, so
-   per-chunk messages are just ``(start, stop)`` index ranges.
-2. **Characterization caching** — the Fig.-1 per-condition costs are
+1. **Characterization caching** — the Fig.-1 per-condition costs are
    fetched through the process-wide LRU
    :class:`repro.dram.characterize.CharacterizationCache`, keyed on
    ``(scenario, architecture)``, so ``characterize`` runs once per
    device, controller and channel instead of once per design point.
-3. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
+2. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
    the policy-independent intermediates of the EDP model: DRAM traffic
    per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and the
    closed-form transition counts per ``(policy, organization, run
    length)``.  On the Table-II grid each traffic entry is reused 24x
    (6 policies x 4 architectures) and the transition counts collapse to
    a few hundred distinct keys.
-4. **Vectorized chunk evaluation** — chunks are evaluated as numpy
-   batches through :mod:`repro.core.eval_kernel` (grid decode, Eq. 2/3
-   counts and the EDP fold all run as array programs), bit-for-bit
-   identical to the scalar reference loop, which a poisoned segment
-   falls back to and ``eval_model="scalar"`` selects throughout.
-5. **Pluggable search** — each explore call names a registered
+3. **Vectorized evaluation** — each layer's slice of the grid is
+   evaluated as numpy batches through :mod:`repro.core.eval_kernel`
+   (grid decode, Eq. 2/3 counts and the EDP fold all run as array
+   programs), bit-for-bit identical to the scalar reference loop,
+   which a poisoned segment falls back to and ``eval_model="scalar"``
+   selects throughout.
+4. **Pluggable search** — each explore call names a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
    ``seed=`` / ``strategy_options=``) instead of hard-coding the grid
    walk.  The default ``exhaustive`` strategy evaluates the full grid;
    ``random`` / ``greedy-refine`` / ``funnel`` trade exact coverage
-   for speed, re-using the same sharded executors, and every
+   for speed on the same executors, and every
    :class:`~repro.core.dse.DseResult` records its search provenance.
 
 The engine is the only code that searches for a minimum-EDP point:
 :mod:`repro.core.dse`, :mod:`repro.core.sweep` and
-:func:`repro.quick_layer_edp` all run on it.  Worker count and chunk
-size are the engine's; the strategy is the call's; the device,
-controller and channel the costs are measured under come from the
-call's :class:`~repro.dram.scenario.Scenario`.  Every exploration
-returns one grid-ordered :class:`~repro.core.dse.DseResult`; its
-minima (:meth:`~repro.core.dse.DseResult.best`,
-:func:`~repro.core.dse.best_mapping_per_layer`) and its Pareto front
+:func:`repro.quick_layer_edp` all run on it.  The strategy is the
+call's; the device, controller and channel the costs are measured
+under come from the call's :class:`~repro.dram.scenario.Scenario`.
+Every exploration returns one :class:`~repro.core.dse.DseResult`
+whose points are in the nested-loop grid order (architecture
+outermost, tiling innermost); its minima
+(:meth:`~repro.core.dse.DseResult.best`,
+:func:`~repro.core.dse.best_mapping_per_layer`, both breaking ties by
+the lowest grid index) and its Pareto front
 (``pareto_front(points_from_dse(result.points))``) are read off it.
-
-Determinism guarantees
-----------------------
-For any ``jobs`` and ``chunk_size``:
-
-* :meth:`ExplorationEngine.explore_layer` /
-  :meth:`~ExplorationEngine.explore_network` return the points in
-  exactly the serial nested-loop order (architecture outermost, tiling
-  innermost), so the records are byte-identical to a ``jobs=1`` run.
-* minimum-EDP selections break ties by the *lowest flattened grid
-  index*: the record is in grid order and the selections keep the
-  first minimum, independent of chunk completion order.
-
-The CLI exposes the knobs as ``repro dse --jobs N --chunk-size M``
-(``--jobs 0`` means one worker per CPU).
 
 Example
 -------
 >>> from repro.workloads import get_workload
 >>> from repro.core.engine import ExplorationEngine
->>> engine = ExplorationEngine(jobs=1)
+>>> engine = ExplorationEngine()
 >>> result = engine.explore_layer(get_workload("alexnet").lower()[0])
 >>> result.best().edp_js > 0
 True
@@ -76,20 +58,9 @@ True
 from __future__ import annotations
 
 import bisect
-import itertools
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..caching import CacheStats
 from ..cnn.layer import ConvLayer
@@ -110,7 +81,7 @@ from ..dram.characterize import (
 )
 from ..dram.scenario import DEFAULT_SCENARIO, Scenario
 from ..dram.spec import DRAMOrganization
-from ..errors import DseError
+from ..errors import ConfigurationError, DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
@@ -123,11 +94,6 @@ from .eval_kernel import (
     validate_eval_model,
 )
 from .strategies import StrategyRun, get_strategy
-
-#: Default points per shard.  Large enough that inter-process message
-#: overhead is negligible, small enough that the bounded in-flight
-#: window of a parallel run holds few points.
-DEFAULT_CHUNK_SIZE = 256
 
 #: Process-wide memo of admissible tilings per (layer, buffers): the
 #: buffer-maximal enumeration is pure, so the funnel's two phases and
@@ -142,8 +108,7 @@ _ADMISSIBLE_TILINGS_MEMO = LRUMemo(4096)
 class EvaluationCache:
     """Memo for the policy-independent intermediates of the EDP model.
 
-    One instance lives in each engine (serial path) and one in each
-    worker process (parallel path).  Pass it to
+    One instance lives in each engine.  Pass it to
     :func:`repro.core.edp.layer_edp` via its ``cache`` parameter.
 
     Attributes
@@ -237,13 +202,12 @@ class _LayerGrid:
 
 @dataclass(frozen=True)
 class ExplorationContext:
-    """Everything a shard needs to evaluate any grid index.
+    """Everything the evaluators need to evaluate any grid index.
 
-    Shipped once per worker process through the pool initializer;
-    chunks are then addressed as plain ``(start, stop)`` ranges over
-    the flattened grid, with the tiling loop innermost and the
-    architecture loop outermost — the exact order of the serial
-    Algorithm-1 implementation.
+    Shards are addressed as plain ``(start, stop)`` ranges over the
+    flattened grid, with the tiling loop innermost and the
+    architecture loop outermost — the nested-loop order of
+    Algorithm 1.
     """
 
     layers: Tuple[_LayerGrid, ...]
@@ -251,8 +215,7 @@ class ExplorationContext:
     schemes: Tuple[ReuseScheme, ...]
     policies: Tuple[MappingPolicy, ...]
     #: Device, controller and channel the characterizations were
-    #: measured under; pickled with the context so worker processes
-    #: share the exact provenance.
+    #: measured under.
     scenario: Scenario
     characterizations: Dict[DRAMArchitecture, CharacterizationResult]
     offsets: Tuple[int, ...]  # layers[i].offset, precomputed for decode
@@ -318,11 +281,11 @@ def _build_context(
 ) -> ExplorationContext:
     """Validate the grid and pre-compute everything shards share.
 
-    The :class:`~repro.dram.scenario.Scenario` is embedded in the
-    context, so worker processes reconstruct the exact device,
-    controller and channel deterministically from the pickled context
-    alone.  ``architectures=None`` selects the device's capability
-    set; an explicit sequence must be within it.
+    The context carries the :class:`~repro.dram.scenario.Scenario`
+    the characterizations were measured under, so evaluators read the
+    device, controller and channel from it.  ``architectures=None``
+    selects the device's capability set; an explicit sequence must be
+    within it.
 
     ``layers`` may be a :class:`repro.workloads.Network`; it is
     lowered to the 7-dim loop nests here.
@@ -369,24 +332,8 @@ def _build_context(
 
 
 # ----------------------------------------------------------------------
-# Shard evaluation (runs inside workers and on the serial path)
+# Scalar shard evaluation
 # ----------------------------------------------------------------------
-
-#: Per-process worker state: (context, evaluation cache, chunk
-#: evaluator resolved from the engine's ``eval_model``).
-_WORKER_STATE: Optional[Tuple[ExplorationContext, EvaluationCache,
-                              Callable]] = None
-
-
-def _init_worker(context: ExplorationContext, eval_model: str) -> None:
-    """Pool initializer: install the shared context in this process."""
-    global _WORKER_STATE
-    cache = EvaluationCache()
-    evaluator = make_chunk_evaluator(
-        context, cache, eval_model,
-        partial(_evaluate_range, context, cache))
-    _WORKER_STATE = (context, cache, evaluator)
-
 
 def _evaluate_range(
     context: ExplorationContext,
@@ -415,51 +362,28 @@ def _evaluate_range(
     return points
 
 
-def _run_chunk(
-    chunk: Tuple[int, int],
-) -> Tuple[int, List[DsePoint], Tuple[int, int]]:
-    """Worker entry point: evaluate one ``(start, stop)`` shard.
-
-    Returns ``(start, points, (hit_delta, miss_delta))`` — the
-    evaluation-cache counter deltas this chunk caused, so the parent
-    process can aggregate worker cache activity without sharing
-    memory.
-    """
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    _context, cache, evaluator = _WORKER_STATE
-    start, stop = chunk
-    before = cache.stats
-    points = evaluator(start, stop)
-    after = cache.stats
-    return start, points, (after.hits - before.hits,
-                           after.misses - before.misses)
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
 class ExplorationEngine:
-    """Sharded, cached executor for the Algorithm-1 design space.
+    """Cached, in-process executor for the Algorithm-1 design space.
 
     Parameters
     ----------
-    jobs:
-        Worker processes.  ``1`` (default) evaluates in-process;
-        ``0`` or ``None`` means one worker per CPU.  Results are
-        identical for every value — see the module docstring's
-        determinism guarantees.
-    chunk_size:
-        Grid points per shard.
     characterization_cache:
         LRU cache for Fig.-1 characterizations; defaults to the
         process-wide shared cache.
     eval_model:
-        ``"auto"`` (default) evaluates chunks with the vectorized
+        ``"auto"`` (default) evaluates each shard with the vectorized
         kernel of :mod:`repro.core.eval_kernel`, falling back to the
         scalar loop per poisoned segment; ``"scalar"`` selects the
         reference per-point loop throughout, for differential tests
         and ratio gates.  Results are bit-for-bit identical.
+    jobs:
+        Must be ``1``: the grid is evaluated in the calling process,
+        and any other value raises
+        :class:`~repro.errors.ConfigurationError`.
 
     Each explore call picks its search strategy: ``strategy=`` (a
     registered name, see :func:`repro.core.strategies.strategy_names`,
@@ -471,7 +395,7 @@ class ExplorationEngine:
     Example
     -------
     >>> from repro.workloads import get_workload
-    >>> engine = ExplorationEngine(jobs=2, chunk_size=128)
+    >>> engine = ExplorationEngine()
     >>> layers = get_workload("alexnet").lower()[:1]
     >>> result = engine.explore_network(layers)
     >>> result.evaluated_points == result.total_points > 0
@@ -480,27 +404,22 @@ class ExplorationEngine:
 
     def __init__(
         self,
-        jobs: Optional[int] = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        *,
         characterization_cache: Optional[CharacterizationCache] = None,
         eval_model: str = "auto",
+        jobs: int = 1,
     ) -> None:
-        if jobs is None or jobs == 0:
-            jobs = os.cpu_count() or 1
-        if jobs < 0:
-            raise ValueError(f"jobs must be non-negative, got {jobs}")
-        if chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be positive, got {chunk_size}")
-        self.jobs = jobs
-        self.chunk_size = chunk_size
+        if jobs != 1:
+            raise ConfigurationError(
+                f"jobs must be 1, got {jobs!r}: the engine evaluates "
+                "the grid in the calling process")
         self.eval_model = validate_eval_model(eval_model)
         self.characterization_cache = (
             characterization_cache
             if characterization_cache is not None
             else DEFAULT_CHARACTERIZATION_CACHE)
-        #: Serial-path evaluation memo; persists across explore calls
-        #: so network-level sweeps reuse layer-level intermediates.
+        #: Evaluation memo; persists across explore calls so
+        #: network-level sweeps reuse layer-level intermediates.
         self.evaluation_cache = EvaluationCache()
 
     # -- public API ----------------------------------------------------
@@ -547,66 +466,12 @@ class ExplorationEngine:
         ``architectures`` must be in the device's capability set.
         ``strategy`` / ``seed`` / ``strategy_options`` select the
         search strategy (an unknown name raises
-        :class:`~repro.errors.ConfigurationError`); under the default
-        exhaustive strategy the returned points are in the serial
-        nested-loop order regardless of ``jobs``, and subset
-        strategies return their evaluated points in the same order.
-        The result records the strategy, seed and evaluation counts.
-        """
-        run, shard_iter = self._start(
-            layers, architectures, schemes, policies, buffers,
-            scenario, strategy, seed, strategy_options)
-        shards: Dict[int, List[DsePoint]] = {}
-        serial_before = self.evaluation_cache.stats
-        for start, points in shard_iter:
-            run.exact_points += len(points)
-            shards[start] = points
-        self._account_serial_cache(run, serial_before)
-        result = DseResult(
-            strategy=run.strategy,
-            seed=run.seed,
-            total_points=run.total_points,
-            evaluated_points=run.exact_points,
-            scored_points=run.scored_points,
-            eval_cache_stats=CacheStats(
-                hits=run.cache_hits, misses=run.cache_misses),
-        )
-        for start in sorted(shards):
-            result.points.extend(shards[start])
-        return result
-
-    def _account_serial_cache(
-        self,
-        run: StrategyRun,
-        before: CacheStats,
-    ) -> None:
-        """Fold this engine cache's delta since ``before`` into ``run``.
-
-        Covers every in-process consumer of ``evaluation_cache`` —
-        the serial chunk path, vector-kernel table builds, the
-        funnel's scoring pass and greedy-refine probes; worker deltas
-        arrive separately through :func:`_run_chunk` results.
-        """
-        after = self.evaluation_cache.stats
-        run.cache_hits += after.hits - before.hits
-        run.cache_misses += after.misses - before.misses
-
-    def _start(
-        self,
-        layers,
-        architectures,
-        schemes,
-        policies,
-        buffers,
-        scenario,
-        strategy,
-        seed,
-        strategy_options,
-    ):
-        """Front half of :meth:`explore_network`.
-
-        Resolves the strategy, builds the context and returns
-        ``(run, shard_iterator)``.
+        :class:`~repro.errors.ConfigurationError`); the returned
+        points are in the nested-loop grid order, the full grid under
+        the default exhaustive strategy and the evaluated subset under
+        the others.  The result records the strategy, seed,
+        evaluation counts and the evaluation-cache activity of the
+        whole search, a funnel's scoring pass included.
         """
         search = get_strategy(strategy, **(strategy_options or {}))
         context = _build_context(
@@ -617,110 +482,79 @@ class ExplorationEngine:
             seed=seed,
             total_points=context.total_points,
         )
-        return run, search.shards(self, context, run)
+        shards: Dict[int, List[DsePoint]] = {}
+        before = self.evaluation_cache.stats
+        for start, points in search.shards(self, context, run):
+            run.exact_points += len(points)
+            shards[start] = points
+        after = self.evaluation_cache.stats
+        result = DseResult(
+            strategy=run.strategy,
+            seed=run.seed,
+            total_points=run.total_points,
+            evaluated_points=run.exact_points,
+            scored_points=run.scored_points,
+            eval_cache_stats=CacheStats(
+                hits=after.hits - before.hits,
+                misses=after.misses - before.misses),
+        )
+        for start in sorted(shards):
+            result.points.extend(shards[start])
+        return result
 
-    # -- scheduling ----------------------------------------------------
-
-    def _chunks(
-        self,
-        context: ExplorationContext,
-    ) -> Iterator[Tuple[int, int]]:
-        """Layer-aligned chunking of the full grid.
-
-        Chunk boundaries snap to the ``points_in_layer`` slices: a
-        chunk never straddles two layers, so the vector kernel
-        evaluates every chunk as one batch instead of splitting it
-        (and re-gathering tables) at each straddle.  Points and their
-        order are unchanged — only the grouping differs.
-        """
-        for _position, seg_start, seg_stop in iter_layer_segments(
-                context, 0, context.total_points):
-            for start in range(seg_start, seg_stop, self.chunk_size):
-                yield start, min(start + self.chunk_size, seg_stop)
+    # -- executors -----------------------------------------------------
 
     def _shard_results(
         self,
         context: ExplorationContext,
-        run: Optional[StrategyRun] = None,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Yield ``(start, points)`` for the full grid.
+        """Yield ``(start, points)`` for the full grid, one per layer.
 
-        The exhaustive strategy's executor — byte-identical shard
-        order and contents to the pre-strategy engine.
+        The exhaustive strategy's executor: each layer's slice of the
+        grid is one shard, which the vector kernel evaluates as one
+        batch.
         """
-        return self._execute_shards(context, self._chunks(context), run)
+        return self._execute_shards(
+            context,
+            ((start, stop) for _position, start, stop
+             in iter_layer_segments(context, 0, context.total_points)))
 
     def _evaluate_selected(
         self,
         context: ExplorationContext,
         indices: Sequence[int],
-        run: Optional[StrategyRun] = None,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
         """Yield shards covering exactly ``indices`` (sorted, unique).
 
         Consecutive indices coalesce into contiguous ``(start, stop)``
-        ranges, split at layer boundaries (so the vector kernel gets
-        single-layer batches) and at ``chunk_size``, and run through
-        the same serial / process-pool machinery as the full grid —
-        so subset strategies inherit ``jobs`` parallelism.
+        runs, split only at layer boundaries, so the vector kernel
+        evaluates each run as one single-layer batch.
         """
-        def chunks() -> Iterator[Tuple[int, int]]:
+        def runs() -> Iterator[Tuple[int, int]]:
             position = 0
             while position < len(indices):
                 stop = position + 1
                 while stop < len(indices) \
                         and indices[stop] == indices[stop - 1] + 1:
                     stop += 1
-                for _pos, seg_start, seg_stop in iter_layer_segments(
+                for _position, seg_start, seg_stop in iter_layer_segments(
                         context, indices[position], indices[stop - 1] + 1):
-                    for piece in range(seg_start, seg_stop,
-                                       self.chunk_size):
-                        yield piece, min(piece + self.chunk_size, seg_stop)
+                    yield seg_start, seg_stop
                 position = stop
 
-        return self._execute_shards(context, chunks(), run)
+        return self._execute_shards(context, runs())
 
     def _execute_shards(
         self,
         context: ExplorationContext,
         shards: Iterator[Tuple[int, int]],
-        run: Optional[StrategyRun] = None,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Evaluate ``(start, stop)`` shards.
-
-        Worker evaluation-cache deltas are folded into ``run`` (the
-        serial path's cache activity is accounted once per exploration
-        by :meth:`explore_network` instead).
-        """
-        if self.jobs == 1:
-            evaluator = make_chunk_evaluator(
-                context, self.evaluation_cache, self.eval_model,
-                partial(_evaluate_range, context, self.evaluation_cache))
-            for start, stop in shards:
-                yield start, evaluator(start, stop)
-            return
-
-        # Bounded in-flight window: at most jobs * 4 chunks are queued
-        # at once, so million-point grids never materialize all chunk
-        # futures (or their results) simultaneously.
-        with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(context, self.eval_model)) as pool:
-            pending = set()
-            window = self.jobs * 4
-            for chunk in itertools.islice(shards, window):
-                pending.add(pool.submit(_run_chunk, chunk))
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    start, points, cache_delta = future.result()
-                    if run is not None:
-                        run.cache_hits += cache_delta[0]
-                        run.cache_misses += cache_delta[1]
-                    yield start, points
-                for chunk in itertools.islice(shards, len(done)):
-                    pending.add(pool.submit(_run_chunk, chunk))
+        """Evaluate ``(start, stop)`` shards in order, in this process."""
+        evaluator = make_chunk_evaluator(
+            context, self.evaluation_cache, self.eval_model,
+            partial(_evaluate_range, context, self.evaluation_cache))
+        for start, stop in shards:
+            yield start, evaluator(start, stop)
 
     def point_evaluator(self, context: ExplorationContext):
         """In-process, memoized single-point evaluator.

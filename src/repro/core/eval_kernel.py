@@ -88,7 +88,7 @@ from .edp import LayerEDP
 EVAL_MODELS = ("auto", "scalar")
 
 #: ``Callable[[start, stop], List[DsePoint]]`` — what the engine's
-#: shard executors call per chunk.
+#: shard executors call per shard.
 ChunkFn = Callable[[int, int], List[DsePoint]]
 
 
@@ -275,9 +275,9 @@ def iter_layer_segments(context, start: int, stop: int):
 class ChunkEvaluator:
     """Vectorized ``(start, stop) -> List[DsePoint]`` chunk evaluator.
 
-    One instance lives per engine (serial path) or per worker process
-    (parallel path); per-layer tables are built lazily on the first
-    chunk touching the layer and reused for the rest of the run.
+    The engine builds one per exploration; per-layer tables are built
+    lazily on the first chunk touching the layer and reused for the
+    rest of the run.
     ``scalar_fallback`` is the reference per-point loop, used for
     poisoned segments (see the module docstring).
     """

@@ -4,11 +4,11 @@ The exploration engine (:mod:`repro.core.engine`) historically
 hard-coded one search algorithm: exhaustively evaluate every point of
 the ``layer x architecture x scheme x policy x tiling`` grid.  This
 module turns the *search algorithm* into a first-class, registered
-component, independent of the parallel execution machinery:
+component, independent of how the engine evaluates a shard:
 
 * ``exhaustive`` — the default; evaluates every grid point through
-  the engine's sharded path and is byte-identical to the pre-strategy
-  engine for every ``jobs`` / ``chunk_size``.
+  the engine's full-grid executor and is byte-identical to the
+  pre-strategy engine.
 * ``random`` — seeded uniform sampling of a fraction of the grid;
   the cheap baseline every smarter strategy must beat.
 * ``greedy-refine`` — multi-restart coordinate-descent hill climbing:
@@ -28,10 +28,10 @@ engine's internal sharding, and the engine assembles them into one
 grid-ordered :class:`~repro.core.dse.DseResult` whatever the
 strategy.  Each explore call names its strategy (``strategy=``,
 ``seed=``, ``strategy_options=``).  All strategies are deterministic:
-randomized ones derive their choices from the run's ``seed``
-(default 0), which is recorded — together with the strategy name and
-the evaluation counts — in the returned
-:class:`~repro.core.dse.DseResult`.
+randomized ones (:attr:`SearchStrategy.uses_seed`) derive their
+choices from the run's ``seed`` (default 0), which is recorded —
+together with the strategy name and the evaluation counts — in the
+returned :class:`~repro.core.dse.DseResult`.
 
 Example
 -------
@@ -96,11 +96,6 @@ class StrategyRun:
     exact_points: int = 0
     #: Analytical-model scorings (filled by the funnel strategy).
     scored_points: int = 0
-    #: Evaluation-cache hits/misses this run caused (serial-path delta
-    #: plus per-chunk worker deltas; copied onto
-    #: :attr:`~repro.core.dse.DseResult.eval_cache_stats`).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 class SearchStrategy:
@@ -110,6 +105,9 @@ class SearchStrategy:
     name: str = ""
     #: One-line purpose, for ``repro strategies``.
     summary: str = ""
+    #: Whether the search draws random numbers from the run's seed;
+    #: ``repro dse`` refuses ``--seed`` for strategies that do not.
+    uses_seed: bool = False
 
     def shards(
         self,
@@ -138,7 +136,7 @@ class ExhaustiveStrategy(SearchStrategy):
                "pre-strategy engine (the default)")
 
     def shards(self, engine, context, run):
-        return engine._shard_results(context, run)
+        return engine._shard_results(context)
 
 
 class RandomStrategy(SearchStrategy):
@@ -153,6 +151,7 @@ class RandomStrategy(SearchStrategy):
 
     name = "random"
     summary = "seeded uniform sample of the grid (cheap baseline)"
+    uses_seed = True
 
     def __init__(self, fraction: float = DEFAULT_RANDOM_FRACTION) -> None:
         if not 0.0 < fraction <= 1.0:
@@ -165,7 +164,7 @@ class RandomStrategy(SearchStrategy):
         count = max(math.ceil(total * self.fraction),
                     min(MIN_SAMPLE_POINTS, total))
         indices = sorted(self._rng(run).sample(range(total), count))
-        return engine._evaluate_selected(context, indices, run)
+        return engine._evaluate_selected(context, indices)
 
 
 class GreedyRefineStrategy(SearchStrategy):
@@ -186,6 +185,7 @@ class GreedyRefineStrategy(SearchStrategy):
     name = "greedy-refine"
     summary = ("multi-restart coordinate-descent over mapping / "
                "tiling / scheme / architecture")
+    uses_seed = True
 
     def __init__(self, restarts: int = DEFAULT_GREEDY_RESTARTS) -> None:
         if restarts < 1:
@@ -240,7 +240,7 @@ class FunnelStrategy(SearchStrategy):
     best-scoring ``top_fraction`` of each (layer, architecture)
     slice (floored at :data:`MIN_EXACT_PER_SLICE` points per slice,
     so every slice stays queryable) with exact characterization,
-    through the engine's sharded parallel path.
+    through the engine's executors.
 
     Parameters
     ----------
@@ -281,7 +281,7 @@ class FunnelStrategy(SearchStrategy):
                 ranked = sorted(block_range,
                                 key=lambda i: (scores[i], i))
                 indices.extend(ranked[:keep])
-        return engine._evaluate_selected(context, sorted(indices), run)
+        return engine._evaluate_selected(context, sorted(indices))
 
 
 # ----------------------------------------------------------------------

@@ -375,9 +375,7 @@ class CharacterizationCache:
 
     The cache is safe to share across threads of one process for
     *reading* mixed workloads (CPython dict operations are atomic
-    enough for this access pattern); worker processes of the parallel
-    DSE engine receive pre-characterized results instead and never
-    touch it.
+    enough for this access pattern).
 
     Example
     -------

@@ -28,7 +28,7 @@ controller policies of :mod:`repro.dram.policies`:
 
 The frozen :class:`ContentionConfig` value is hashable and picklable:
 it travels in characterization cache keys and the on-disk store's spec
-hash, and in the pickled :class:`repro.core.engine.ExplorationContext`,
+hash, and in :class:`repro.core.engine.ExplorationContext`,
 so contended variants can never be served an uncontended
 characterization (or vice versa).  ``requestors=1`` is canonicalized to
 the default config — an uncontended channel has no arbitration, so all

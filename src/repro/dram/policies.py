@@ -34,9 +34,9 @@ resulting command sequence may run.
 
 The frozen :class:`ControllerConfig` value is hashable and picklable:
 as a field of :class:`repro.dram.scenario.Scenario` it travels in
-characterization cache keys (``(scenario, architecture)``) and in the
-pickled :class:`repro.core.engine.ExplorationContext`, so policy
-variants can never be served a stale default-config characterization.
+characterization cache keys (``(scenario, architecture)``) and in
+:class:`repro.core.engine.ExplorationContext`, so policy variants can
+never be served a stale default-config characterization.
 
 Example
 -------

@@ -19,9 +19,7 @@ The graph carries strictly more information than the flat
 
 Everything the DSE machinery needs still falls out of
 :meth:`Network.lower`, which keeps the old pipeline byte-identical.
-Networks are plain picklable containers of frozen dataclasses, so the
-exploration engine can ship them to worker processes inside its
-pickled context.
+Networks are plain picklable containers of frozen dataclasses.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ class TestCompactBreakdown:
         from repro.cnn.tiling import enumerate_tilings
         from repro.core.engine import ExplorationEngine
         tiling = enumerate_tilings(conv2)[0]
-        return [point for point in ExplorationEngine(jobs=1).explore_layer(
+        return [point for point in ExplorationEngine().explore_layer(
             conv2).points if point.tiling == tiling]
 
     def test_type_costs_is_a_flat_float_tuple(self, vector_points):

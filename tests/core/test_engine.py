@@ -1,32 +1,21 @@
-"""Tests for the parallel sharded exploration engine.
+"""Tests for the exploration engine.
 
-The load-bearing guarantee: for any ``jobs`` / ``chunk_size``, the
-engine returns byte-identical exploration records and minimum-EDP
-selections to the serial Algorithm-1 path.
+Grid-order tie-breaking, device and controller threading, the
+characterization and evaluation caches, and argument validation.
 """
 
 import pytest
 
+from repro.caching import CacheStats
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import (
-    best_mapping_per_layer,
-    explore_layer,
-    explore_network,
-)
+from repro.core.dse import best_mapping_per_layer, explore_layer
 from repro.core.engine import EvaluationCache, ExplorationEngine
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
 from repro.dram.scenario import Scenario
-from repro.errors import DseError
+from repro.errors import ConfigurationError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.workloads import Network, get_workload
-
-
-@pytest.fixture(scope="module")
-def conv_layers():
-    """The AlexNet convolutional layers (CONV1..CONV5)."""
-    return [layer for layer in get_workload("alexnet").lower()
-            if layer.name.startswith("CONV")]
 
 
 @pytest.fixture(scope="module")
@@ -34,41 +23,7 @@ def tiny_layer():
     return get_workload("tiny").lower()[0]
 
 
-@pytest.fixture(scope="module")
-def serial_conv_dse(conv_layers):
-    return explore_network(conv_layers)
-
-
 class TestDeterminism:
-    """jobs=2 must reproduce the serial records exactly."""
-
-    def test_parallel_records_identical(self, conv_layers, serial_conv_dse):
-        # An odd chunk size that does not divide the grid, so shards
-        # straddle layer and architecture boundaries.
-        parallel = ExplorationEngine(jobs=2, chunk_size=157) \
-            .explore_network(conv_layers)
-        assert parallel.points == serial_conv_dse.points
-
-    def test_parallel_min_edp_selections_identical(
-            self, conv_layers, serial_conv_dse):
-        parallel = ExplorationEngine(jobs=2, chunk_size=157) \
-            .explore_network(conv_layers)
-        for layer in conv_layers:
-            serial_best = serial_conv_dse.best(layer_name=layer.name)
-            parallel_best = parallel.best(layer_name=layer.name)
-            assert serial_best == parallel_best
-        for architecture in (DRAMArchitecture.DDR3,
-                             DRAMArchitecture.SALP_MASA):
-            assert (parallel.best(architecture=architecture)
-                    == serial_conv_dse.best(architecture=architecture))
-
-    def test_chunk_size_invariance(self, tiny_layer):
-        baseline = ExplorationEngine(jobs=1, chunk_size=1_000_000) \
-            .explore_layer(tiny_layer)
-        one_point_chunks = ExplorationEngine(jobs=1, chunk_size=1) \
-            .explore_layer(tiny_layer)
-        assert baseline.points == one_point_chunks.points
-
     def test_reduced_tie_breaks_by_grid_index(self):
         """Equal-EDP points: the one earliest in grid order wins, in
         ``best()`` and in ``best_mapping_per_layer`` (the CLI's ``dse``
@@ -99,8 +54,8 @@ class TestDeterminism:
 
 
 class TestDeviceThreading:
-    """The device profile must survive shard serialization and default
-    to the paper's device."""
+    """The device profile reaches the costs and defaults to the paper's
+    device."""
 
     def test_explicit_default_device_is_identical(self, tiny_layer):
         from repro.dram.device import default_device
@@ -109,15 +64,6 @@ class TestDeviceThreading:
         explicit = explore_layer(
             tiny_layer, scenario=Scenario(default_device()))
         assert implicit.points == explicit.points
-
-    def test_parallel_workers_reconstruct_the_device(self, tiny_layer):
-        from repro.dram.device import DDR4_2400_DEVICE
-
-        serial = explore_layer(
-            tiny_layer, scenario=Scenario(DDR4_2400_DEVICE))
-        parallel = ExplorationEngine(jobs=2, chunk_size=61).explore_layer(
-            tiny_layer, scenario=Scenario(DDR4_2400_DEVICE))
-        assert serial.points == parallel.points
 
     def test_devices_change_the_numbers(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
@@ -132,7 +78,6 @@ class TestDeviceThreading:
 
     def test_unsupported_architecture_rejected(self, tiny_layer):
         from repro.dram.device import LPDDR4_3200_DEVICE
-        from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="does not support"):
             explore_layer(
@@ -144,7 +89,7 @@ class TestDeviceThreading:
         from repro.dram.device import LPDDR4_3200_DEVICE
 
         cache = CharacterizationCache()
-        engine = ExplorationEngine(jobs=1, characterization_cache=cache)
+        engine = ExplorationEngine(characterization_cache=cache)
         engine.explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
             scenario=Scenario(LPDDR4_3200_DEVICE))
@@ -158,7 +103,7 @@ class TestDeviceThreading:
 class TestCaching:
     def test_characterization_runs_once_per_configuration(self, tiny_layer):
         cache = CharacterizationCache()
-        engine = ExplorationEngine(jobs=1, characterization_cache=cache)
+        engine = ExplorationEngine(characterization_cache=cache)
         engine.explore_layer(tiny_layer)
         first = cache.stats
         assert first.misses == 4      # one per architecture
@@ -180,7 +125,7 @@ class TestCaching:
         # Pinned to the scalar backend: the vectorized kernel touches
         # each memo key once per table build, so hit counts there say
         # nothing about per-point reuse.
-        engine = ExplorationEngine(jobs=1, eval_model="scalar")
+        engine = ExplorationEngine(eval_model="scalar")
         engine.explore_layer(tiny_layer)
         counts = engine.evaluation_cache.counts_memo
         traffic = engine.evaluation_cache.traffic_memo
@@ -213,9 +158,24 @@ class TestCaching:
                     checked += 1
         assert checked > 1000
 
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "random", "greedy-refine", "funnel"])
+    def test_eval_cache_stats_cover_the_whole_search(self, tiny_layer,
+                                                     strategy):
+        """The record's cache stats are the engine cache's delta around
+        the call, the funnel's analytical scoring pass included."""
+        engine = ExplorationEngine()
+        before = engine.evaluation_cache.stats
+        result = engine.explore_layer(tiny_layer, strategy=strategy)
+        after = engine.evaluation_cache.stats
+        assert result.eval_cache_stats == CacheStats(
+            hits=after.hits - before.hits,
+            misses=after.misses - before.misses)
+        assert result.eval_cache_stats.lookups > 0
+
     def test_evaluation_cache_clear(self, tiny_layer):
         cache = EvaluationCache()
-        engine = ExplorationEngine(jobs=1)
+        engine = ExplorationEngine()
         engine.evaluation_cache = cache
         engine.explore_layer(tiny_layer)
         cache.clear()
@@ -252,15 +212,11 @@ class TestValidation:
         assert cache.stats.lookups == 0   # nothing was characterized
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(jobs=-1)
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(chunk_size=0)
-
-    def test_jobs_zero_means_all_cpus(self):
-        assert ExplorationEngine(jobs=0).jobs >= 1
+        """The grid is evaluated in the calling process; ``jobs``
+        accepts only 1."""
+        for jobs in (0, 2, -1):
+            with pytest.raises(ConfigurationError, match="jobs must be 1"):
+                ExplorationEngine(jobs=jobs)
 
 
 class TestControllerThreading:
@@ -285,16 +241,6 @@ class TestControllerThreading:
             scenario=Scenario(
                 controller=controller_config(row_policy="closed")))
         assert default.best().edp_js != closed.best().edp_js
-
-    def test_parallel_workers_reconstruct_the_controller(self, tiny_layer):
-        from repro.dram.policies import controller_config
-
-        config = controller_config("fr-fcfs", "closed")
-        serial = explore_layer(
-            tiny_layer, scenario=Scenario(controller=config))
-        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
-            tiny_layer, scenario=Scenario(controller=config))
-        assert parallel.points == serial.points
 
     def test_context_pickles_the_controller(self, tiny_layer):
         import pickle

@@ -36,16 +36,9 @@ class TestContextWorkload:
 class TestEngineOnNetworks:
     def test_network_equals_lowered_list(self):
         net = get_workload("lenet5")
-        engine = ExplorationEngine(jobs=1)
+        engine = ExplorationEngine()
         from_graph = engine.explore_network(
             net, architectures=(DRAMArchitecture.DDR3,))
         from_list = engine.explore_network(
             net.lower(), architectures=(DRAMArchitecture.DDR3,))
         assert from_graph.points == from_list.points
-
-    def test_parallel_jobs_identical_on_network(self):
-        net = zoo.tiny()
-        serial = ExplorationEngine(jobs=1).explore_network(net)
-        sharded = ExplorationEngine(jobs=2, chunk_size=7) \
-            .explore_network(net)
-        assert sharded.points == serial.points

@@ -3,9 +3,9 @@
 The vectorized kernel (:mod:`repro.core.eval_kernel`) is contractually
 bit-for-bit identical to the scalar per-point loop — not "numerically
 close".  This module pins that contract on the paper's AlexNet/DDR3
-workload across every supported architecture, every jobs/chunk-size
-combination the shard-merge tests exercise, the funnel's batched
-analytical scoring, and the Pareto front of a merged record.
+workload across every supported architecture, on grids that reach the
+kernel's row-wrap and capacity-boundary branches, the funnel's batched
+analytical scoring, and the Pareto front of an exploration record.
 """
 
 import numpy as np
@@ -28,8 +28,9 @@ from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
 from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
+from repro.cnn.layer import ConvLayer
 from repro.cnn.scheduling import ALL_SCHEMES, CONCRETE_SCHEMES
-from repro.cnn.tiling import TABLE2_BUFFERS, enumerate_tilings
+from repro.cnn.tiling import BufferConfig, TABLE2_BUFFERS, enumerate_tilings
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
@@ -50,9 +51,20 @@ def tiny_layer():
 
 @pytest.fixture(scope="module")
 def scalar_reference(conv1):
-    """The scalar jobs=1 exhaustive result every variant must equal."""
-    return ExplorationEngine(jobs=1, eval_model="scalar") \
-        .explore_network(conv1)
+    """The scalar exhaustive result every variant must equal."""
+    return ExplorationEngine(eval_model="scalar").explore_network(conv1)
+
+
+def _tile_runs(layers, organization, buffers=TABLE2_BUFFERS):
+    """Accesses per tile fetch of every (tiling, concrete scheme, data
+    type) of the grid's layers; 0 for an empty tile."""
+    cache = EvaluationCache()
+    return [organization.accesses_for_bytes(type_traffic.tile_bytes)
+            for layer in layers
+            for tiling in enumerate_tilings(layer, buffers)
+            for scheme in CONCRETE_SCHEMES
+            for type_traffic
+            in cache.traffic(layer, tiling, scheme).by_type().values()]
 
 
 def _hex_points(result):
@@ -105,36 +117,26 @@ class TestCountsBatch:
 
 
 class TestBitIdentityOnAlexNet:
-    """AlexNet/DDR3: vector output bit-equal for every jobs x chunk."""
+    """AlexNet/DDR3: vector output bit-equal to the scalar loop."""
 
     def test_covers_all_four_architectures(self, scalar_reference):
         assert len({point.architecture
                     for point in scalar_reference.points}) == 4
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("chunk_size", [7, 64, 256, 1000])
-    def test_vector_points_bit_equal(self, conv1, scalar_reference,
-                                     jobs, chunk_size):
-        vector = ExplorationEngine(
-            jobs=jobs, chunk_size=chunk_size,
-            eval_model="auto").explore_network(conv1)
-        assert vector.points == scalar_reference.points
-        assert _hex_points(vector) == _hex_points(scalar_reference)
-        assert vector.best() == scalar_reference.best()
-
     def test_auto_equals_vector_equals_scalar(self, conv1,
                                               scalar_reference):
-        auto = ExplorationEngine(jobs=1, eval_model="auto") \
-            .explore_network(conv1)
+        auto = ExplorationEngine(eval_model="auto").explore_network(conv1)
+        assert auto.points == scalar_reference.points
         assert _hex_points(auto) == _hex_points(scalar_reference)
+        assert auto.best() == scalar_reference.best()
 
     @pytest.mark.parametrize("device_name",
                              ["ddr4-2400", "lpddr4-3200", "hbm2"])
     def test_other_devices_bit_equal(self, conv1, device_name):
         device = get_device(device_name)
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+        scalar = ExplorationEngine(eval_model="scalar") \
             .explore_network(conv1, scenario=Scenario(device))
-        vector = ExplorationEngine(jobs=1, eval_model="auto") \
+        vector = ExplorationEngine(eval_model="auto") \
             .explore_network(conv1, scenario=Scenario(device))
         assert _hex_points(vector) == _hex_points(scalar)
 
@@ -155,26 +157,17 @@ class TestRowWrapMerge:
     def _wraps_rows(layers, scenario):
         """Whether some tile run of the grid wraps the row loop."""
         organization = scenario.device.organization
-        cache = EvaluationCache()
-        for layer in layers:
-            for tiling in enumerate_tilings(layer):
-                for scheme in CONCRETE_SCHEMES:
-                    traffic = cache.traffic(layer, tiling, scheme)
-                    for type_traffic in traffic.by_type().values():
-                        n = organization.accesses_for_bytes(
-                            type_traffic.tile_bytes)
-                        if n and any(
-                                count_transitions(policy, organization, n)
-                                .by_dim.get(Dim.ROW, 0)
-                                for policy in TABLE1_MAPPINGS):
-                            return True
-        return False
+        return any(
+            n and count_transitions(policy, organization, n)
+            .by_dim.get(Dim.ROW, 0)
+            for n in _tile_runs(layers, organization)
+            for policy in TABLE1_MAPPINGS)
 
     def _assert_bit_equal(self, layers, scenario):
         assert self._wraps_rows(layers, scenario)
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+        scalar = ExplorationEngine(eval_model="scalar") \
             .explore_network(layers, scenario=scenario)
-        vector = ExplorationEngine(jobs=1, eval_model="auto") \
+        vector = ExplorationEngine(eval_model="auto") \
             .explore_network(layers, scenario=scenario)
         assert _hex_points(vector) == _hex_points(scalar)
         return scalar
@@ -190,14 +183,41 @@ class TestRowWrapMerge:
             organization.with_subarrays(1)))
 
 
+class TestCapacityBoundary:
+    """A tile run of exactly the device capacity, scalar vs ``auto``.
+
+    The kernel prices runs up to the capacity and poisons longer ones,
+    where the scalar fallback raises.  A 128x128 fully-connected layer
+    at 1 B keeps its whole 16 KB weight matrix in one tile on 16 KB
+    buffers: on the 16 KB ``tiny`` device that is a run of exactly the
+    2048-access capacity, which must be priced like any other run.
+    """
+
+    def test_run_of_exactly_the_capacity(self):
+        layer = ConvLayer.fully_connected("FC", 128, 128)
+        buffers = BufferConfig(16 * 1024, 16 * 1024, 16 * 1024)
+        scenario = Scenario(get_device("tiny"))
+        organization = scenario.device.organization
+        capacity = min(policy.capacity(organization)
+                       for policy in TABLE1_MAPPINGS)
+        assert _tile_runs([layer], organization, buffers).count(
+            capacity) == 3
+        scalar = ExplorationEngine(eval_model="scalar").explore_layer(
+            layer, buffers=buffers, scenario=scenario)
+        auto = ExplorationEngine(eval_model="auto").explore_layer(
+            layer, buffers=buffers, scenario=scenario)
+        assert scalar.total_points == 96
+        assert _hex_points(auto) == _hex_points(scalar)
+
+
 class TestReducedAndPareto:
-    """Merged record and Pareto front under the vector backend."""
+    """Exploration record and Pareto front under the vector backend."""
 
     def test_parallel_vector_reduced_equals_serial_scalar(
             self, conv1, scalar_reference):
-        vector = ExplorationEngine(jobs=2, chunk_size=61,
-                                   eval_model="auto") \
-            .explore_network(conv1)
+        """Counts, points and the Pareto front equal the scalar run's,
+        compared bit for bit."""
+        vector = ExplorationEngine(eval_model="auto").explore_network(conv1)
         scalar = scalar_reference
         assert (vector.total_points, vector.evaluated_points) \
             == (scalar.total_points, scalar.evaluated_points)
@@ -237,9 +257,9 @@ class TestFunnelAndScores:
         assert [a.hex() for a in auto] == [s.hex() for s in scalar]
 
     def test_funnel_end_to_end_bit_equal(self, conv1):
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+        scalar = ExplorationEngine(eval_model="scalar") \
             .explore_network(conv1, strategy="funnel")
-        vector = ExplorationEngine(jobs=1, eval_model="auto") \
+        vector = ExplorationEngine(eval_model="auto") \
             .explore_network(conv1, strategy="funnel")
         assert _hex_points(vector) == _hex_points(scalar)
         assert vector.scored_points == scalar.scored_points
@@ -282,31 +302,23 @@ class TestEvalModelKnob:
                               (1, boundary, boundary + 3)]
 
     def test_engine_chunks_are_layer_aligned(self, conv1, tiny_layer):
-        engine = ExplorationEngine(jobs=1, chunk_size=7)
+        """The full-grid executor yields one shard per layer, starting
+        at the layer's offset; together they cover the grid."""
+        engine = ExplorationEngine()
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
             TABLE2_BUFFERS, DEFAULT_SCENARIO,
             DEFAULT_CHARACTERIZATION_CACHE)
-        chunks = list(engine._chunks(context))
-        # Gapless, in-order cover of the grid ...
-        assert chunks[0][0] == 0
-        assert chunks[-1][1] == context.total_points
-        for (_, stop), (next_start, _) in zip(chunks, chunks[1:]):
-            assert stop == next_start
-        # ... where no chunk straddles a layer boundary; every interior
-        # boundary instead starts a fresh chunk.
-        boundaries = set(context.offsets[1:])
-        for start, stop in chunks:
-            assert not any(start < b < stop for b in boundaries)
-        assert boundaries <= {start for start, _ in chunks}
+        shards = list(engine._shard_results(context))
+        assert [start for start, _ in shards] == list(context.offsets)
+        assert [len(points) for _, points in shards] \
+            == [context.points_in_layer(position)
+                for position in range(len(context.layers))]
+        assert sum(len(points) for _, points in shards) \
+            == context.total_points
 
     def test_cache_stats_surfaced_serial_and_parallel(self, tiny_layer):
-        serial = ExplorationEngine(jobs=1, eval_model="auto") \
+        result = ExplorationEngine(eval_model="auto") \
             .explore_network([tiny_layer])
-        assert serial.eval_cache_stats is not None
-        assert serial.eval_cache_stats.lookups > 0
-        parallel = ExplorationEngine(jobs=2, chunk_size=7,
-                                     eval_model="auto") \
-            .explore_network([tiny_layer])
-        assert parallel.eval_cache_stats is not None
-        assert parallel.eval_cache_stats.lookups > 0
+        assert result.eval_cache_stats is not None
+        assert result.eval_cache_stats.lookups > 0

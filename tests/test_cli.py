@@ -191,15 +191,26 @@ class TestDse:
                 main([command, "--help"])
             assert flag not in capsys.readouterr().out
 
+    def assert_dse_flag_removed(self, capsys, flag, *values):
+        """The grid is evaluated in one process, so ``dse`` has no flag
+        that sizes a pool: ``flag`` exits 2 as unrecognized whatever its
+        value, and ``dse --help`` does not list it."""
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                main(["dse", "--model", "lenet5", flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err
+            assert flag in err
+        with pytest.raises(SystemExit):
+            main(["dse", "--help"])
+        assert flag not in capsys.readouterr().out
+
     def test_negative_jobs_exits_2(self, capsys):
-        assert_usage_error(
-            capsys, ["dse", "--model", "lenet5", "--jobs", "-1"],
-            "--jobs must be >= 0")
+        self.assert_dse_flag_removed(capsys, "--jobs", "-1", "2")
 
     def test_zero_chunk_size_exits_2(self, capsys):
-        assert_usage_error(
-            capsys, ["dse", "--model", "lenet5", "--chunk-size", "0"],
-            "--chunk-size must be positive")
+        self.assert_dse_flag_removed(capsys, "--chunk-size", "0", "61")
 
     def test_layer_fitting_no_tiling_exits_2(self, capsys):
         assert_usage_error(
@@ -423,6 +434,18 @@ class TestSearchStrategies:
                             "--seed", "9")
         assert code == 0
         assert "seed 9" in out
+
+    def test_seed_refused_where_nothing_is_random(self, capsys):
+        """A seed would change nothing under the deterministic
+        strategies, so the run refuses it instead of reporting it."""
+        for strategy_flags in (["--strategy", "funnel"], []):
+            assert_usage_error(
+                capsys, ["dse", "--model", "lenet5", "--seed", "3"]
+                + strategy_flags, "draws no random numbers", "--seed")
+        code, out = run_cli(capsys, "dse", "--model", "lenet5",
+                            "--strategy", "random", "--seed", "3")
+        assert code == 0
+        assert "seed 3" in out
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):

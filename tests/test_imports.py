@@ -10,9 +10,15 @@ with the standard library's :mod:`ast`:
 * a package ``__init__.py`` imports names only to re-export them, so
   each name its module-level imports bind must be in its ``__all__``,
   and each ``__all__`` entry must be bound or defined in the file.
+
+A third check runs ``import repro.cli`` in a fresh interpreter and
+lists the standard-library modules it must not load.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -122,3 +128,19 @@ def test_package_reexports_match_all():
             for name in sorted(exported - set(imported)
                                - _defined_names(tree))]
     assert not mismatched, "\n".join(mismatched)
+
+
+def test_cli_import_loads_no_process_pool():
+    """The engine evaluates in the calling process, so starting the
+    CLI loads neither ``multiprocessing`` nor ``concurrent.futures``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(name for name in "
+         "('multiprocessing', 'concurrent.futures') "
+         "if name in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
