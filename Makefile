@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-gates cov cov-core lint
+.PHONY: test bench bench-gates check-traces cov cov-core lint
 
 ## tier-1 verification: the full unit/property/integration/benchmark suite
 test:
@@ -35,6 +35,13 @@ BENCH_GATES = benchmarks/test_perf_workloads.py \
 	benchmarks/test_perf_eval.py
 bench-gates:
 	$(PYTHON) -m pytest $(BENCH_GATES) -q
+
+## the independent JEDEC checker over every real-device configuration:
+## 14 (device, architecture) pairs x 24 (scheduler, row policy,
+## contention) variants x the Fig.-1 streams (tier-1 runs one variant
+## per pair)
+check-traces:
+	$(PYTHON) tests/dram/test_device_traces.py
 
 ## the coverage targets need pytest-cov, which CI installs.  Without it
 ## they print one line and succeed, unless $CI is set (GitHub Actions

@@ -81,9 +81,10 @@ contention-blind, so it refuses a non-default channel.
     default ``exhaustive`` evaluates every point and its output is
     byte-identical to the pre-strategy CLI; ``funnel`` prunes with
     the closed-form analytical cost model and exactly re-evaluates
-    only the top ``--funnel-topk`` percent per layer; ``random`` /
-    ``greedy-refine`` are seeded heuristics (``--seed``, which the
-    strategies that draw no random numbers refuse).
+    only the top ``--funnel-topk`` percent per layer (a flag the
+    other strategies refuse); ``random`` / ``greedy-refine`` are
+    seeded heuristics (``--seed``, which the strategies that draw no
+    random numbers refuse).
     Non-exhaustive runs are tagged in the table title and followed by
     a one-line evaluation-count summary.
 
@@ -180,13 +181,19 @@ def _strategy_options(args: argparse.Namespace):
         raise ConfigurationError(
             f"strategy {strategy} draws no random numbers, so --seed "
             "would change nothing; drop --seed")
-    topk = getattr(args, "funnel_topk", 5.0)
+    topk = getattr(args, "funnel_topk", None)
+    options = {}
+    if topk is None:
+        return strategy, seed, options
+    if strategy != "funnel":
+        raise ConfigurationError(
+            f"--funnel-topk applies to the funnel strategy only, so "
+            f"under {strategy} it would change nothing; drop "
+            "--funnel-topk")
     if not 0.0 < topk <= 100.0:
         raise ConfigurationError(
             f"--funnel-topk must be in (0, 100], got {topk}")
-    options = {}
-    if strategy == "funnel":
-        options["top_fraction"] = topk / 100.0
+    options["top_fraction"] = topk / 100.0
     return strategy, seed, options
 
 
@@ -629,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--arch", default="DDR3")
     add_scenario_arguments(p_dse)
     add_cache_arguments(p_dse)
-    from .core.strategies import strategy_names
+    from .core.strategies import DEFAULT_FUNNEL_TOP_FRACTION, strategy_names
 
     p_dse.add_argument(
         "--strategy", default="exhaustive",
@@ -643,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
              "and greedy-refine only (default: the strategy's "
              "deterministic default, 0)")
     p_dse.add_argument(
-        "--funnel-topk", dest="funnel_topk", type=float, default=5.0,
-        help="funnel strategy: percentage of each layer's grid "
-             "re-evaluated exactly after analytical pruning "
-             "(default: 5)")
+        "--funnel-topk", dest="funnel_topk", type=float, default=None,
+        help="funnel strategy only: percentage of each layer's grid "
+             "re-evaluated exactly after analytical pruning (default: "
+             f"{DEFAULT_FUNNEL_TOP_FRACTION * 100:g})")
     p_dse.set_defaults(func=cmd_dse)
 
     p_traffic = subparsers.add_parser(

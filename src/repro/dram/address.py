@@ -13,9 +13,26 @@ the same command in lockstep (see :mod:`repro.dram.spec`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ConfigurationError
 from .spec import DRAMOrganization
+
+#: Coordinate fields, outermost level first.
+_FIELDS = ("channel", "rank", "bank", "subarray", "row", "column")
+
+
+def bounds_of(organization: DRAMOrganization) -> Tuple[int, ...]:
+    """Exclusive bound of each field, channel first, in ``organization``."""
+    return (organization.channels, organization.ranks_per_channel,
+            organization.banks_per_chip, organization.subarrays_per_bank,
+            organization.rows_per_subarray, organization.bursts_per_row)
+
+
+def _check_field(name: str, value) -> None:
+    if not isinstance(value, int) or value < 0:
+        raise ConfigurationError(
+            f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -30,23 +47,12 @@ class Coordinate:
     column: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("channel", "rank", "bank", "subarray", "row", "column"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be a non-negative integer, got {value!r}")
+        for name in _FIELDS:
+            _check_field(name, getattr(self, name))
 
     def validate(self, organization: DRAMOrganization) -> None:
         """Raise :class:`ConfigurationError` if out of range for ``organization``."""
-        bounds = {
-            "channel": organization.channels,
-            "rank": organization.ranks_per_channel,
-            "bank": organization.banks_per_chip,
-            "subarray": organization.subarrays_per_bank,
-            "row": organization.rows_per_subarray,
-            "column": organization.bursts_per_row,
-        }
-        for name, bound in bounds.items():
+        for name, bound in zip(_FIELDS, bounds_of(organization)):
             value = getattr(self, name)
             if value >= bound:
                 raise ConfigurationError(
@@ -69,13 +75,18 @@ class Coordinate:
         return (self.subarray, self.row)
 
     def replace(self, **fields: int) -> "Coordinate":
-        """Return a copy with ``fields`` substituted."""
-        values = {
-            "channel": self.channel, "rank": self.rank, "bank": self.bank,
-            "subarray": self.subarray, "row": self.row, "column": self.column,
-        }
-        values.update(fields)
-        return Coordinate(**values)
+        """Return a copy with ``fields`` substituted.
+
+        Only the substituted fields are checked: the others were
+        checked when this coordinate was built.
+        """
+        for name, value in fields.items():
+            if name not in _FIELDS:
+                raise TypeError(f"Coordinate has no field {name!r}")
+            _check_field(name, value)
+        copy = object.__new__(Coordinate)
+        copy.__dict__.update(self.__dict__, **fields)
+        return copy
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ch{self.channel}/ra{self.rank}/ba{self.bank}"

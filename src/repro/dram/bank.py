@@ -120,7 +120,8 @@ class BankState:
     @property
     def open_subarrays(self) -> List[int]:
         """Indices of subarrays with an activated row."""
-        return [i for i, s in self.subarrays.items() if s.is_open]
+        return [i for i, s in self.subarrays.items()
+                if s.open_row is not None]
 
     @property
     def any_open(self) -> bool:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from .commands import Request, ServicedRequest
@@ -180,9 +180,12 @@ class ContentionConfig:
 # Arbiter policies
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RequestorView:
+class RequestorView(NamedTuple):
     """Snapshot of one backlogged requestor handed to the arbiter.
+
+    A named tuple rather than a frozen dataclass: the crossbar builds
+    one per candidate per grant, and a tuple is the cheapest immutable
+    record to build.
 
     Attributes
     ----------

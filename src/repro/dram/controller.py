@@ -41,7 +41,7 @@ from .architecture import (
     DRAMArchitecture,
     behavior_of,
 )
-from .address import Coordinate
+from .address import Coordinate, bounds_of
 from .bank import NEVER, BankState, RankState
 from .commands import (
     Command,
@@ -61,7 +61,7 @@ from .spec import DRAMOrganization
 from .timing import TimingParameters
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Outcome:
     """Row-buffer outcome of a request before scheduling it."""
 
@@ -73,6 +73,11 @@ class _Outcome:
     #: True when the victim lives in a *different* subarray than the
     #: target, i.e. SALP overlap rules apply.
     victim_is_other_subarray: bool = False
+
+
+#: The victim-free outcomes, shared instead of built per request.
+_HIT = _Outcome(hit=True)
+_MISS = _Outcome(miss=True)
 
 
 class MemoryController:
@@ -102,6 +107,7 @@ class MemoryController:
         config: Optional[ControllerConfig] = None,
     ) -> None:
         self.organization = organization
+        self._bounds = bounds_of(organization)
         self.timings = timings
         self.architecture = architecture
         self.behavior: ArchitectureBehavior = behavior_of(architecture)
@@ -120,6 +126,8 @@ class MemoryController:
         self._active_cycles: int = 0
         self._last_data_end: int = 0
         self._next_refresh: int = timings.tREFI
+        #: End of the latest REF (its cycle + tRFC): no ACT before it.
+        self._refresh_done: int = 0
 
     # ------------------------------------------------------------------
     # State accessors
@@ -181,9 +189,14 @@ class MemoryController:
                 while not exhausted \
                         and len(window) < self._window_size:
                     try:
-                        window.append(next(iterator))
+                        request = next(iterator)
                     except StopIteration:
                         exhausted = True
+                    else:
+                        # Checked on entry, so the scheduler's hit
+                        # probes may read the bank state unchecked.
+                        self._check_range(request.coordinate)
+                        window.append(request)
                 if not window:
                     break
                 index = self._scheduler.select(window, self._would_hit)
@@ -208,16 +221,30 @@ class MemoryController:
         self._active_cycles = 0
         self._last_data_end = 0
         self._next_refresh = self.timings.tREFI
+        self._refresh_done = 0
 
     # ------------------------------------------------------------------
     # Request servicing
     # ------------------------------------------------------------------
 
+    def _check_range(self, coord: Coordinate) -> None:
+        """Raise :class:`ConfigurationError` if ``coord`` is out of range.
+
+        One comparison per field against bounds computed once; the
+        coordinate's own :meth:`~Coordinate.validate` builds the
+        message.
+        """
+        channels, ranks, banks, subarrays, rows, columns = self._bounds
+        if coord.channel >= channels or coord.rank >= ranks \
+                or coord.bank >= banks or coord.subarray >= subarrays \
+                or coord.row >= rows or coord.column >= columns:
+            coord.validate(self.organization)
+
     def _service(self, request: Request) -> None:
         if self.refresh_enabled:
             self._maybe_refresh()
         coord = request.coordinate
-        coord.validate(self.organization)
+        self._check_range(coord)
         bank = self.bank_state(coord.bank_key)
         rank = self.rank_state((coord.channel, coord.rank))
         if self._idle_limit is not None:
@@ -280,10 +307,14 @@ class MemoryController:
         """Issue an all-bank REF when the tREFI deadline has passed.
 
         The refresh internally precharges every bank: all open rows are
-        lost and no activation may start until tRFC has elapsed.  The
-        paper's per-access characterization excludes refresh (as does
-        the default controller configuration); enabling it lets users
-        measure its overhead on full-layer traces.
+        lost and no activation may start until tRFC has elapsed.  That
+        barrier is held at the controller (``_refresh_done``), so it
+        holds back the next ACT of every bank and subarray, including
+        those no request has touched yet and so have no state object
+        to reset.  The paper's per-access characterization excludes
+        refresh (as does the default controller configuration);
+        enabling it lets users measure its overhead on full-layer
+        traces.
         """
         timings = self.timings
         while self._last_data_end >= self._next_refresh:
@@ -293,6 +324,9 @@ class MemoryController:
             for rank in self._ranks.values():
                 rank.record_command(refresh_cycle)
             ready = refresh_cycle + timings.tRFC
+            # The barrier is the bank-level wait: every column command
+            # after the REF follows an ACT at or after ``ready``.
+            self._refresh_done = ready
             for bank in self._banks.values():
                 for subarray_state in bank.subarrays.values():
                     subarray_state.open_row = None
@@ -301,9 +335,6 @@ class MemoryController:
                     subarray_state.last_write_data_end = NEVER
                     subarray_state.precharge_done = ready
                 bank.mru_subarray = None
-                bank.precharge_done = max(bank.precharge_done, ready)
-            for rank in self._ranks.values():
-                rank.bus_free = max(rank.bus_free, ready)
             self._commands.append(Command(
                 kind=CommandKind.REF,
                 cycle=refresh_cycle,
@@ -320,7 +351,7 @@ class MemoryController:
         target = bank.subarray(coord.subarray)
         if self.behavior.multiple_activated_subarrays:
             if target.open_row == coord.row:
-                return _Outcome(hit=True)
+                return _HIT
             if target.is_open:
                 # Wrong row in the *same* subarray: SALP cannot help.
                 return _Outcome(
@@ -329,15 +360,14 @@ class MemoryController:
                     victim_is_other_subarray=False)
             # Subarray closed: a fresh activation, regardless of other
             # subarrays' state (their buffers stay open under MASA).
-            return _Outcome(miss=True)
+            return _MISS
 
         open_subarray = bank.the_open_subarray()
         if open_subarray is None:
-            return _Outcome(miss=True)
-        open_state = bank.subarray(open_subarray)
+            return _MISS
         if open_subarray == coord.subarray \
-                and open_state.open_row == coord.row:
-            return _Outcome(hit=True)
+                and target.open_row == coord.row:
+            return _HIT
         return _Outcome(
             conflict=True,
             victim_subarray=open_subarray,
@@ -353,20 +383,24 @@ class MemoryController:
     def _would_hit(self, request: Request) -> bool:
         """Hit predicate for the scheduler's row-hit-first selection.
 
-        Evaluated against the *current* bank state, exactly as the
-        request would classify if serviced next — including the
-        timeout row policy's pending expiry (an expired row cannot be
-        hit; it will be closed before service).
+        A plain read of the *current* bank state, true exactly when
+        the request would classify as a hit if serviced next: its
+        subarray holds its row open and, under the timeout row policy,
+        that row has not idled past the limit (an expired row is
+        closed before service).  The target subarray alone decides,
+        because a bank without MASA holds at most one open subarray
+        (:meth:`_classify` asserts it on every service).  It neither
+        validates (the window did, on entry) nor creates state.
         """
         coord = request.coordinate
-        coord.validate(self.organization)
-        bank = self.bank_state(coord.bank_key)
-        target = bank.subarray(coord.subarray)
-        if self._idle_limit is not None and target.is_open \
-                and target.last_use + self._idle_limit \
-                <= self._last_data_end:
+        bank = self._banks.get((coord.channel, coord.rank, coord.bank))
+        if bank is None:
             return False
-        return self._classify(bank, coord).hit
+        target = bank.subarrays.get(coord.subarray)
+        if target is None or target.open_row != coord.row:
+            return False
+        return self._idle_limit is None \
+            or target.last_use + self._idle_limit > self._last_data_end
 
     def _expire_idle_rows(self, rank: RankState, bank: BankState,
                           coord) -> None:
@@ -441,6 +475,7 @@ class MemoryController:
         earliest = max(
             rank.earliest_activate(timings),
             target.precharge_done,
+            self._refresh_done,
             0,
         )
         if not self.behavior.overlap_precharge_with_activation:

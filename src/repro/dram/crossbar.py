@@ -116,11 +116,8 @@ class _RequestorState:
 
     def view(self) -> RequestorView:
         return RequestorView(
-            index=self.index,
-            waited=self.waited,
-            would_hit=self.bank_machine.would_hit(self.queue[0]),
-            in_flight=self.in_flight,
-        )
+            self.index, self.waited,
+            self.bank_machine.would_hit(self.queue[0]), self.in_flight)
 
 
 class Crossbar:

@@ -73,6 +73,22 @@ class TestReplace:
         coord = Coordinate()
         assert coord.replace(bank=1) is not coord
 
+    def test_replace_equals_a_fresh_coordinate(self):
+        moved = Coordinate(bank=1, row=2, column=3).replace(
+            subarray=4, column=0)
+        fresh = Coordinate(bank=1, subarray=4, row=2, column=0)
+        assert moved == fresh and hash(moved) == hash(fresh)
+        with pytest.raises(Exception):
+            moved.bank = 3
+
+    def test_replace_checks_substituted_fields(self):
+        with pytest.raises(ConfigurationError, match="column"):
+            Coordinate().replace(column=-1)
+        with pytest.raises(ConfigurationError, match="row"):
+            Coordinate().replace(row=1.5)
+        with pytest.raises(TypeError, match="plane"):
+            Coordinate().replace(plane=1)
+
     def test_ordering_is_lexicographic(self):
         assert Coordinate(bank=0, row=5) < Coordinate(bank=1, row=0)
 

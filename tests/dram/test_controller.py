@@ -5,8 +5,11 @@ import pytest
 from repro.dram.address import Coordinate
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.commands import CommandKind, Request
+from repro.dram.contention import contention_config
 from repro.dram.controller import MemoryController
+from repro.dram.crossbar import Crossbar
 from repro.dram.device import default_device
+from repro.dram.policies import controller_config
 from repro.dram.timing import DDR3_1600_TIMINGS as T
 from repro.errors import ConfigurationError
 
@@ -205,3 +208,39 @@ class TestServiceOrder:
         # After reset the same request is a miss again, starting at 0.
         assert trace.row_misses == 1
         assert trace.total_cycles == T.tRCD + T.tCL + T.tBL
+
+
+OUT_OF_RANGE = {"channel": 2, "rank": 3, "bank": 99, "subarray": 99,
+                "row": 10 ** 6, "column": 999}
+
+
+class TestOutOfRangeCoordinates:
+    """Every path into the controller rejects an out-of-range
+    coordinate with the coordinate's own ConfigurationError, not a
+    scheduling error from the bank state it would have indexed."""
+
+    @staticmethod
+    def stream(field):
+        bad = Request.read(Coordinate(**{field: OUT_OF_RANGE[field]}))
+        return [read(column=i) for i in range(3)] + [bad, read(column=3)]
+
+    @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+    def test_rejected_under_fr_fcfs(self, field):
+        controller = MemoryController(
+            ORG, T, DRAMArchitecture.SALP_MASA,
+            config=controller_config("fr-fcfs", "timeout"))
+        with pytest.raises(ConfigurationError,
+                           match=f"{field}=.* out of range"):
+            controller.run(self.stream(field))
+
+    @pytest.mark.parametrize("scheduler", ["fcfs", "fr-fcfs"])
+    @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+    def test_rejected_through_a_two_requestor_crossbar(
+            self, field, scheduler):
+        crossbar = Crossbar(
+            MemoryController(ORG, T, DRAMArchitecture.SALP_1,
+                             config=controller_config(scheduler)),
+            contention_config(requestors=2, arbiter="age-based"))
+        with pytest.raises(ConfigurationError,
+                           match=f"{field}=.* out of range"):
+            crossbar.run_merged(self.stream(field))

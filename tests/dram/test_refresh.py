@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dram.address import Coordinate
-from repro.dram.architecture import DRAMArchitecture
+from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.dram.commands import CommandKind, Request
 from repro.dram.controller import MemoryController
 from repro.dram.device import default_device
@@ -84,3 +84,53 @@ class TestRefreshEnabled:
         accountant = EnergyAccountant(model, include_background=False)
         with_refresh = accountant.account(run(refresh_enabled=True))
         assert with_refresh.refresh_nj > 0
+
+
+class TestRefreshHoldsBackUntouchedState:
+    """tRFC holds back the first ACT to a bank or subarray that no
+    request touched before the REF, as it does for touched ones.
+
+    1,489 reads to bank 0 put the first REF at tREFI (cycle 6240) just
+    before one more read, which goes to fresh state.  Without a
+    controller-level barrier its ACT could land at 5901, before the
+    REF, and leave the row open across it."""
+
+    @staticmethod
+    def commands_after_bank0_traffic(architecture, last):
+        stream = [Request.read(Coordinate(
+            bank=0, row=(i // 128) % 4, column=i % 128))
+            for i in range(1489)]
+        stream.append(Request.read(last))
+        controller = MemoryController(
+            ORG, T, architecture, refresh_enabled=True)
+        trace = controller.run(stream)
+        refs = [c.cycle for c in trace.commands
+                if c.kind is CommandKind.REF]
+        mine = [(c.kind, c.cycle) for c in trace.commands
+                if c.kind is not CommandKind.REF
+                and c.coordinate.subarray_key == last.subarray_key]
+        return refs, mine
+
+    @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+    def test_untouched_bank(self, architecture):
+        refs, mine = self.commands_after_bank0_traffic(
+            architecture, Coordinate(bank=1))
+        assert refs == [T.tREFI]
+        assert mine == [(CommandKind.ACT, T.tREFI + T.tRFC),
+                        (CommandKind.RD, T.tREFI + T.tRFC + T.tRCD)]
+
+    @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+    def test_untouched_subarray(self, architecture):
+        refs, mine = self.commands_after_bank0_traffic(
+            architecture, Coordinate(subarray=1))
+        assert refs == [T.tREFI]
+        assert mine == [(CommandKind.ACT, T.tREFI + T.tRFC),
+                        (CommandKind.RD, T.tREFI + T.tRFC + T.tRCD)]
+
+    def test_reset_clears_the_barrier(self):
+        controller = MemoryController(
+            ORG, T, DRAMArchitecture.SALP_1, refresh_enabled=True)
+        controller.run(long_conflict_stream(400))
+        controller.reset()
+        trace = controller.run([Request.read(Coordinate(bank=3))])
+        assert [c.cycle for c in trace.commands] == [0, T.tRCD]

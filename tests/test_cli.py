@@ -458,6 +458,29 @@ class TestSearchStrategies:
                          "funnel", "--funnel-topk", topk],
                 "--funnel-topk must be in (0, 100]")
 
+    def test_funnel_topk_refused_outside_funnel(self, capsys):
+        """The percentage changes only the funnel's run, so every
+        other strategy refuses it, whatever its value."""
+        for strategy_flags, topk in (
+                (["--strategy", "random"], "10"),
+                (["--strategy", "greedy-refine"], "50"),
+                (["--strategy", "random"], "0"),
+                ([], "5")):
+            assert_usage_error(
+                capsys, ["dse", "--model", "lenet5", "--funnel-topk",
+                         topk] + strategy_flags,
+                "funnel strategy only", "--funnel-topk")
+
+    def test_funnel_topk_defaults_to_five_percent(self, capsys):
+        code, default = run_cli(capsys, "dse", "--model", "lenet5",
+                                "--strategy", "funnel")
+        assert code == 0
+        code, explicit = run_cli(capsys, "dse", "--model", "lenet5",
+                                 "--strategy", "funnel",
+                                 "--funnel-topk", "5")
+        assert code == 0
+        assert explicit == default
+
 
 class TestDiskCache:
     @staticmethod
