@@ -25,7 +25,11 @@ record back onto the DAG (network EDP + hand-off analysis).
 
 from __future__ import annotations
 
+import bisect
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..caching import CacheStats
@@ -57,6 +61,68 @@ class DsePoint:
         return self.result.edp_js
 
 
+class TablePoints(SequenceABC):
+    """Read-only, grid-ordered ``Sequence[DsePoint]`` over point tables.
+
+    The points of an engine result (and of one vector-evaluated chunk)
+    live in columnar tables, one per layer
+    (:class:`repro.core.eval_kernel.PointTable`).  Indexing or
+    iterating builds each :class:`DsePoint` on demand — a new object
+    every time, equal (float for float) to the one the scalar loop
+    builds — and nothing keeps it.  The sequence compares equal to a
+    list, or another ``TablePoints``, holding equal points in the same
+    order.
+    """
+
+    __slots__ = ("tables", "_starts", "_size")
+
+    def __init__(self, tables) -> None:
+        self.tables = tuple(tables)
+        self._starts = []
+        self._size = 0
+        for table in self.tables:
+            self._starts.append(self._size)
+            self._size += len(table)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._size))]
+        index = operator.index(index)
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError("point index out of range")
+        position = bisect.bisect_right(self._starts, index) - 1
+        return self.tables[position].point(index - self._starts[position])
+
+    def __iter__(self):
+        return chain.from_iterable(self.tables)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, TablePoints)):
+            return NotImplemented
+        return len(self) == len(other) \
+            and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"<TablePoints: {self._size} points in "
+                f"{len(self.tables)} tables>")
+
+    def minima(self, architecture, scheme, policy, layer_name=None):
+        """``(edp_js, table, row)`` of each matching table's minimum,
+        in grid order."""
+        for table in self.tables:
+            if layer_name is None or table.layer_name == layer_name:
+                found = table.argmin(architecture, scheme, policy)
+                if found is not None:
+                    yield found[0], table, found[1]
+
+
 @dataclass
 class DseResult:
     """Full exploration record for one layer (or one network layer set).
@@ -77,9 +143,18 @@ class DseResult:
     whole search, a funnel's analytical scoring pass included — so
     cache effectiveness is visible per run, not just process-wide
     (``None`` for records built outside the engine).
+
+    An engine result's ``points`` is a read-only :class:`TablePoints`
+    over one columnar table per layer: :meth:`best`, :meth:`filtered`,
+    :func:`best_mapping_per_layer`, :func:`min_edp_series` and
+    :func:`repro.workloads.network_dse_summary` select on the columns
+    and build only the points they return.  Records of
+    ``ExplorationEngine(eval_model="scalar")`` and records built by
+    callers hold a plain list, selected point by point — the reference
+    the columnar selection is tested against.
     """
 
-    points: List[DsePoint] = field(default_factory=list)
+    points: Sequence[DsePoint] = field(default_factory=list)
     strategy: str = "exhaustive"
     seed: Optional[int] = None
     total_points: int = 0
@@ -105,6 +180,14 @@ class DseResult:
 
         Ties go to the earliest point in grid order.
         """
+        if isinstance(self.points, TablePoints):
+            winner = min(
+                self.points.minima(architecture, scheme, policy, layer_name),
+                key=operator.itemgetter(0), default=None)
+            if winner is None:
+                raise DseError("no DSE point matches the given filters")
+            _edp, table, row = winner
+            return table.point(row)
         candidates = self.filtered(
             architecture=architecture, scheme=scheme, policy=policy,
             layer_name=layer_name)
@@ -120,6 +203,11 @@ class DseResult:
         layer_name: Optional[str] = None,
     ) -> List[DsePoint]:
         """Points matching all provided filters."""
+        if isinstance(self.points, TablePoints):
+            return [point for table in self.points.tables
+                    if layer_name is None or table.layer_name == layer_name
+                    for point in table.select(architecture, scheme, policy)]
+
         def keep(point: DsePoint) -> bool:
             if architecture is not None \
                     and point.architecture is not architecture:
@@ -223,6 +311,15 @@ def best_mapping_per_layer(
     Ties go to the earliest point in grid order, as in
     :meth:`DseResult.best`.
     """
+    if isinstance(result.points, TablePoints):
+        minima = {}
+        for edp, table, row in result.points.minima(
+                architecture, scheme, None):
+            incumbent = minima.get(table.layer_name)
+            if incumbent is None or edp < incumbent[0]:
+                minima[table.layer_name] = (edp, table, row)
+        return {name: table.point(row)
+                for name, (_edp, table, row) in minima.items()}
     by_layer: Dict[str, DsePoint] = {}
     for point in result.filtered(architecture=architecture, scheme=scheme):
         incumbent = by_layer.get(point.layer_name)

@@ -86,11 +86,12 @@ from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
 from ..workloads.network import as_layers
-from .dse import DsePoint, DseResult
+from .dse import DsePoint, DseResult, TablePoints
 from .edp import layer_edp
 from .eval_kernel import (
     iter_layer_segments,
     make_chunk_evaluator,
+    point_tables,
     validate_eval_model,
 )
 from .strategies import StrategyRun, get_strategy
@@ -471,7 +472,10 @@ class ExplorationEngine:
         the default exhaustive strategy and the evaluated subset under
         the others.  The result records the strategy, seed,
         evaluation counts and the evaluation-cache activity of the
-        whole search, a funnel's scoring pass included.
+        whole search, a funnel's scoring pass included.  Under the
+        default ``eval_model="auto"`` the points are a read-only
+        :class:`~repro.core.dse.TablePoints` over one columnar table
+        per layer; under ``"scalar"`` they are a list.
         """
         search = get_strategy(strategy, **(strategy_options or {}))
         context = _build_context(
@@ -482,13 +486,19 @@ class ExplorationEngine:
             seed=seed,
             total_points=context.total_points,
         )
-        shards: Dict[int, List[DsePoint]] = {}
+        shards: Dict[int, Sequence[DsePoint]] = {}
         before = self.evaluation_cache.stats
         for start, points in search.shards(self, context, run):
             run.exact_points += len(points)
             shards[start] = points
         after = self.evaluation_cache.stats
-        result = DseResult(
+        ordered = [(start, shards[start]) for start in sorted(shards)]
+        if self.eval_model == "scalar":
+            points = [point for _start, shard in ordered for point in shard]
+        else:
+            points = TablePoints(point_tables(context, ordered))
+        return DseResult(
+            points=points,
             strategy=run.strategy,
             seed=run.seed,
             total_points=run.total_points,
@@ -498,16 +508,13 @@ class ExplorationEngine:
                 hits=after.hits - before.hits,
                 misses=after.misses - before.misses),
         )
-        for start in sorted(shards):
-            result.points.extend(shards[start])
-        return result
 
     # -- executors -----------------------------------------------------
 
     def _shard_results(
         self,
         context: ExplorationContext,
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
+    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
         """Yield ``(start, points)`` for the full grid, one per layer.
 
         The exhaustive strategy's executor: each layer's slice of the
@@ -523,7 +530,7 @@ class ExplorationEngine:
         self,
         context: ExplorationContext,
         indices: Sequence[int],
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
+    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
         """Yield shards covering exactly ``indices`` (sorted, unique).
 
         Consecutive indices coalesce into contiguous ``(start, stop)``
@@ -548,7 +555,7 @@ class ExplorationEngine:
         self,
         context: ExplorationContext,
         shards: Iterator[Tuple[int, int]],
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
+    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
         """Evaluate ``(start, stop)`` shards in order, in this process."""
         evaluator = make_chunk_evaluator(
             context, self.evaluation_cache, self.eval_model,

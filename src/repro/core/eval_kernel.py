@@ -22,16 +22,23 @@ contiguous index range as numpy batches instead:
    (:meth:`~repro.dram.characterize.CharacterizationResult.cost_vectors`)
    and folded with the counts into dense ``[arch, policy, length]``
    cost tables, one policy at a time over every architecture at once;
-   per-point work is then pure gather + multiply-add, and each point
-   becomes two objects (a ``DsePoint`` and its ``LayerEDP``, whose
-   per-type breakdown is a flat tuple of floats).
+   per-point work is then pure gather + multiply-add.
+4. **Columns, not objects** — a segment comes back as a
+   :class:`PointTable`: grid-index columns plus the float64 energy,
+   cycle and per-type cost columns the fold produced.  A ``DsePoint``
+   (and its ``LayerEDP``) is built only when a caller indexes or
+   iterates the points, and the minimum-EDP queries of
+   :class:`~repro.core.dse.DseResult` run as masked argmins over the
+   columns (:meth:`PointTable.argmin`).
 
 Bit-for-bit identity with the scalar path
 -----------------------------------------
 The kernel is *not* allowed to be "numerically close": every
 ``DsePoint`` float must equal the scalar path's bit for bit, so
 argmins, reduced merges and Pareto fronts are literally the same
-objects.  Three facts make that achievable:
+objects.  The EDP column the argmins read is computed with the same
+operations as :attr:`~repro.core.edp.LayerEDP.edp_js`, so it holds the
+same bits too.  Three facts make that achievable:
 
 * numpy float64 elementwise ops are the same IEEE-754 double ops
   CPython performs, and every integer involved is far below 2**53, so
@@ -64,14 +71,17 @@ longer than the DRAM capacity (the scalar path raises
 :class:`~repro.errors.CapacityError` there, and the fallback raises
 it identically) or a run long enough to wrap the rank/channel loops
 (where merge order becomes data-dependent; never the case for
-tile-sized runs).  ``eval_model="scalar"`` runs the reference loop
-everywhere, for the differential suite and the ratio gates.
+tile-sized runs).  The fallback's points are turned back into the
+segment's table, so a poisoned segment reads like any other.
+``eval_model="scalar"`` runs the reference loop everywhere, for the
+differential suite and the ratio gates; its results stay plain lists.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,17 +89,23 @@ from ..dram.architecture import DRAMArchitecture
 from ..errors import DseError
 from ..mapping.counts import count_transitions_batch
 from ..mapping.dims import Dim
+from ..units import NJ_PER_J, NS_PER_S
 from .conditions import DIM_TO_CONDITION, INITIAL_ACCESS_CONDITION
-from .dse import DsePoint
+from .dse import DsePoint, TablePoints
 from .edp import LayerEDP
 
 #: Recognized ``eval_model`` values: ``"auto"`` vectorizes, ``"scalar"``
 #: selects the reference loop.
 EVAL_MODELS = ("auto", "scalar")
 
-#: ``Callable[[start, stop], List[DsePoint]]`` — what the engine's
+#: ``Callable[[start, stop], Sequence[DsePoint]]`` — what the engine's
 #: shard executors call per shard.
-ChunkFn = Callable[[int, int], List[DsePoint]]
+ChunkFn = Callable[[int, int], Sequence[DsePoint]]
+
+#: Rows a :class:`PointTable` turns into points per step of an
+#: iteration: the points of one block are built together, and a block
+#: the caller has moved past can be freed.
+BUILD_BLOCK = 4096
 
 
 def validate_eval_model(eval_model: str) -> str:
@@ -119,7 +135,7 @@ class _LayerTables:
     __slots__ = (
         "resolved", "length_id", "read_tiles", "write_tiles",
         "cap_poison", "wrap_poison", "any_poison",
-        "cycles", "read_nj", "write_nj", "tck_ns",
+        "cycles", "read_nj", "write_nj",
     )
 
     def __init__(self, context, cache, grid,
@@ -210,10 +226,6 @@ class _LayerTables:
 
         self.any_poison = bool(
             self.cap_poison.any() or self.wrap_poison.any())
-        self.tck_ns = [
-            context.characterizations[architecture].tck_ns
-            for architecture in architectures
-        ]
 
     def poison_mask(self, s_idx, t_idx, p_idx):
         """Per-point mask of cells needing the scalar fallback."""
@@ -225,14 +237,9 @@ class _LayerTables:
 
 
 def _cost_fingerprint(context, cost_vectors) -> tuple:
-    """Hashable identity of a per-architecture cost-vector set.
-
-    The clock periods ride along because the tables carry them (they
-    come from the context's characterizations, not ``cost_vectors``).
-    """
+    """Hashable identity of a per-architecture cost-vector set."""
     return tuple(
-        (architecture, context.characterizations[architecture].tck_ns,
-         tuple(cost_vectors[architecture].items()))
+        (architecture, tuple(cost_vectors[architecture].items()))
         for architecture in context.architectures)
 
 
@@ -251,6 +258,232 @@ def _layer_tables_memoized(context, cache, grid, cost_vectors,
            context.organization, fingerprint)
     return cache.tables_memo.get_or_compute(
         key, lambda: _LayerTables(context, cache, grid, cost_vectors))
+
+
+# ----------------------------------------------------------------------
+# Point tables
+# ----------------------------------------------------------------------
+
+def _decode(context, grid, local):
+    """``(architecture, scheme, policy, tiling)`` index columns of
+    grid-local indices: :meth:`~repro.core.engine.ExplorationContext.decode`
+    as array arithmetic (tiling innermost, architecture outermost)."""
+    rest, t_idx = np.divmod(local, len(grid.tilings))
+    rest, p_idx = np.divmod(rest, len(context.policies))
+    a_idx, s_idx = np.divmod(rest, len(context.schemes))
+    return a_idx, s_idx, p_idx, t_idx
+
+
+class PointTable:
+    """One layer's evaluated design points, stored as columns.
+
+    Rows are in grid order.  ``indices`` holds four int columns
+    (architecture, scheme, policy, tiling) into the grid axes the table
+    references; ``energy`` (nJ), ``cycles`` and the six ``type_costs``
+    columns (:attr:`~repro.core.edp.LayerEDP.type_costs` order) are the
+    float64 values the points carry.  :meth:`point` and iteration build
+    a :class:`~repro.core.dse.DsePoint` and its
+    :class:`~repro.core.edp.LayerEDP` on demand, new objects each time
+    and equal, float for float, to the scalar loop's; :meth:`argmin`
+    and :meth:`select` answer filtered queries on the columns.
+    """
+
+    __slots__ = (
+        "layer_pos", "layer_name", "architectures", "schemes", "policies",
+        "tilings", "resolved", "tck_ns", "indices", "energy", "cycles",
+        "type_costs",
+    )
+
+    def __init__(self, context, layer_pos: int, resolved, indices,
+                 energy, cycles, type_costs) -> None:
+        grid = context.layers[layer_pos]
+        self.layer_pos = layer_pos
+        self.layer_name = grid.layer.name
+        self.architectures = context.architectures
+        self.schemes = context.schemes
+        self.policies = context.policies
+        self.tilings = grid.tilings
+        #: resolved[scheme_idx][tiling_idx] — the concrete scheme.
+        self.resolved = resolved
+        self.tck_ns = tuple(
+            context.characterizations[architecture].tck_ns
+            for architecture in context.architectures)
+        self.indices = indices
+        self.energy = energy
+        self.cycles = cycles
+        self.type_costs = type_costs
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def __iter__(self):
+        size = len(self)
+        blocks = map(slice, range(0, size, BUILD_BLOCK),
+                     range(BUILD_BLOCK, size + BUILD_BLOCK, BUILD_BLOCK))
+        return chain.from_iterable(map(self._build, blocks))
+
+    def point(self, row: int) -> DsePoint:
+        """The design point of row ``row`` (``0 <= row < len(self)``)."""
+        return self._build(slice(row, row + 1))[0]
+
+    def _build(self, rows) -> List[DsePoint]:
+        """The points of ``rows`` (a slice or an index array), in order.
+
+        Columns become Python floats once (bitwise-identical doubles),
+        then the same frozen dataclasses the scalar path builds, with
+        positional arguments in field order (the cheapest call).
+        """
+        layer_name = self.layer_name
+        architectures, schemes = self.architectures, self.schemes
+        policies, tilings = self.policies, self.tilings
+        resolved, tck_ns = self.resolved, self.tck_ns
+        layer_edp, dse_point = LayerEDP, DsePoint
+        a_idx, s_idx, p_idx, t_idx = (
+            column[rows].tolist() for column in self.indices)
+        return [
+            dse_point(layer_name, architectures[a], schemes[s],
+                      policies[p], tilings[t],
+                      layer_edp(layer_name, energy, cycles, tck_ns[a],
+                                costs, resolved[s][t]))
+            for a, s, p, t, energy, cycles, costs in zip(
+                a_idx, s_idx, p_idx, t_idx,
+                self.energy[rows].tolist(), self.cycles[rows].tolist(),
+                zip(*[column[rows].tolist()
+                      for column in self.type_costs]))
+        ]
+
+    def _mask(self, architecture, scheme, policy):
+        """Rows matching the filters as a bool mask (``None``: all).
+
+        Architectures and schemes match by identity and policies by
+        equality, as in :meth:`~repro.core.dse.DseResult.filtered`.
+        """
+        mask = None
+        for column, axis, wanted, by_identity in (
+                (self.indices[0], self.architectures, architecture, True),
+                (self.indices[1], self.schemes, scheme, True),
+                (self.indices[2], self.policies, policy, False)):
+            if wanted is None:
+                continue
+            match = np.zeros(len(self), dtype=bool)
+            for position, value in enumerate(axis):
+                if value is wanted if by_identity else value == wanted:
+                    match |= column == position
+            mask = match if mask is None else mask & match
+        return mask
+
+    def edp_js(self):
+        """EDP column in joule-seconds.
+
+        The operations of :attr:`~repro.core.edp.LayerEDP.edp_js`, one
+        for one — ``(energy / 1e9) * ((cycles * tck_ns) / 1e9)`` — so
+        every element has the bits of the point's ``edp_js``.
+        """
+        latency_ns = self.cycles * np.array(self.tck_ns)[self.indices[0]]
+        return (self.energy / NJ_PER_J) * (latency_ns / NS_PER_S)
+
+    def argmin(self, architecture=None, scheme=None,
+               policy=None) -> Optional[Tuple[float, int]]:
+        """``(edp_js, row)`` of the minimum-EDP row among those matching
+        the filters (``None`` if none does); ties go to the lowest row,
+        i.e. the lowest grid index."""
+        edp = self.edp_js()
+        mask = self._mask(architecture, scheme, policy)
+        if mask is None:
+            if not len(edp):
+                return None
+            row = int(np.argmin(edp))
+        else:
+            rows = np.flatnonzero(mask)
+            if not len(rows):
+                return None
+            row = int(rows[np.argmin(edp[rows])])
+        return float(edp[row]), row
+
+    def select(self, architecture=None, scheme=None,
+               policy=None) -> List[DsePoint]:
+        """The points matching the filters, in grid order."""
+        mask = self._mask(architecture, scheme, policy)
+        return self._build(
+            slice(None) if mask is None else np.flatnonzero(mask))
+
+
+def _table_from_points(context, layer_pos: int, indices,
+                       points: List[DsePoint]) -> PointTable:
+    """The table of scalar-evaluated points at grid ``indices``."""
+    grid = context.layers[layer_pos]
+    columns = _decode(
+        context, grid, np.array(indices, dtype=np.int64) - grid.offset)
+    # Only the cells the points visited are known (and needed).
+    resolved = [[None] * len(grid.tilings) for _ in context.schemes]
+    for s, t, point in zip(columns[1].tolist(), columns[3].tolist(),
+                           points):
+        resolved[s][t] = point.result.resolved_scheme
+    results = [point.result for point in points]
+    type_costs = np.array([result.type_costs for result in results],
+                          dtype=np.float64).reshape(-1, 6).T
+    return PointTable(
+        context, layer_pos, resolved, columns,
+        np.array([result.energy_nj for result in results],
+                 dtype=np.float64),
+        np.array([result.cycles for result in results], dtype=np.float64),
+        tuple(type_costs))
+
+
+def _concatenate(context, parts: List[PointTable]) -> PointTable:
+    """Join one layer's tables, given in grid order, into one."""
+    if len(parts) == 1:
+        return parts[0]
+    resolved = parts[0].resolved
+    for part in parts[1:]:
+        if part.resolved is not resolved:
+            resolved = [
+                [mine if mine is not None else theirs
+                 for mine, theirs in zip(row, other)]
+                for row, other in zip(resolved, part.resolved)]
+
+    def join(column_sets):
+        return tuple(map(np.concatenate, zip(*column_sets)))
+
+    return PointTable(
+        context, parts[0].layer_pos, resolved,
+        join(part.indices for part in parts),
+        np.concatenate([part.energy for part in parts]),
+        np.concatenate([part.cycles for part in parts]),
+        join(part.type_costs for part in parts))
+
+
+def point_tables(context, shards) -> List[PointTable]:
+    """One grid-ordered :class:`PointTable` per evaluated layer.
+
+    ``shards`` are non-overlapping ``(start, points)`` pairs in
+    ascending ``start`` order.  A :class:`ChunkEvaluator`'s
+    :class:`~repro.core.dse.TablePoints` pass their tables through;
+    plain point lists (a strategy's single-point probes) are converted,
+    each consecutive run of them within a layer at once.  Joining a
+    layer's parts in that order keeps its rows in grid order.
+    """
+    # Per layer: tables and (indices, points) runs of plain points.
+    parts: Dict[int, list] = {}
+    for start, points in shards:
+        if isinstance(points, TablePoints):
+            for table in points.tables:
+                parts.setdefault(table.layer_pos, []).append(table)
+            continue
+        for layer_pos, seg_start, seg_stop in iter_layer_segments(
+                context, start, start + len(points)):
+            layer_parts = parts.setdefault(layer_pos, [])
+            if not layer_parts or isinstance(layer_parts[-1], PointTable):
+                layer_parts.append(([], []))
+            indices, run = layer_parts[-1]
+            indices.extend(range(seg_start, seg_stop))
+            run.extend(points[seg_start - start:seg_stop - start])
+    return [
+        _concatenate(context, [
+            part if isinstance(part, PointTable)
+            else _table_from_points(context, layer_pos, *part)
+            for part in layer_parts])
+        for layer_pos, layer_parts in sorted(parts.items())]
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +506,13 @@ def iter_layer_segments(context, start: int, stop: int):
 
 
 class ChunkEvaluator:
-    """Vectorized ``(start, stop) -> List[DsePoint]`` chunk evaluator.
+    """Vectorized ``(start, stop) -> TablePoints`` chunk evaluator.
 
     The engine builds one per exploration; per-layer tables are built
     lazily on the first chunk touching the layer and reused for the
-    rest of the run.
+    rest of the run.  Each call returns one :class:`PointTable` per
+    layer segment of the range, wrapped as a
+    :class:`~repro.core.dse.TablePoints` sequence.
     ``scalar_fallback`` is the reference per-point loop, used for
     poisoned segments (see the module docstring).
     """
@@ -305,37 +540,29 @@ class ChunkEvaluator:
             self._tables[layer_pos] = tables
         return tables
 
-    def __call__(self, start: int, stop: int) -> List[DsePoint]:
-        points: List[DsePoint] = []
-        for layer_pos, seg_start, seg_stop in iter_layer_segments(
-                self.context, start, stop):
-            segment = self._segment(layer_pos, seg_start, seg_stop)
-            if segment is None:
-                segment = self.scalar_fallback(seg_start, seg_stop)
-            points.extend(segment)
-        return points
+    def __call__(self, start: int, stop: int) -> TablePoints:
+        return TablePoints([
+            self._segment(layer_pos, seg_start, seg_stop)
+            for layer_pos, seg_start, seg_stop in iter_layer_segments(
+                self.context, start, stop)])
 
     def _segment(self, layer_pos: int, start: int,
-                 stop: int) -> Optional[List[DsePoint]]:
-        """Vector-evaluate one within-layer segment (None: fall back)."""
+                 stop: int) -> PointTable:
+        """Evaluate one within-layer segment into its table."""
         context = self.context
         tables = self._layer_tables(layer_pos)
         grid = context.layers[layer_pos]
-        n_tilings = len(grid.tilings)
-        n_policies = len(context.policies)
-        n_schemes = len(context.schemes)
-
-        # Grid decode as array arithmetic (tiling innermost,
-        # architecture outermost — ExplorationContext.decode).
         local = np.arange(start - grid.offset, stop - grid.offset,
                           dtype=np.int64)
-        rest, t_idx = np.divmod(local, n_tilings)
-        rest, p_idx = np.divmod(rest, n_policies)
-        a_idx, s_idx = np.divmod(rest, n_schemes)
+        indices = a_idx, s_idx, p_idx, t_idx = _decode(context, grid, local)
 
         if tables.any_poison \
                 and bool(tables.poison_mask(s_idx, t_idx, p_idx).any()):
-            return None
+            # The scalar loop prices (or refuses) the segment; its
+            # points become the segment's table.
+            return _table_from_points(
+                context, layer_pos, range(start, stop),
+                self.scalar_fallback(start, stop))
 
         # Per-type gather + multiply-add, replicating _data_type_cost:
         # cycles = (CYC * read_tiles) + (CYC * write_tiles) and
@@ -353,29 +580,8 @@ class ChunkEvaluator:
                 + tables.write_nj[a_idx, p_idx, length] * writes)
         cycles = (type_costs[0] + type_costs[2]) + type_costs[4]
         energy = (type_costs[1] + type_costs[3]) + type_costs[5]
-
-        # Materialize Python floats once (bitwise-identical doubles),
-        # then build the same frozen dataclasses the scalar path does,
-        # with positional arguments in field order (the cheapest call).
-        layer_name = grid.layer.name
-        architectures = context.architectures
-        schemes = context.schemes
-        policies = context.policies
-        tilings = grid.tilings
-        resolved = tables.resolved
-        tck_ns = tables.tck_ns
-        layer_edp, dse_point = LayerEDP, DsePoint
-        return [
-            dse_point(layer_name, architectures[a], schemes[s],
-                      policies[p], tilings[t],
-                      layer_edp(layer_name, en, cyc, tck_ns[a], costs,
-                                resolved[s][t]))
-            for s, t, p, a, cyc, en, costs in zip(
-                s_idx.tolist(), t_idx.tolist(),
-                p_idx.tolist(), a_idx.tolist(),
-                cycles.tolist(), energy.tolist(),
-                zip(*[column.tolist() for column in type_costs]))
-        ]
+        return PointTable(context, layer_pos, tables.resolved, indices,
+                          energy, cycles, tuple(type_costs))
 
 
 def make_chunk_evaluator(context, cache, eval_model: str,

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..errors import ConfigurationError
 from .conditions import condition_counts
@@ -114,12 +114,14 @@ class SearchStrategy:
         engine,
         context,
         run: StrategyRun,
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
+    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
         """Yield ``(start_index, points)`` shards of evaluated points.
 
         ``points`` are contiguous in flattened grid order starting at
-        ``start_index``; shards may arrive in any order.  Every
-        yielded point must be an exact evaluation.
+        ``start_index``; shards may arrive in any order but must not
+        overlap.  Every yielded point must be an exact evaluation.
+        The engine's executors yield point tables; a list of points
+        (such as a single probe) is converted into the layer's table.
         """
         raise NotImplementedError
 

@@ -101,6 +101,12 @@ class TimingParameters:
                 f"tFAW ({self.tFAW}) must be at least tRRD ({self.tRRD})")
         if self.tCCD < 1:
             raise ConfigurationError("tCCD must be at least 1")
+        if self.tREFI <= self.tRFC:
+            # Each REF would end past the next deadline, so a
+            # refresh-on controller would refresh forever.
+            raise ConfigurationError(
+                f"tREFI ({self.tREFI}) must exceed tRFC ({self.tRFC}): "
+                "a refresh must finish before the next one is due")
 
     # ------------------------------------------------------------------
     # Derived service times (closed bank, idle bus)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cnn.scheduling import ReuseScheme
 from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS
 from ..dram.architecture import DRAMArchitecture
-from ..errors import WorkloadError
+from ..errors import DseError, WorkloadError
 from ..mapping.policy import MappingPolicy
 from .network import Network
 from .ops import TensorSpec
@@ -185,7 +185,10 @@ def network_dse_summary(
 
     Walks the compute ops in topological order, selects each op's
     minimum-EDP point (optionally restricted by architecture / scheme /
-    policy), and pairs the totals with the hand-off residency analysis.
+    policy) with :meth:`~repro.core.dse.DseResult.best`, so ties go to
+    the earliest point in grid order and an engine result selects on
+    its columns, and pairs the totals with the hand-off residency
+    analysis.
 
     Raises
     ------
@@ -197,15 +200,15 @@ def network_dse_summary(
     for op in network.topological_order():
         if op.is_traffic_only:
             continue
-        matching = result.filtered(
-            architecture=architecture, scheme=scheme, policy=policy,
-            layer_name=op.name)
-        if not matching:
+        try:
+            best = result.best(
+                architecture=architecture, scheme=scheme, policy=policy,
+                layer_name=op.name)
+        except DseError:
             raise WorkloadError(
                 f"DSE record has no points for op {op.name!r} of "
-                f"network {network.name!r}")
-        per_op.append(
-            (op.name, min(matching, key=lambda point: point.edp_js)))
+                f"network {network.name!r}") from None
+        per_op.append((op.name, best))
     return NetworkDseSummary(
         network_name=network.name,
         per_op=tuple(per_op),

@@ -1,5 +1,7 @@
 """Tests for DRAM refresh modelling."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.address import Coordinate
@@ -76,6 +78,20 @@ class TestRefreshEnabled:
         controller.reset()
         trace = controller.run(long_conflict_stream(10))
         assert not any(c.kind is CommandKind.REF for c in trace.commands)
+
+    def test_shortest_valid_refresh_interval_finishes(self):
+        """At tREFI = tRFC + 1, the smallest interval the timings
+        accept, every REF ends before the next is due and the run
+        finishes."""
+        timings = dataclasses.replace(T, tREFI=T.tRFC + 1)
+        controller = MemoryController(
+            ORG, timings, DRAMArchitecture.DDR3, refresh_enabled=True)
+        trace = controller.run(long_conflict_stream(20))
+        refs = [c.cycle for c in trace.commands
+                if c.kind is CommandKind.REF]
+        assert len(trace.serviced) == 20
+        assert trace.total_cycles == 2218
+        assert refs[:3] == [129, 258, 387]
 
     def test_refresh_energy_accounted(self):
         from repro.dram.energy import EnergyAccountant

@@ -1,5 +1,7 @@
 """Tests for repro.dram.timing."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.timing import (
@@ -61,6 +63,14 @@ class TestValidation:
     def test_float_cycles_rejected(self):
         with pytest.raises(ConfigurationError):
             TimingParameters(tCL=11.0)
+
+    @pytest.mark.parametrize("trefi", [128, 127, 1])
+    def test_refresh_interval_within_trfc_rejected(self, trefi):
+        """A refresh-on controller never returns when each REF ends
+        past the next deadline, so such timings are refused up front."""
+        with pytest.raises(ConfigurationError,
+                           match=rf"tREFI \({trefi}\).*tRFC \(128\)"):
+            dataclasses.replace(DDR3_1600_TIMINGS, tREFI=trefi)
 
 
 class TestAlternateSpeedGrade:

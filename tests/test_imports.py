@@ -12,7 +12,10 @@ with the standard library's :mod:`ast`:
   and each ``__all__`` entry must be bound or defined in the file.
 
 A third check runs ``import repro.cli`` in a fresh interpreter and
-lists the standard-library modules it must not load.
+lists the standard-library modules it must not load, and a fourth
+keeps numpy out of the module-level imports of the exploration
+record and its network analysis, which select on point tables
+through the tables' own methods.
 """
 
 import ast
@@ -144,3 +147,35 @@ def test_cli_import_loads_no_process_pool():
         env=env, capture_output=True, text=True, timeout=60)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+#: Modules that must import no numpy when they are imported.
+NUMPY_FREE = ("core/dse.py", "workloads/analysis.py")
+
+
+def _module_level_imports(tree):
+    """Import statements that run when the module is imported."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try, ast.With,
+                               ast.ExceptHandler)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_result_modules_import_no_numpy():
+    offending = []
+    for relative in NUMPY_FREE:
+        path = PACKAGE_ROOT / relative
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _module_level_imports(tree):
+            modules = [alias.name for alias in node.names] \
+                if isinstance(node, ast.Import) else [node.module or ""]
+            offending += [
+                f"{relative}:{node.lineno}: {module}"
+                for module in modules
+                if module == "numpy" or module.startswith("numpy.")]
+    assert not offending, "numpy imported at module level:\n" \
+        + "\n".join(offending)
