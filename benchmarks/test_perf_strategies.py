@@ -30,10 +30,12 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
         characterize_cached(architecture)
     network = zoo.vgg16()
 
-    # Pinned to the scalar evaluation backend: this gate measures the
-    # *strategy's* search-space reduction, and the vector kernel
+    # Exact evaluation pinned to the scalar backend: this gate measures
+    # the *strategy's* search-space reduction, and the vector kernel
     # (gated separately in test_perf_eval.py) compresses the exact
     # per-point cost the funnel saves — auto would conflate the two.
+    # The funnel's analytical prune runs on the vector evaluator
+    # whatever the backend, so only its survivors take the scalar loop.
     exhaustive_engine = ExplorationEngine(eval_model="scalar")
     funnel_engine = ExplorationEngine(eval_model="scalar")
     # Warm-up pass each (fills the evaluation memos, as in steady

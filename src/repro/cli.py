@@ -114,7 +114,7 @@ from .cnn.traffic import layer_traffic
 from .core.dse import explore_layer
 from .core.report import format_table
 from .dram.architecture import DRAMArchitecture
-from .dram.characterize import characterize_all, characterize_analytical
+from .dram.characterize import characterize_all
 from .dram.contention import arbiter_names, contention_config
 from .dram.device import DEVICE_REGISTRY, default_device, get_device
 from .dram.policies import (
@@ -228,6 +228,8 @@ def _layers(args: argparse.Namespace):
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     """Print the Fig.-1 per-condition costs."""
+    from .dram.analytical import analytical_characterization
+
     _configure_store(args)
     requested = _architecture(args.arch) if args.arch else None
     scenario = _scenario(args)
@@ -260,7 +262,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             architectures = profile.supported_architectures
         if args.analytical:
             results = {
-                architecture: characterize_analytical(architecture, here)
+                architecture: analytical_characterization(
+                    architecture, here)
                 for architecture in architectures
             }
         else:

@@ -21,7 +21,6 @@ from .edp import LayerEDP, NetworkEDP, layer_edp, network_edp
 from .engine import EvaluationCache, ExplorationEngine
 from .eval_kernel import (
     EVAL_MODELS,
-    batch_scores,
     make_chunk_evaluator,
     validate_eval_model,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ZERO_COST",
     "analytical_scores",
     "bar_chart",
-    "batch_scores",
     "best_mapping_per_layer",
     "condition_counts",
     "explore_layer",

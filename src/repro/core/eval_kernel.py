@@ -73,8 +73,13 @@ it identically) or a run long enough to wrap the rank/channel loops
 (where merge order becomes data-dependent; never the case for
 tile-sized runs).  The fallback's points are turned back into the
 segment's table, so a poisoned segment reads like any other.
-``eval_model="scalar"`` runs the reference loop everywhere, for the
-differential suite and the ratio gates; its results stay plain lists.
+``eval_model="scalar"`` runs the reference loop for every exact
+evaluation, for the differential suite and the ratio gates; its
+results stay plain lists.  The funnel's prune
+(:func:`repro.core.strategies.analytical_scores`) is this evaluator
+too, run over the whole grid on closed-form analytical costs whatever
+``eval_model`` says; its tables differ from the exact pass's only in
+those costs, so each pass builds and memoizes its own.
 """
 
 from __future__ import annotations
@@ -234,30 +239,6 @@ class _LayerTables:
             mask = mask | self.wrap_poison[
                 p_idx, self.length_id[s_idx, t_idx, y]]
         return mask
-
-
-def _cost_fingerprint(context, cost_vectors) -> tuple:
-    """Hashable identity of a per-architecture cost-vector set."""
-    return tuple(
-        (architecture, tuple(cost_vectors[architecture].items()))
-        for architecture in context.architectures)
-
-
-def _layer_tables_memoized(context, cache, grid, cost_vectors,
-                           fingerprint) -> _LayerTables:
-    """Fetch (or build) one layer's table set through the cache.
-
-    Table construction is the vector paths' only per-run fixed cost;
-    memoizing it on the :class:`~repro.core.engine.EvaluationCache`
-    makes repeated explorations (and the funnel's score-then-reevaluate
-    double pass) pay it once.  The key pins everything the tables are a
-    pure function of — layer, tilings, grid axes, geometry and the
-    cost vectors themselves.
-    """
-    key = (grid.layer, grid.tilings, context.schemes, context.policies,
-           context.organization, fingerprint)
-    return cache.tables_memo.get_or_compute(
-        key, lambda: _LayerTables(context, cache, grid, cost_vectors))
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +489,10 @@ def iter_layer_segments(context, start: int, stop: int):
 class ChunkEvaluator:
     """Vectorized ``(start, stop) -> TablePoints`` chunk evaluator.
 
-    The engine builds one per exploration; per-layer tables are built
-    lazily on the first chunk touching the layer and reused for the
-    rest of the run.  Each call returns one :class:`PointTable` per
+    The engine builds one per exploration, and the funnel's prune one
+    on analytical costs; per-layer tables are built lazily on the
+    first chunk touching the layer and reused for the rest of the
+    run.  Each call returns one :class:`PointTable` per
     layer segment of the range, wrapped as a
     :class:`~repro.core.dse.TablePoints` sequence.
     ``scalar_fallback`` is the reference per-point loop, used for
@@ -528,15 +510,31 @@ class ChunkEvaluator:
             for architecture, characterization
             in context.characterizations.items()
         }
-        self._fingerprint = _cost_fingerprint(context, self._cost_vectors)
+        #: Hashable identity of the cost vectors, for the tables memo.
+        self._fingerprint = tuple(
+            (architecture, tuple(self._cost_vectors[architecture].items()))
+            for architecture in context.architectures)
 
     def _layer_tables(self, layer_pos: int) -> _LayerTables:
+        """One layer's table set, fetched (or built) through the cache.
+
+        Table construction is the vector path's only per-run fixed
+        cost; memoizing it on the
+        :class:`~repro.core.engine.EvaluationCache` makes repeated
+        explorations of a grid under the same costs pay it once.  The
+        key pins everything the tables are a pure function of — layer,
+        tilings, grid axes, geometry and the cost vectors themselves.
+        """
         tables = self._tables.get(layer_pos)
         if tables is None:
-            tables = _layer_tables_memoized(
-                self.context, self.cache,
-                self.context.layers[layer_pos], self._cost_vectors,
-                self._fingerprint)
+            context, cache = self.context, self.cache
+            grid = context.layers[layer_pos]
+            key = (grid.layer, grid.tilings, context.schemes,
+                   context.policies, context.organization,
+                   self._fingerprint)
+            tables = cache.tables_memo.get_or_compute(
+                key, lambda: _LayerTables(
+                    context, cache, grid, self._cost_vectors))
             self._tables[layer_pos] = tables
         return tables
 
@@ -595,59 +593,3 @@ def make_chunk_evaluator(context, cache, eval_model: str,
     if validate_eval_model(eval_model) == "scalar":
         return scalar_fallback
     return ChunkEvaluator(context, cache, scalar_fallback)
-
-
-# ----------------------------------------------------------------------
-# Batched analytical scoring (the funnel's prune phase)
-# ----------------------------------------------------------------------
-
-def batch_scores(context, cache) -> Optional[List[float]]:
-    """Vectorized :func:`repro.core.strategies.analytical_scores`.
-
-    Same per-layer tables as the exact kernel, but folded with the
-    closed-form analytical characterization instead of the simulator's
-    — and collapsed straight to the funnel's scalar score
-    ``(energy * cycles) * tck_ns`` per point, replicating the scalar
-    scoring loop's accumulation order term for term.  Returns ``None``
-    when the grid holds a poisoned length, so the caller can use the
-    scalar loop.
-    """
-    from ..dram.analytical import analytical_characterization
-
-    cost_vectors = {
-        architecture: analytical_characterization(
-            architecture, context.scenario).cost_vectors()
-        for architecture in context.architectures
-    }
-    tck_ns = context.scenario.device.timings.tck_ns
-    fingerprint = _cost_fingerprint(context, cost_vectors)
-    scores: List[float] = []
-    for grid in context.layers:
-        tables = _layer_tables_memoized(
-            context, cache, grid, cost_vectors, fingerprint)
-        if tables.any_poison:
-            return None
-        # score[arch, scheme, policy, tiling], flattened in grid order.
-        cycle_terms = []
-        energy_terms = []
-        for y in range(3):
-            length = tables.length_id[:, :, y]  # [S, T]
-            reads = tables.read_tiles[:, :, y]
-            writes = tables.write_tiles[:, :, y]
-            # Gather [A, P, S, T] -> [A, S, P, T] so axes match the
-            # serial loop nest (arch, scheme, policy, tiling).
-            cyc = np.transpose(
-                tables.cycles[:, :, length], (0, 2, 1, 3))
-            rnj = np.transpose(
-                tables.read_nj[:, :, length], (0, 2, 1, 3))
-            wnj = np.transpose(
-                tables.write_nj[:, :, length], (0, 2, 1, 3))
-            read_write = (reads + writes)[None, :, None, :]
-            cycle_terms.append(read_write * cyc)
-            energy_terms.append(
-                reads[None, :, None, :] * rnj
-                + writes[None, :, None, :] * wnj)
-        cycles = (cycle_terms[0] + cycle_terms[1]) + cycle_terms[2]
-        energy = (energy_terms[0] + energy_terms[1]) + energy_terms[2]
-        scores.extend(((energy * cycles) * tck_ns).reshape(-1).tolist())
-    return scores

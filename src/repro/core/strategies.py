@@ -16,9 +16,10 @@ component, independent of how the engine evaluates a shard:
   dimension (tiling, mapping policy, scheme, architecture) at a time
   until no single move improves the EDP.
 * ``funnel`` — a two-phase prune→verify search: score **every** grid
-  point with the closed-form analytical cost model
-  (:mod:`repro.dram.analytical` — no cycle simulation), keep the
-  top-scoring fraction per layer, and re-evaluate only those
+  point with its EDP under the closed-form analytical costs of
+  :mod:`repro.dram.analytical` (no cycle simulation), computed by the
+  engine's own vector evaluator, keep the top-scoring fraction of
+  each (layer, architecture) slice, and re-evaluate only those
   candidates with exact characterization.  On the paper's AlexNet/DDR3
   DSE it recovers the same EDP-optimal mapping while cycle-accurately
   evaluating >=10x fewer points.
@@ -49,14 +50,14 @@ True
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..errors import ConfigurationError
-from .conditions import condition_counts
 from .dse import DsePoint
-from .edp import tile_capacity_error
 
 #: Default sampled fraction of the ``random`` strategy.
 DEFAULT_RANDOM_FRACTION = 0.05
@@ -77,6 +78,16 @@ MIN_SAMPLE_POINTS = 32
 #: even when a whole architecture scores badly, at negligible extra
 #: cost.
 MIN_EXACT_PER_SLICE = 8
+
+
+def _check_fraction(label: str, value) -> float:
+    """``value`` if it is a real number in ``(0, 1]``; anything else —
+    a bool included — raises :class:`~repro.errors.ConfigurationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0.0 < value <= 1.0:
+        raise ConfigurationError(
+            f"{label} must be a number in (0, 1], got {value!r}")
+    return value
 
 
 @dataclass
@@ -156,10 +167,7 @@ class RandomStrategy(SearchStrategy):
     uses_seed = True
 
     def __init__(self, fraction: float = DEFAULT_RANDOM_FRACTION) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"random fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
+        self.fraction = _check_fraction("random fraction", fraction)
 
     def shards(self, engine, context, run):
         total = context.total_points
@@ -190,9 +198,10 @@ class GreedyRefineStrategy(SearchStrategy):
     uses_seed = True
 
     def __init__(self, restarts: int = DEFAULT_GREEDY_RESTARTS) -> None:
-        if restarts < 1:
+        if isinstance(restarts, bool) or not isinstance(restarts, int) \
+                or restarts < 1:
             raise ConfigurationError(
-                f"greedy restarts must be >= 1, got {restarts}")
+                f"greedy restarts must be an int >= 1, got {restarts!r}")
         self.restarts = restarts
 
     def shards(self, engine, context, run):
@@ -235,14 +244,18 @@ class GreedyRefineStrategy(SearchStrategy):
 class FunnelStrategy(SearchStrategy):
     """Two-phase prune→verify: analytical scoring, then exact top-k.
 
-    Phase 1 scores **every** grid point with the closed-form
-    analytical model of :mod:`repro.dram.analytical` — pure
+    Phase 1 scores **every** grid point with
+    :func:`analytical_scores`: its EDP under the closed-form
+    per-condition costs of :mod:`repro.dram.analytical` — pure
     arithmetic on the device's JEDEC timing / IDD parameters, no
-    cycle-level simulation.  Phase 2 re-evaluates only the
-    best-scoring ``top_fraction`` of each (layer, architecture)
-    slice (floored at :data:`MIN_EXACT_PER_SLICE` points per slice,
-    so every slice stays queryable) with exact characterization,
-    through the engine's executors.
+    cycle-level simulation — from the engine's vector evaluator, which
+    the prune runs whatever the engine's ``eval_model``.  Phase 2
+    re-evaluates only the best-scoring ``top_fraction`` of each
+    (layer, architecture) slice (floored at
+    :data:`MIN_EXACT_PER_SLICE` points per slice, so every slice stays
+    queryable; tied scores keep the lowest grid index) with exact
+    characterization, through the engine's executors, which follow
+    ``eval_model``.
 
     Parameters
     ----------
@@ -259,15 +272,11 @@ class FunnelStrategy(SearchStrategy):
         self,
         top_fraction: float = DEFAULT_FUNNEL_TOP_FRACTION,
     ) -> None:
-        if not 0.0 < top_fraction <= 1.0:
-            raise ConfigurationError(
-                f"funnel top_fraction must be in (0, 1], got "
-                f"{top_fraction}")
-        self.top_fraction = top_fraction
+        self.top_fraction = _check_fraction(
+            "funnel top_fraction", top_fraction)
 
     def shards(self, engine, context, run):
-        scores = analytical_scores(
-            context, engine.evaluation_cache, eval_model=engine.eval_model)
+        scores = analytical_scores(context, engine.evaluation_cache)
         run.scored_points = len(scores)
         indices: List[int] = []
         for position, grid in enumerate(context.layers):
@@ -290,114 +299,35 @@ class FunnelStrategy(SearchStrategy):
 # Analytical scoring of a whole context
 # ----------------------------------------------------------------------
 
-def analytical_scores(context, cache,
-                      eval_model: str = "auto") -> List[float]:
-    """Closed-form EDP score of every grid point, in grid order.
+def analytical_scores(context, cache) -> List[float]:
+    """Analytical EDP of every grid point, in grid order.
 
-    Scores share the exact evaluation's structure — per-data-type
-    Eq. 2/3 run costs scaled by fetch counts — but read their
-    per-condition costs from :mod:`repro.dram.analytical` instead of
-    the cycle simulator, and collapse each point to one float with no
-    intermediate objects, so scoring the full space costs a small
-    fraction of evaluating it.
+    A score is the point's EDP in joule-seconds under the closed-form
+    per-condition costs of :mod:`repro.dram.analytical` instead of the
+    context's characterizations, computed by the engine's own vector
+    evaluator (:class:`~repro.core.eval_kernel.ChunkEvaluator`) —
+    the same code, float for float, that prices the exact phase's
+    points, with poisoned segments priced by the scalar reference
+    loop.  Scoring always runs vectorized: the per-point loop would
+    cost as much as evaluating the whole grid exactly.
 
     ``cache`` is an :class:`repro.core.engine.EvaluationCache`; the
-    traffic / adaptive-scheme / transition-count memos it fills here
-    are the same ones the exact phase reuses afterwards.
-
-    ``eval_model`` mirrors the engine knob: unless ``"scalar"``, the
-    whole pass runs through the batched kernel
-    (:func:`repro.core.eval_kernel.batch_scores`) — so the funnel's
-    prune and verify phases both go wide — with the scalar loop below
-    as the bit-identical fallback.
+    traffic and adaptive-scheme memos it fills here are the same ones
+    the exact phase reuses afterwards.
     """
-    if eval_model != "scalar":
-        from .eval_kernel import batch_scores
-
-        batched = batch_scores(context, cache)
-        if batched is not None:
-            return batched
     from ..dram.analytical import analytical_characterization
+    from .engine import _evaluate_range
+    from .eval_kernel import ChunkEvaluator
 
-    characterizations = {
+    scored = replace(context, characterizations={
         architecture: analytical_characterization(
             architecture, context.scenario)
         for architecture in context.architectures
-    }
-    organization = context.organization
-    device = context.scenario.device
-    capacity_bytes = device.capacity_bytes
-    tck_ns = device.timings.tck_ns
-    scores: List[float] = []
-    for grid in context.layers:
-        # Per (tiling, scheme): the data-type runs (accesses per tile
-        # fetch, read fetches, write fetches).
-        runs_by_scheme: List[List[Tuple[Tuple[int, int, int], ...]]] = []
-        lengths = set()
-        for scheme in context.schemes:
-            per_tiling = []
-            for tiling in grid.tilings:
-                resolved = cache.resolve_scheme(grid.layer, tiling, scheme)
-                traffic = cache.traffic(grid.layer, tiling, resolved)
-                entry = []
-                for data_type, type_traffic in traffic.by_type().items():
-                    n_accesses = organization.accesses_for_bytes(
-                        type_traffic.tile_bytes)
-                    if n_accesses == 0:
-                        continue
-                    if type_traffic.tile_bytes > capacity_bytes:
-                        raise tile_capacity_error(
-                            grid.layer, tiling, data_type,
-                            type_traffic.tile_bytes, device)
-                    entry.append((n_accesses, type_traffic.read_tiles,
-                                  type_traffic.write_tiles))
-                    lengths.add(n_accesses)
-                per_tiling.append(tuple(entry))
-            runs_by_scheme.append(per_tiling)
-        # Per-condition access counts are architecture-independent:
-        # collapse them once per (policy, run length) ...
-        collapsed: List[Dict[int, Tuple[Tuple, ...]]] = []
-        for policy in context.policies:
-            per_length: Dict[int, Tuple[Tuple, ...]] = {}
-            for n_accesses in lengths:
-                counts = cache.transition_counts(
-                    policy, organization, n_accesses)
-                per_length[n_accesses] = tuple(
-                    condition_counts(counts).items())
-            collapsed.append(per_length)
-        # ... then turn them into flat per-(architecture, policy, run
-        # length) cost triples.
-        for architecture in context.architectures:
-            costs = characterizations[architecture].costs
-            flat = {
-                condition: (cost.cycles, cost.read_energy_nj,
-                            cost.write_energy_nj)
-                for condition, cost in costs.items()
-            }
-            tables: List[Dict[int, Tuple[float, float, float]]] = []
-            for per_length in collapsed:
-                table: Dict[int, Tuple[float, float, float]] = {}
-                for n_accesses, by_condition in per_length.items():
-                    cycles = read_nj = write_nj = 0.0
-                    for condition, count in by_condition:
-                        c, r, w = flat[condition]
-                        cycles += count * c
-                        read_nj += count * r
-                        write_nj += count * w
-                    table[n_accesses] = (cycles, read_nj, write_nj)
-                tables.append(table)
-            for per_tiling in runs_by_scheme:
-                for table in tables:
-                    for entry in per_tiling:
-                        cycles = 0.0
-                        energy = 0.0
-                        for n_accesses, read_tiles, write_tiles in entry:
-                            c, read_nj, write_nj = table[n_accesses]
-                            cycles += (read_tiles + write_tiles) * c
-                            energy += (read_tiles * read_nj
-                                       + write_tiles * write_nj)
-                        scores.append(energy * cycles * tck_ns)
-    return scores
+    })
+    evaluate = ChunkEvaluator(
+        scored, cache, partial(_evaluate_range, scored, cache))
+    return [score for table in evaluate(0, scored.total_points).tables
+            for score in table.edp_js().tolist()]
 
 
 # ----------------------------------------------------------------------

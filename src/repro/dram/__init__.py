@@ -29,7 +29,6 @@ from .characterize import (
     DEFAULT_CHARACTERIZATION_CACHE,
     characterize,
     characterize_all,
-    characterize_analytical,
     characterize_cached,
     characterize_on_simulator,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "contention_config",
     "controller_config",
     "characterize_all",
-    "characterize_analytical",
     "characterize_cached",
     "characterize_on_simulator",
     "default_cache_dir",

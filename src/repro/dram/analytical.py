@@ -304,7 +304,13 @@ def analytical_characterization(
 
     A drop-in sibling of
     :func:`repro.dram.characterize.characterize_cached` that never
-    touches the cycle-level simulator.
+    touches the cycle-level simulator: the result has the same
+    per-condition shape, so ``run_cost``, ``layer_edp`` and the DSE
+    engine price points on it unchanged (the ``funnel`` strategy's
+    prune does).  It reads the scenario's device and controller and
+    models the *uncontended* channel whatever ``scenario.contention``
+    says, so the funnel ranks by uncontended cost and its exact phase
+    applies the contended simulation.
     """
     return _ANALYTICAL_MEMO.get_or_compute(
         (scenario.device, architecture, scenario.controller),

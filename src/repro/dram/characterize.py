@@ -565,31 +565,6 @@ def characterize_cached(
     return DEFAULT_CHARACTERIZATION_CACHE.get(architecture, scenario)
 
 
-def characterize_analytical(
-    architecture: DRAMArchitecture,
-    scenario: Scenario = DEFAULT_SCENARIO,
-) -> CharacterizationResult:
-    """Closed-form characterization (no simulation).
-
-    A drop-in sibling of :func:`characterize_cached` backed by the
-    analytical model of :mod:`repro.dram.analytical`: the returned
-    :class:`CharacterizationResult` has the exact same per-condition
-    shape, so every downstream consumer (``run_cost``, ``layer_edp``,
-    the DSE engine) is model-agnostic.  Used by the ``funnel`` search
-    strategy's pruning phase.
-
-    The closed-form model is contention-blind: it reads the
-    scenario's device and controller and scores the *uncontended*
-    channel whatever ``scenario.contention`` says.  Funnel pruning
-    therefore ranks candidates by uncontended cost and the exact
-    verification phase applies the contended simulation — an
-    explicit, documented approximation.
-    """
-    from .analytical import analytical_characterization
-
-    return analytical_characterization(architecture, scenario)
-
-
 def characterize_all(
     scenario: Scenario = DEFAULT_SCENARIO,
     architectures: Optional[Tuple[DRAMArchitecture, ...]] = None,

@@ -45,6 +45,7 @@ from typing import Optional
 
 from .architecture import DRAMArchitecture
 from .characterize import (
+    ALL_CONDITIONS,
     AccessCondition,
     CharacterizationResult,
     ConditionCost,
@@ -62,6 +63,9 @@ STORE_FORMAT_VERSION = 2
 
 #: Environment variable overriding the default store root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The ``costs`` keys of a complete entry: every Fig.-1 condition.
+_CONDITION_NAMES = frozenset(condition.value for condition in ALL_CONDITIONS)
 
 
 def default_cache_dir() -> Path:
@@ -130,7 +134,9 @@ class CharacterizationStore:
         """The stored result for this exact spec, or ``None``.
 
         Unreadable or mismatching entries (hash collisions, hand-edited
-        files, format drift) are treated as misses.
+        files, format drift) are treated as misses, and so is any entry
+        that is not a JSON object whose ``costs`` object names exactly
+        the five Fig.-1 conditions.
         """
         spec = _spec_payload(scenario, architecture)
         path = self._path(spec_hash(scenario, architecture))
@@ -139,7 +145,9 @@ class CharacterizationStore:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if payload.get("spec") != spec:
+        if not isinstance(payload, dict) or payload.get("spec") != spec \
+                or not isinstance(payload.get("costs"), dict) \
+                or payload["costs"].keys() != _CONDITION_NAMES:
             self.misses += 1
             return None
         try:

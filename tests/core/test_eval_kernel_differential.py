@@ -4,27 +4,31 @@ The vectorized kernel (:mod:`repro.core.eval_kernel`) is contractually
 bit-for-bit identical to the scalar per-point loop — not "numerically
 close".  This module pins that contract on the paper's AlexNet/DDR3
 workload across every supported architecture, on grids that reach the
-kernel's row-wrap and capacity-boundary branches, the funnel's batched
+kernel's row-wrap and capacity-boundary branches, the funnel's
 analytical scoring, and the Pareto front of an exploration record.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
     _build_context,
+    _evaluate_range,
 )
 from repro.core.eval_kernel import (
     EVAL_MODELS,
-    batch_scores,
     iter_layer_segments,
     make_chunk_evaluator,
     validate_eval_model,
 )
 from repro.core.pareto import pareto_front, points_from_dse
 from repro.core.strategies import analytical_scores
+from repro.dram.analytical import analytical_characterization
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
 from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
@@ -233,28 +237,54 @@ class TestReducedAndPareto:
 
 
 class TestFunnelAndScores:
-    """The funnel's batched analytical scoring vs the scalar loop."""
+    """The funnel's scores are the engine's own evaluation of the grid
+    under the closed-form analytical costs."""
 
-    def _context(self, layers):
-        return _build_context(
-            layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-            DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
+    @staticmethod
+    def _grid(name):
+        """``(layers, scenario, buffers)`` of a named scoring input."""
+        tiny = Scenario(get_device("tiny"))
+        if name == "alexnet-conv1":
+            return ([layer for layer in get_workload("alexnet").lower()
+                     if layer.name == "CONV1"],
+                    DEFAULT_SCENARIO, TABLE2_BUFFERS)
+        if name == "tiny-on-tiny":
+            return get_workload("tiny").lower(), tiny, TABLE2_BUFFERS
+        two_channels = tiny.with_organization(dataclasses.replace(
+            tiny.device.organization, channels=2))
+        return (get_workload("lenet5").lower(), two_channels,
+                BufferConfig(32 * 1024, 32 * 1024, 32 * 1024))
 
-    def test_batch_scores_bit_equal(self, conv1):
-        context = self._context(conv1)
-        scalar = analytical_scores(
-            context, EvaluationCache(), eval_model="scalar")
-        batched = batch_scores(context, EvaluationCache())
-        assert batched is not None
-        assert len(batched) == len(scalar) == context.total_points
-        assert [b.hex() for b in batched] == [s.hex() for s in scalar]
+    @pytest.mark.parametrize("grid, fallbacks", [
+        ("alexnet-conv1", []), ("tiny-on-tiny", []),
+        ("lenet5-two-channel", [192])])
+    def test_scores_are_the_reference_edp_of_analytical_costs(
+            self, grid, fallbacks, monkeypatch):
+        """Every score has the bits of the scalar reference loop's EDP
+        of the same point on the analytical characterizations; on the
+        two-channel LeNet-5 grid one 192-point segment takes the scalar
+        fallback."""
+        layers, scenario, buffers = self._grid(grid)
+        context = _build_context(
+            layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, buffers, scenario,
+            DEFAULT_CHARACTERIZATION_CACHE)
+        analytical = dataclasses.replace(context, characterizations={
+            architecture: analytical_characterization(architecture, scenario)
+            for architecture in context.architectures})
+        reference = [
+            point.edp_js.hex() for point in _evaluate_range(
+                analytical, EvaluationCache(), 0, context.total_points)]
 
-    def test_analytical_scores_auto_uses_batch(self, conv1):
-        context = self._context(conv1)
-        auto = analytical_scores(context, EvaluationCache())
-        scalar = analytical_scores(
-            context, EvaluationCache(), eval_model="scalar")
-        assert [a.hex() for a in auto] == [s.hex() for s in scalar]
+        taken = []
+
+        def counting(context, cache, start, stop):
+            taken.append(stop - start)
+            return _evaluate_range(context, cache, start, stop)
+
+        monkeypatch.setattr(engine_module, "_evaluate_range", counting)
+        scores = analytical_scores(context, EvaluationCache())
+        assert [score.hex() for score in scores] == reference
+        assert taken == fallbacks
 
     def test_funnel_end_to_end_bit_equal(self, conv1):
         scalar = ExplorationEngine(eval_model="scalar") \

@@ -18,6 +18,8 @@ from repro.core.engine import ExplorationEngine, _build_context
 from repro.core.strategies import (
     MIN_EXACT_PER_SLICE,
     FunnelStrategy,
+    GreedyRefineStrategy,
+    RandomStrategy,
     SearchStrategy,
     analytical_scores,
     get_strategy,
@@ -71,6 +73,23 @@ class TestRegistry:
             get_strategy("random", fraction=2.0)
         with pytest.raises(ConfigurationError, match="restarts"):
             get_strategy("greedy-refine", restarts=0)
+
+    @pytest.mark.parametrize("cls, options", [
+        (GreedyRefineStrategy, {"restarts": 2.5}),
+        (GreedyRefineStrategy, {"restarts": True}),
+        (RandomStrategy, {"fraction": True}),
+        (FunnelStrategy, {"top_fraction": True}),
+        (FunnelStrategy, {"top_fraction": "0.5"}),
+    ])
+    def test_options_of_the_wrong_type_rejected(self, tiny_layer, cls,
+                                                options):
+        """A non-int restart count and a bool (or string) fraction are
+        refused by the constructor, not at the first explore call."""
+        with pytest.raises(ConfigurationError, match=next(iter(options))):
+            cls(**options)
+        with pytest.raises(ConfigurationError):
+            explore_layer(tiny_layer, strategy=cls.name,
+                          strategy_options=options)
 
     def test_instance_passes_through(self):
         instance = FunnelStrategy(top_fraction=0.5)

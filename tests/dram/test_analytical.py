@@ -29,7 +29,6 @@ from repro.dram.analytical import (
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import (
     ALL_CONDITIONS,
-    characterize_analytical,
     characterize_cached,
 )
 from repro.dram.device import DEVICE_REGISTRY, default_device, get_device
@@ -114,7 +113,7 @@ class TestConditionErrorBounds:
     def test_result_shape_matches_simulated(self):
         """The analytical result is a drop-in CharacterizationResult."""
         exact = characterize_cached(DRAMArchitecture.DDR3)
-        model = characterize_analytical(DRAMArchitecture.DDR3)
+        model = analytical_characterization(DRAMArchitecture.DDR3)
         assert set(model.costs) == set(exact.costs)
         assert model.tck_ns == exact.tck_ns
         assert model.device_name == exact.device_name
@@ -149,7 +148,7 @@ class TestRankCorrelation:
         scenario = Scenario(device)
         for architecture in device.supported_architectures:
             exact_char = characterize_cached(architecture, scenario)
-            model_char = characterize_analytical(architecture, scenario)
+            model_char = analytical_characterization(architecture, scenario)
             for scheme in ALL_SCHEMES:
                 for policy in TABLE1_MAPPINGS:
                     for tiling in enumerate_tilings(layer):
@@ -169,7 +168,7 @@ class TestRankCorrelation:
         layer = get_workload("alexnet").lower()[1]
         architecture = DRAMArchitecture.DDR3
         exact_char = characterize_cached(architecture)
-        model_char = characterize_analytical(architecture)
+        model_char = analytical_characterization(architecture)
 
         def argmin(characterization):
             best = None

@@ -10,7 +10,7 @@ import pytest
 # function, so the module object must be fetched explicitly.
 characterize_module = import_module("repro.dram.characterize")
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.characterize import CharacterizationCache
+from repro.dram.characterize import AccessCondition, CharacterizationCache
 from repro.dram.device import TINY_DEVICE
 from repro.dram.policies import controller_config
 from repro.dram.scenario import Scenario
@@ -121,6 +121,26 @@ class TestSpecHashInvalidation:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert store.load(
             TINY, DDR3) is None
+
+    @pytest.mark.parametrize("shape", [
+        "null", "list", "number", "list-costs", "one-condition-costs"])
+    def test_entry_of_the_wrong_shape_is_a_miss(self, store, result,
+                                                shape):
+        """Valid JSON that is not an object, or whose ``costs`` is not
+        an object naming all five conditions, is a counted miss."""
+        path = store.save(result, TINY, DDR3)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        costs = payload["costs"]
+        if shape == "list-costs":
+            payload["costs"] = list(costs.values())
+        elif shape == "one-condition-costs":
+            row_hit = AccessCondition.ROW_HIT.value
+            payload["costs"] = {row_hit: costs[row_hit]}
+        else:
+            payload = {"null": None, "list": [], "number": 3}[shape]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert store.load(TINY, DDR3) is None
+        assert (store.hits, store.misses) == (0, 1)
 
 
 class TestSpecHashPinned:

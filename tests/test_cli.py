@@ -93,7 +93,7 @@ class TestAnalytical:
                 if line.startswith("ddr3-1600-2gb-x8")]
 
     def test_rows_equal_the_closed_form_model(self, capsys):
-        from repro.dram.characterize import characterize_analytical
+        from repro.dram.analytical import analytical_characterization
         from repro.dram.device import default_device
         from repro.dram.scenario import DEFAULT_SCENARIO
 
@@ -103,7 +103,8 @@ class TestAnalytical:
             [DEFAULT_SCENARIO.device.name, architecture.value, name,
              f"{cycles:.1f}", f"{read_nj:.2f}", f"{write_nj:.2f}"]
             for architecture in default_device().supported_architectures
-            for name, cycles, read_nj, write_nj in characterize_analytical(
+            for name, cycles, read_nj, write_nj
+            in analytical_characterization(
                 architecture, DEFAULT_SCENARIO).rows()
         ]
         assert self._rows(out) == expected
@@ -560,6 +561,29 @@ class TestDiskCache:
                           str(cache_dir), "--no-disk-cache")
         assert code == 0
         assert not cache_dir.exists()
+
+    def test_entry_of_the_wrong_shape_is_recomputed(self, capsys, tmp_path,
+                                                    cold_memory_cache):
+        """A store entry that is valid JSON but not an object is a
+        miss: the command recomputes the characterization and prints
+        what it prints without the store."""
+        from repro.dram.architecture import DRAMArchitecture
+        from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
+        from repro.dram.scenario import DEFAULT_SCENARIO
+        from repro.dram.store import spec_hash
+
+        code, expected = run_cli(capsys, "dse", "--model", "lenet5",
+                                 "--no-disk-cache")
+        assert code == 0
+        DEFAULT_CHARACTERIZATION_CACHE.clear()
+        cache_dir = tmp_path / "store"
+        cache_dir.mkdir()
+        key = spec_hash(DEFAULT_SCENARIO, DRAMArchitecture.DDR3)
+        (cache_dir / f"{key}.json").write_text("null", encoding="utf-8")
+        code, out = run_cli(capsys, "dse", "--model", "lenet5",
+                            "--cache-dir", str(cache_dir))
+        assert code == 0
+        assert out == expected
 
 
 class TestControllerPolicies:
