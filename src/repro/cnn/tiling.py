@@ -42,7 +42,8 @@ class BufferConfig:
 TABLE2_BUFFERS = BufferConfig()
 
 
-# Tile byte sizes, shared by TilingConfig and enumerate_tilings.
+# Tile byte sizes, shared by TilingConfig, enumerate_tilings and the
+# batch traffic model (each works on ints and on numpy int arrays alike).
 def _ifms_tile_bytes(layer: ConvLayer, th: int, tw: int, ti: int) -> int:
     tile_h = (th - 1) * layer.stride + layer.kernel_height
     tile_w = (tw - 1) * layer.stride + layer.kernel_width

@@ -17,8 +17,9 @@ ofms-dependent loop, partial sums bounce through DRAM).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 from .layer import ConvLayer
 from .scheduling import (
@@ -28,7 +29,12 @@ from .scheduling import (
     ReuseScheme,
     loop_order,
 )
-from .tiling import TilingConfig
+from .tiling import (
+    TilingConfig,
+    _ifms_tile_bytes,
+    _ofms_tile_bytes,
+    _wghs_tile_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -181,3 +187,89 @@ def best_concrete_scheme(
             best_scheme = scheme
             best_traffic = traffic
     return best_scheme, best_traffic
+
+
+class TrafficBatch(NamedTuple):
+    """:func:`layer_traffic_batch`'s result: int64 arrays over tilings.
+
+    Data types run ifms, wghs, ofms (:meth:`LayerTraffic.by_type`
+    order) and schemes in :data:`CONCRETE_SCHEMES` order.
+    """
+
+    #: ``[tiling, data type]`` bytes per tile fetch.
+    tile_bytes: Any
+    #: ``[scheme, tiling, data type]`` tile loads.
+    read_tiles: Any
+    #: ``[scheme, tiling, data type]`` tile stores (ofms only).
+    write_tiles: Any
+    #: ``[tiling]`` index of :func:`best_concrete_scheme`'s choice.
+    adaptive: Any
+
+
+def _exact_bound(layer: ConvLayer, bounds: Tuple[int, ...]) -> int:
+    """An upper bound on every integer :func:`layer_traffic_batch`
+    forms for ``layer`` with loop ``bounds``: the tile fetches of unit
+    steps (the most any tiling makes) times the bytes of one whole-layer
+    tile of each type, ofms counted twice (read and write)."""
+    whole = TilingConfig(*bounds)
+    most_fetches = math.prod(bounds) * layer.groups * layer.batch
+    return most_fetches * (whole.ifms_tile_bytes(layer)
+                           + whole.wghs_tile_bytes(layer)
+                           + 2 * whole.ofms_tile_bytes(layer))
+
+
+def layer_traffic_batch(layer: ConvLayer, steps) -> TrafficBatch:
+    """Vectorized :func:`layer_traffic` and :func:`best_concrete_scheme`.
+
+    ``steps`` is an integer array of ``(th, tw, tj, ti)`` rows, one
+    tiling each.  Every concrete scheme's tile counts are the
+    ``_FETCH_PLANS`` depths of the cumulative products of its permuted
+    trip counts, and the adaptive choice is the first minimum of the
+    total bytes in :data:`CONCRETE_SCHEMES` order, so ties break as in
+    :func:`best_concrete_scheme`.  A step outside its loop bound raises
+    the :class:`~repro.errors.ConfigurationError` of
+    :meth:`TilingConfig.trip_counts`.
+
+    The arithmetic is int64, which wraps silently where Python ints
+    grow: a layer whose tile counts or byte totals could reach 2**63
+    raises :class:`OverflowError` instead (the scalar
+    :func:`layer_traffic` prices it exactly).  Requires numpy.
+    """
+    import numpy as np
+
+    bounds = (layer.out_height, layer.out_width,
+              layer.out_channels_per_group, layer.in_channels_per_group)
+    steps = np.asarray(steps, dtype=np.int64).reshape(-1, 4)
+    invalid = np.flatnonzero(
+        ((steps <= 0) | (steps > np.array(bounds))).any(axis=1))
+    if invalid.size:
+        TilingConfig(*steps[invalid[0]].tolist()).validate(layer)
+    if _exact_bound(layer, bounds) >= 2 ** 63:
+        raise OverflowError(
+            f"tile counts of {layer.name} could exceed int64")
+
+    th, tw, tj, ti = steps.T
+    tile_bytes = np.stack([_ifms_tile_bytes(layer, th, tw, ti),
+                           _wghs_tile_bytes(layer, tj, ti),
+                           _ofms_tile_bytes(layer, th, tw, tj)], axis=1)
+
+    # [tiling, loop]: n_h, n_w, n_j, n_i
+    trips = -(-np.array(bounds, dtype=np.int64) // steps)
+    positions, depths = map(np.array, zip(
+        *(_FETCH_PLANS[scheme] for scheme in CONCRETE_SCHEMES)))
+    # visits[s, t, d]: product of the trip counts of scheme s's d
+    # outermost loops under tiling t.
+    visits = np.ones((len(CONCRETE_SCHEMES), len(steps), 5),
+                     dtype=np.int64)
+    np.cumprod(trips[:, positions].transpose(1, 0, 2), axis=2,
+               out=visits[:, :, 1:])
+    fetches = np.take_along_axis(visits, depths[:, None, :], axis=2)
+    distinct_ofms = trips[:, 0] * trips[:, 1] * trips[:, 2]
+    scale = layer.groups * layer.batch
+    read_tiles = fetches * scale
+    read_tiles[:, :, 2] = (fetches[:, :, 2] - distinct_ofms) * scale
+    write_tiles = np.zeros_like(fetches)
+    write_tiles[:, :, 2] = fetches[:, :, 2] * scale
+    total_bytes = (tile_bytes * (read_tiles + write_tiles)).sum(axis=2)
+    return TrafficBatch(tile_bytes, read_tiles, write_tiles,
+                        np.argmin(total_bytes, axis=0))

@@ -12,18 +12,18 @@ evaluates the grid in the calling process with:
    ``(scenario, architecture)``, so ``characterize`` runs once per
    device, controller and channel instead of once per design point.
 2. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
-   the policy-independent intermediates of the EDP model: DRAM traffic
-   per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and the
-   closed-form transition counts per ``(policy, organization, run
-   length)``.  On the Table-II grid each traffic entry is reused 24x
-   (6 policies x 4 architectures) and the transition counts collapse to
-   a few hundred distinct keys.
+   each layer's dense cost tables for the vector evaluator and, for
+   the scalar reference loop and single-point probes, the
+   policy-independent intermediates of the EDP model: DRAM traffic
+   per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and
+   the closed-form transition counts per ``(policy, organization, run
+   length)``.
 3. **Vectorized evaluation** — each layer's slice of the grid is
    evaluated as numpy batches through :mod:`repro.core.eval_kernel`
-   (grid decode, Eq. 2/3 counts and the EDP fold all run as array
-   programs), bit-for-bit identical to the scalar reference loop,
-   which a poisoned segment falls back to and ``eval_model="scalar"``
-   selects throughout.
+   (grid decode, the traffic model, Eq. 2/3 counts and the EDP fold
+   all run as array programs), bit-for-bit identical to the scalar
+   reference loop, which a poisoned segment falls back to and
+   ``eval_model="scalar"`` selects throughout.
 4. **Pluggable search** — each explore call names a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
    ``seed=`` / ``strategy_options=``) instead of hard-coding the grid
@@ -107,7 +107,7 @@ _ADMISSIBLE_TILINGS_MEMO = LRUMemo(4096)
 # ----------------------------------------------------------------------
 
 class EvaluationCache:
-    """Memo for the policy-independent intermediates of the EDP model.
+    """Memo for the intermediates of the EDP model.
 
     One instance lives in each engine.  Pass it to
     :func:`repro.core.edp.layer_edp` via its ``cache`` parameter.
@@ -115,8 +115,17 @@ class EvaluationCache:
     Attributes
     ----------
     traffic_memo / counts_memo / adaptive_memo:
-        The underlying bounded memos; their ``hits`` / ``misses``
-        counters are exposed for tests and tuning.
+        The scalar path's memos (the reference loop and
+        ``greedy-refine``'s single-point probes): each traffic entry
+        is reused 24x on the Table-II grid (6 policies x 4
+        architectures), and the transition counts collapse to a few
+        hundred distinct keys.  The vector evaluator reads none of
+        them; it computes a layer's traffic and counts in batches.
+        Their ``hits`` / ``misses`` counters are exposed for tests and
+        tuning.
+    tables_memo:
+        The vector evaluator's dense per-layer table sets, one lookup
+        per layer and evaluator.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:

@@ -10,19 +10,24 @@ contiguous index range as numpy batches instead:
    architecture`` divmod chain of
    :meth:`~repro.core.engine.ExplorationContext.decode` runs once over
    the whole chunk (``%`` / ``//`` on index vectors).
-2. **Eq. 2/3 as broadcast integer arithmetic** — transition counts for
-   every distinct run length come from
-   :func:`repro.mapping.counts.count_transitions_batch` (one
-   ``last // stride`` broadcast per mapping dimension, conservation
-   checked across the batch).
+2. **Traffic and Eq. 2/3 as broadcast integer arithmetic** — every
+   tiling's tile sizes, per-scheme tile counts and adaptive choice
+   come from one :func:`repro.cnn.traffic.layer_traffic_batch` call,
+   and the transition counts of every policy and distinct run length
+   from one :func:`repro.mapping.counts.count_transitions_batch` call
+   (one ``last // stride`` broadcast, conservation checked across the
+   batch); a layer's tables take no Python loop over tilings or
+   policies.
 3. **EDP via per-(architecture, condition) cost tables** — the
    per-condition ``(cycles, read nJ, write nJ)`` triples are pulled
-   once per architecture from the characterizations the context
-   fetched through ``CharacterizationCache.get_many``
+   once per run from the characterizations the context fetched
+   through ``CharacterizationCache.get_many``
    (:meth:`~repro.dram.characterize.CharacterizationResult.cost_vectors`)
-   and folded with the counts into dense ``[arch, policy, length]``
-   cost tables, one policy at a time over every architecture at once;
-   per-point work is then pure gather + multiply-add.
+   into a ``[3, arch, condition]`` matrix, gathered by each policy's
+   loop conditions, and folded with the counts into dense ``[arch,
+   policy, length]`` cost tables, one broadcast per loop position over
+   every architecture and policy at once; per-point work is then pure
+   gather + multiply-add.
 4. **Columns, not objects** — a segment comes back as a
    :class:`PointTable`: grid-index columns plus the float64 energy,
    cycle and per-type cost columns the fold produced.  A ``DsePoint``
@@ -41,8 +46,10 @@ operations as :attr:`~repro.core.edp.LayerEDP.edp_js`, so it holds the
 same bits too.  Three facts make that achievable:
 
 * numpy float64 elementwise ops are the same IEEE-754 double ops
-  CPython performs, and every integer involved is far below 2**53, so
-  int -> float conversions are exact;
+  CPython performs, and int64 -> float64 conversions round exactly as
+  CPython's int -> float do; the integers themselves are exact,
+  because :func:`~repro.cnn.traffic.layer_traffic_batch` refuses a
+  layer whose tile counts could wrap int64 (see below);
 * the scalar accumulations (:func:`repro.core.conditions.run_cost`,
   ``_data_type_cost``, ``layer_edp``) are left-associated sums whose
   term *order* the kernel replicates exactly;
@@ -64,14 +71,19 @@ The engine vectorizes every chunk the closed-form Eq. 2/3 model
 backs — which today is every chunk it produces (the walk-based
 estimator of :mod:`repro.core.walk_edp` is a higher-fidelity
 *validation* path, not an engine backend; adaptive reuse is resolved
-per ``(layer, tiling, scheme)`` at table-build time through the same
-memo the scalar path uses).  A segment falls back to
-the scalar loop only when it contains a *poisoned* point: a run
-longer than the DRAM capacity (the scalar path raises
+per ``(tiling, scheme)`` at table-build time by the batch traffic
+model, which reads none of the :class:`~repro.core.engine.EvaluationCache`
+memos the scalar path fills — the traffic oracle in
+``tests/cnn/test_traffic.py`` pins it to :func:`~repro.cnn.traffic.layer_traffic`
+and :func:`~repro.cnn.traffic.best_concrete_scheme`).  A segment falls
+back to the scalar loop only when it contains a *poisoned* point: a
+run longer than the DRAM capacity (the scalar path raises
 :class:`~repro.errors.CapacityError` there, and the fallback raises
-it identically) or a run long enough to wrap the rank/channel loops
+it identically), a run long enough to wrap the rank/channel loops
 (where merge order becomes data-dependent; never the case for
-tile-sized runs).  The fallback's points are turned back into the
+tile-sized runs), or any point of a layer whose tile counts or byte
+totals could reach 2**63 (int64 would wrap where the scalar path's
+Python ints do not).  The fallback's points are turned back into the
 segment's table, so a poisoned segment reads like any other.
 ``eval_model="scalar"`` runs the reference loop for every exact
 evaluation, for the differential suite and the ratio gates; its
@@ -85,12 +97,14 @@ those costs, so each pass builds and memoizes its own.
 from __future__ import annotations
 
 import bisect
+import operator
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dram.architecture import DRAMArchitecture
+from ..cnn.scheduling import CONCRETE_SCHEMES, ReuseScheme
+from ..cnn.traffic import layer_traffic_batch
 from ..errors import DseError
 from ..mapping.counts import count_transitions_batch
 from ..mapping.dims import Dim
@@ -106,6 +120,9 @@ EVAL_MODELS = ("auto", "scalar")
 #: ``Callable[[start, stop], Sequence[DsePoint]]`` — what the engine's
 #: shard executors call per shard.
 ChunkFn = Callable[[int, int], Sequence[DsePoint]]
+
+#: A tiling's ``(th, tw, tj, ti)`` steps.
+_STEPS = operator.attrgetter("th", "tw", "tj", "ti")
 
 #: Rows a :class:`PointTable` turns into points per step of an
 #: iteration: the points of one block are built together, and a block
@@ -129,12 +146,17 @@ def validate_eval_model(eval_model: str) -> str:
 class _LayerTables:
     """Dense per-layer lookup tables the chunk kernel gathers from.
 
-    Built once per (evaluator, layer) through the *same*
-    :class:`~repro.core.engine.EvaluationCache` memos the scalar path
-    uses, so adaptive resolution and traffic are shared — and every
-    float in the tables is produced by the exact accumulation-order
-    replica of :func:`~repro.core.conditions.run_cost` described in
-    the module docstring.
+    Built once per (evaluator, layer) without a Python loop over
+    tilings or policies: every tiling's tile sizes, tile counts and
+    adaptive choice come from one
+    :func:`~repro.cnn.traffic.layer_traffic_batch` call, and every
+    policy's transition counts from one
+    :func:`~repro.mapping.counts.count_transitions_batch` call, folded
+    with the evaluator's per-condition costs by the exact
+    accumulation-order replica of :func:`~repro.core.conditions.run_cost`
+    described in the module docstring.  A layer whose tile counts could
+    overflow int64 gets no tables (``length_id`` is ``None``): every
+    segment of it takes the scalar fallback.
     """
 
     __slots__ = (
@@ -143,102 +165,95 @@ class _LayerTables:
         "cycles", "read_nj", "write_nj",
     )
 
-    def __init__(self, context, cache, grid,
-                 cost_vectors: Dict[DRAMArchitecture, Dict]) -> None:
+    def __init__(self, context, grid, loop_costs, initial_costs,
+                 row_position) -> None:
         organization = context.organization
         schemes = context.schemes
         tilings = grid.tilings
+        try:
+            traffic = layer_traffic_batch(grid.layer, np.array(
+                list(map(_STEPS, tilings)), dtype=np.int64))
+        except OverflowError:
+            # int64 could wrap: the scalar fallback prices the layer.
+            self.length_id = None
+            self.any_poison = True
+            return
 
+        # The concrete scheme of every (scheme, tiling) cell, as an
+        # index into CONCRETE_SCHEMES; adaptive reuse takes the batch's
+        # least-traffic choice.
+        chosen = np.empty((len(schemes), len(tilings)), dtype=np.int64)
+        for s, scheme in enumerate(schemes):
+            chosen[s] = traffic.adaptive \
+                if scheme is ReuseScheme.ADAPTIVE_REUSE \
+                else CONCRETE_SCHEMES.index(scheme)
         #: resolved[scheme_idx][tiling_idx] — the concrete scheme.
-        self.resolved = []
-        # (tile accesses, read tiles, write tiles) per (scheme, tiling,
-        # data type), data types in by_type() order.
-        traffic_rows = []
-        for scheme in schemes:
-            resolved_row = []
-            for tiling in tilings:
-                resolved = cache.resolve_scheme(grid.layer, tiling, scheme)
-                traffic = cache.traffic(grid.layer, tiling, resolved)
-                resolved_row.append(resolved)
-                for type_traffic in traffic.by_type().values():
-                    traffic_rows.append((
-                        organization.accesses_for_bytes(
-                            type_traffic.tile_bytes),
-                        type_traffic.read_tiles,
-                        type_traffic.write_tiles))
-            self.resolved.append(resolved_row)
-        traffic_table = np.array(traffic_rows, dtype=np.float64).reshape(
-            len(schemes), len(tilings), 3, 3)
-        raw_lengths = traffic_table[..., 0].astype(np.int64)
-        self.read_tiles = traffic_table[..., 1]
-        self.write_tiles = traffic_table[..., 2]
+        self.resolved = np.array(
+            CONCRETE_SCHEMES, dtype=object)[chosen].tolist()
+        # [scheme, tiling, data type], data types in by_type() order.
+        tiling_idx = np.arange(len(tilings))
+        self.read_tiles = traffic.read_tiles[chosen, tiling_idx] \
+            .astype(np.float64)
+        self.write_tiles = traffic.write_tiles[chosen, tiling_idx] \
+            .astype(np.float64)
 
-        # Length-id 0 is the reserved zero-length run (zero cost);
-        # over-capacity lengths poison their (scheme, tiling) cells —
-        # the scalar fallback raises CapacityError exactly where the
-        # reference loop would.
-        capacity = min(
-            policy.capacity(organization) for policy in context.policies)
+        # Accesses per tile fetch, [tiling, data type]: the tile size
+        # does not depend on the scheme.  Length-id 0 is the reserved
+        # zero-length run (zero cost); over-capacity lengths poison
+        # their tilings — the scalar fallback raises CapacityError
+        # exactly where the reference loop would.
+        raw_lengths = -(-traffic.tile_bytes // organization.bytes_per_burst)
+        # Every policy orders the same extents, so all share one capacity.
+        capacity = context.policies[0].capacity(organization)
         in_range = (raw_lengths > 0) & (raw_lengths <= capacity)
         # Sorted distinct lengths; not np.unique, whose first call
         # imports numpy.ma (~30 ms of every fresh CLI process).
-        ok_lengths = np.array(
-            sorted(set(raw_lengths[in_range].tolist())), dtype=np.int64)
+        ok_lengths = np.sort(raw_lengths[in_range])
+        ok_lengths = ok_lengths[np.diff(ok_lengths, prepend=0) != 0]
         self.length_id = np.where(
             in_range, np.searchsorted(ok_lengths, raw_lengths) + 1, 0)
-        self.cap_poison = (raw_lengths > capacity).any(axis=2)
-        n_lengths = len(ok_lengths) + 1
+        self.cap_poison = (raw_lengths > capacity).any(axis=1)
 
+        # counts[policy, loop position, length]; the tile-opening
+        # access is merged into the row-conflict slot wherever the row
+        # loop wrapped ...
+        counts = count_transitions_batch(
+            context.policies, organization, ok_lengths)
+        n_intra = loop_costs.shape[-1]
+        policy_idx = np.arange(len(context.policies))
+        row_zero = counts[policy_idx, row_position] == 0
+        opened = counts[:, :n_intra].astype(np.float64)
+        opened[policy_idx, row_position] += ~row_zero
+        # ... and appended as the last term where it did not.  One
+        # broadcast per loop position folds every (architecture,
+        # policy) pair, each element summing its terms in run_cost's
+        # left-to-right order.
+        acc = np.zeros(loop_costs.shape[:3] + ok_lengths.shape)
+        for position in range(n_intra):
+            acc = acc + opened[:, position] \
+                * loop_costs[..., position, None]
         # Cost tables [arch, policy, length_id], three views of one
         # array; length-id column 0 stays 0.0.
-        policies = context.policies
-        architectures = context.architectures
-        costs = np.zeros((3, len(architectures), len(policies), n_lengths))
+        costs = np.zeros(acc.shape[:3] + (len(ok_lengths) + 1,))
+        costs[..., 1:] = np.where(
+            row_zero, acc + initial_costs[..., None, None], acc)
         self.cycles, self.read_nj, self.write_nj = costs
         #: wrap_poison[policy_idx, length_id] — rank/channel loops
         #: wrapped, so condition-merge order is data-dependent.
-        self.wrap_poison = np.zeros((len(policies), n_lengths), dtype=bool)
-        # Per-condition (cycles, read nJ, write nJ) columns of shape
-        # [3, arch, 1]: each broadcast below folds one loop dimension's
-        # counts for every architecture at once, and every element
-        # still sums its terms in run_cost's left-to-right order.
-        columns = {
-            condition: np.array(
-                [cost_vectors[architecture][condition]
-                 for architecture in architectures],
-                dtype=np.float64).T[:, :, None]
-            for condition in cost_vectors[architectures[0]]
-        }
-        for p, policy in enumerate(policies):
-            counts = count_transitions_batch(
-                policy, organization, ok_lengths)
-            n_intra = len(policy.loop_order)
-            if counts[n_intra:].any():
-                self.wrap_poison[p, 1:] = counts[n_intra:].any(axis=0)
-            row_position = policy.loop_order.index(Dim.ROW)
-            row_zero = counts[row_position] == 0
-            acc = np.zeros((3, len(architectures), n_lengths - 1))
-            for position, dim in enumerate(policy.loop_order):
-                count = counts[position].astype(np.float64)
-                if dim is Dim.ROW:
-                    # Initial access merged into the row-conflict
-                    # slot wherever the row loop wrapped.
-                    count = count + np.where(row_zero, 0.0, 1.0)
-                acc = acc + count * columns[DIM_TO_CONDITION[dim]]
-            # ... and appended as the last term where it did not.
-            costs[:, :, p, 1:] = np.where(
-                row_zero, acc + columns[INITIAL_ACCESS_CONDITION], acc)
+        self.wrap_poison = np.zeros(costs.shape[2:], dtype=bool)
+        self.wrap_poison[:, 1:] = counts[:, n_intra:].any(axis=1)
 
         self.any_poison = bool(
             self.cap_poison.any() or self.wrap_poison.any())
 
-    def poison_mask(self, s_idx, t_idx, p_idx):
-        """Per-point mask of cells needing the scalar fallback."""
-        mask = self.cap_poison[s_idx, t_idx]
+    def poisoned(self, t_idx, p_idx) -> bool:
+        """Whether some point of a segment needs the scalar fallback."""
+        if self.length_id is None:
+            return True
+        mask = self.cap_poison[t_idx]
         for y in range(3):
-            mask = mask | self.wrap_poison[
-                p_idx, self.length_id[s_idx, t_idx, y]]
-        return mask
+            mask = mask | self.wrap_poison[p_idx, self.length_id[t_idx, y]]
+        return bool(mask.any())
 
 
 # ----------------------------------------------------------------------
@@ -505,15 +520,35 @@ class ChunkEvaluator:
         self.cache = cache
         self.scalar_fallback = scalar_fallback
         self._tables: Dict[int, _LayerTables] = {}
-        self._cost_vectors = {
+        cost_vectors = {
             architecture: characterization.cost_vectors()
             for architecture, characterization
             in context.characterizations.items()
         }
         #: Hashable identity of the cost vectors, for the tables memo.
         self._fingerprint = tuple(
-            (architecture, tuple(self._cost_vectors[architecture].items()))
+            (architecture, tuple(cost_vectors[architecture].items()))
             for architecture in context.architectures)
+        # The per-run constants of every layer's fold: the
+        # (cycles, read nJ, write nJ) costs as a [3, arch, condition]
+        # matrix, gathered per policy and intra-chip loop position
+        # ([3, arch, policy, position]) and for the tile-opening access
+        # ([3, arch]), plus each policy's row-loop position.
+        conditions = list(cost_vectors[context.architectures[0]])
+        costs = np.array(
+            [[cost_vectors[architecture][condition]
+              for condition in conditions]
+             for architecture in context.architectures],
+            dtype=np.float64).transpose(2, 0, 1)
+        self._loop_costs = costs[:, :, [
+            [conditions.index(DIM_TO_CONDITION[dim])
+             for dim in policy.loop_order]
+            for policy in context.policies]]
+        self._initial_costs = costs[
+            :, :, conditions.index(INITIAL_ACCESS_CONDITION)]
+        self._row_position = np.array(
+            [policy.loop_order.index(Dim.ROW)
+             for policy in context.policies], dtype=np.int64)
 
     def _layer_tables(self, layer_pos: int) -> _LayerTables:
         """One layer's table set, fetched (or built) through the cache.
@@ -527,14 +562,15 @@ class ChunkEvaluator:
         """
         tables = self._tables.get(layer_pos)
         if tables is None:
-            context, cache = self.context, self.cache
+            context = self.context
             grid = context.layers[layer_pos]
             key = (grid.layer, grid.tilings, context.schemes,
                    context.policies, context.organization,
                    self._fingerprint)
-            tables = cache.tables_memo.get_or_compute(
+            tables = self.cache.tables_memo.get_or_compute(
                 key, lambda: _LayerTables(
-                    context, cache, grid, self._cost_vectors))
+                    context, grid, self._loop_costs, self._initial_costs,
+                    self._row_position))
             self._tables[layer_pos] = tables
         return tables
 
@@ -554,8 +590,7 @@ class ChunkEvaluator:
                           dtype=np.int64)
         indices = a_idx, s_idx, p_idx, t_idx = _decode(context, grid, local)
 
-        if tables.any_poison \
-                and bool(tables.poison_mask(s_idx, t_idx, p_idx).any()):
+        if tables.any_poison and tables.poisoned(t_idx, p_idx):
             # The scalar loop prices (or refuses) the segment; its
             # points become the segment's table.
             return _table_from_points(
@@ -568,7 +603,7 @@ class ChunkEvaluator:
         # layer total left-associated over ifms, wghs, ofms.
         type_costs = []  # LayerEDP.type_costs order: cycles, nJ per type
         for y in range(3):
-            length = tables.length_id[s_idx, t_idx, y]
+            length = tables.length_id[t_idx, y]
             reads = tables.read_tiles[s_idx, t_idx, y]
             writes = tables.write_tiles[s_idx, t_idx, y]
             cyc = tables.cycles[a_idx, p_idx, length]

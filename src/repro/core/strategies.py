@@ -312,8 +312,9 @@ def analytical_scores(context, cache) -> List[float]:
     cost as much as evaluating the whole grid exactly.
 
     ``cache`` is an :class:`repro.core.engine.EvaluationCache`; the
-    traffic and adaptive-scheme memos it fills here are the same ones
-    the exact phase reuses afterwards.
+    scoring pass memoizes its own layer tables there (they fold other
+    costs than the exact phase's), and only a poisoned segment's
+    scalar fallback touches its traffic and adaptive-scheme memos.
     """
     from ..dram.analytical import analytical_characterization
     from .engine import _evaluate_range

@@ -136,7 +136,8 @@ class CharacterizationStore:
         Unreadable or mismatching entries (hash collisions, hand-edited
         files, format drift) are treated as misses, and so is any entry
         that is not a JSON object whose ``costs`` object names exactly
-        the five Fig.-1 conditions.
+        the five Fig.-1 conditions, or whose ``tck_ns`` or
+        ``device_name`` is not the scenario device's.
         """
         spec = _spec_payload(scenario, architecture)
         path = self._path(spec_hash(scenario, architecture))
@@ -145,7 +146,10 @@ class CharacterizationStore:
         except (OSError, ValueError):
             self.misses += 1
             return None
+        device = scenario.device
         if not isinstance(payload, dict) or payload.get("spec") != spec \
+                or payload.get("tck_ns") != device.timings.tck_ns \
+                or payload.get("device_name") != device.name \
                 or not isinstance(payload.get("costs"), dict) \
                 or payload["costs"].keys() != _CONDITION_NAMES:
             self.misses += 1

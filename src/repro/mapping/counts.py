@@ -29,12 +29,13 @@ formulas are validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence
 
 from ..dram.spec import DRAMOrganization
 from ..errors import CapacityError
-from .dims import Dim
+from .dims import Dim, dim_size
 from .policy import MappingPolicy
 
 
@@ -174,24 +175,28 @@ def count_transitions(
 
 
 def count_transitions_batch(
-    policy: MappingPolicy,
+    policies: Sequence[MappingPolicy],
     organization: DRAMOrganization,
     lengths,
 ):
-    """Vectorized :func:`count_transitions` for many ``start=0`` runs.
+    """Vectorized :func:`count_transitions` for many ``start=0`` runs
+    under several policies at once.
 
     ``lengths`` is a sequence (or 1-D integer array) of positive run
-    lengths.  Returns an ``int64`` matrix of shape
-    ``(len(policy.full_order), len(lengths))``: row ``i`` holds, for
-    every run length, the number of accesses whose outermost changed
-    loop is ``policy.full_order[i]`` — the same per-dimension counts
-    the scalar path stores in :attr:`TransitionCounts.by_dim`
-    (``initial`` is always 1 and ``total`` the length itself).
+    lengths.  Returns an ``int64`` array of shape ``(len(policies), 6,
+    len(lengths))``: element ``[p, i, k]`` is the number of accesses of
+    run ``k`` whose outermost changed loop is
+    ``policies[p].full_order[i]`` — the same per-dimension counts the
+    scalar path stores in :attr:`TransitionCounts.by_dim` (``initial``
+    is always 1 and ``total`` the length itself).
 
-    The whole batch is pure broadcast integer arithmetic
-    (``last // S_i - last // (S_i * size_i)`` per dimension), and the
-    conservation invariant — every access classified exactly once —
-    is checked across the batch before returning.  Requires numpy.
+    Every policy's loop extents and strides are derived once, and the
+    whole batch is one broadcast of integer arithmetic
+    (``last // S_i - last // (S_i * size_i)``).  Every policy orders
+    the same six extents, so all share one capacity, checked before
+    counting; the conservation invariant — every access classified
+    exactly once — is checked across the batch before returning.
+    Requires numpy.
     """
     import numpy as np
 
@@ -201,28 +206,31 @@ def count_transitions_batch(
             f"lengths must be one-dimensional, got shape {lengths.shape}")
     if lengths.size and int(lengths.min()) <= 0:
         raise ValueError("all run lengths must be positive")
-    capacity = policy.capacity(organization)
+    extents = {dim: dim_size(dim, organization) for dim in Dim}
+    capacity = math.prod(extents.values())
     if lengths.size and int(lengths.max()) > capacity:
         raise CapacityError(
             f"run of {int(lengths.max())} accesses exceeds DRAM "
             f"capacity of {capacity} accesses")
 
-    strides = policy.strides(organization)
-    sizes = policy.sizes(organization)
+    # sizes[p, i]: extent of policy p's i-th loop, innermost first;
+    # strides[p, i]: accesses consumed before that loop increments.
+    sizes = np.array(
+        [[extents[dim] for dim in policy.full_order]
+         for policy in policies],
+        dtype=np.int64).reshape(len(policies), len(Dim))
+    strides = np.ones_like(sizes)
+    np.cumprod(sizes[:, :-1], axis=1, out=strides[:, 1:])
     last = lengths - 1
-    counts = np.empty((len(policy.full_order), lengths.size),
-                      dtype=np.int64)
-    for position in range(len(policy.full_order)):
-        stride = strides[position]
-        outer_stride = stride * sizes[position]
-        counts[position] = last // stride - last // outer_stride
+    counts = last // strides[:, :, None] \
+        - last // (strides * sizes)[:, :, None]
     # Conservation (vectorized): per-dimension counts plus the initial
     # access must classify every access of every run exactly once.
-    if lengths.size:
-        classified = counts.sum(axis=0) + 1
-        if not np.array_equal(classified, lengths):
-            bad = int(np.argmax(classified != lengths))
-            raise AssertionError(
-                f"classified {int(classified[bad])} accesses out of "
-                f"{int(lengths[bad])}")
+    classified = counts.sum(axis=1) + 1
+    if not (classified == lengths).all():
+        policy, run = np.argwhere(classified != lengths)[0]
+        raise AssertionError(
+            f"{policies[policy].name}: classified "
+            f"{int(classified[policy, run])} accesses out of "
+            f"{int(lengths[run])}")
     return counts

@@ -134,12 +134,25 @@ class TestCaching:
         assert counts.hits > counts.misses
         assert traffic.hits > traffic.misses
 
+    def test_vector_path_looks_up_only_layer_tables(self):
+        """The vector evaluator prices traffic and counts in batches:
+        an exploration makes one tables-memo lookup per layer and
+        leaves the scalar path's memos empty."""
+        engine = ExplorationEngine()
+        result = engine.explore_network(get_workload("alexnet").lower()[:3])
+        cache = engine.evaluation_cache
+        assert (len(cache.traffic_memo), len(cache.adaptive_memo),
+                len(cache.counts_memo), len(cache.tables_memo)) \
+            == (0, 0, 0, 3)
+        assert result.eval_cache_stats == CacheStats(hits=0, misses=3)
+
     def test_resolve_scheme_matches_resolve_adaptive(self):
         """The memoized resolution (from memoized traffic) equals the
         reference, for every scheme and admissible tiling of the
-        distinct layers of AlexNet and MobileNetV2 at 64 KB.  The
-        scalar and vector paths share this memo, so the differential
-        suite cannot see a fault here."""
+        distinct layers of AlexNet and MobileNetV2 at 64 KB.  Only the
+        scalar path uses this memo; the vector path resolves adaptive
+        reuse in its batch traffic model, so the differential suite
+        now sees a fault in either one."""
         from repro.cnn.scheduling import ALL_SCHEMES
         from repro.cnn.tiling import BufferConfig, enumerate_tilings
         from repro.core.adaptive import resolve_adaptive

@@ -85,39 +85,44 @@ def _hex_points(result):
 
 
 class TestCountsBatch:
-    """count_transitions_batch vs the scalar Eq. 2/3 closed form."""
+    """count_transitions_batch vs the scalar Eq. 2/3 closed form, every
+    policy of one call checked on its own."""
 
     @pytest.mark.parametrize("policy", TABLE1_MAPPINGS,
                              ids=[p.name for p in TABLE1_MAPPINGS])
     def test_matches_scalar_counts(self, policy, table2_org):
         lengths = np.asarray(
             [1, 2, 3, 7, 8, 64, 1024, 4096, 65536], dtype=np.int64)
-        batch = count_transitions_batch(policy, table2_org, lengths)
+        batch = count_transitions_batch(
+            TABLE1_MAPPINGS, table2_org, lengths)
+        assert batch.shape == (len(TABLE1_MAPPINGS), 6, len(lengths))
+        counts = batch[TABLE1_MAPPINGS.index(policy)]
         for column, n in enumerate(lengths.tolist()):
             scalar = count_transitions(policy, table2_org, n)
             expected = [scalar.by_dim.get(dim, 0)
                         for dim in policy.full_order]
-            assert batch[:, column].tolist() == expected
+            assert counts[:, column].tolist() == expected
 
     def test_conservation_across_the_batch(self, table2_org):
-        policy = TABLE1_MAPPINGS[0]
         lengths = np.arange(1, 513, dtype=np.int64)
-        batch = count_transitions_batch(policy, table2_org, lengths)
-        assert (batch.sum(axis=0) + 1 == lengths).all()
+        batch = count_transitions_batch(
+            TABLE1_MAPPINGS, table2_org, lengths)
+        for counts in batch:
+            assert (counts.sum(axis=0) + 1 == lengths).all()
 
     def test_over_capacity_raises_capacity_error(self, table2_org):
-        policy = TABLE1_MAPPINGS[0]
-        too_long = policy.capacity(table2_org) + 1
-        with pytest.raises(CapacityError):
-            count_transitions_batch(
-                policy, table2_org,
-                np.asarray([1, too_long], dtype=np.int64))
+        too_long = TABLE1_MAPPINGS[0].capacity(table2_org) + 1
+        for policy in TABLE1_MAPPINGS:
+            with pytest.raises(CapacityError):
+                count_transitions_batch(
+                    (policy,), table2_org,
+                    np.asarray([1, too_long], dtype=np.int64))
 
     def test_rejects_non_positive_lengths(self, table2_org):
-        policy = TABLE1_MAPPINGS[0]
         with pytest.raises(ValueError):
             count_transitions_batch(
-                policy, table2_org, np.asarray([4, 0], dtype=np.int64))
+                TABLE1_MAPPINGS, table2_org,
+                np.asarray([4, 0], dtype=np.int64))
 
 
 class TestBitIdentityOnAlexNet:

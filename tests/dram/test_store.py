@@ -142,6 +142,18 @@ class TestSpecHashInvalidation:
         assert store.load(TINY, DDR3) is None
         assert (store.hits, store.misses) == (0, 1)
 
+    @pytest.mark.parametrize("field", ["tck_ns", "device_name"])
+    def test_entry_not_of_its_device_is_a_miss(self, store, result, field):
+        """The spec fixes the device, so an entry whose clock period or
+        device name is not the scenario device's is a counted miss."""
+        path = store.save(result, TINY, DDR3)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = {"tck_ns": payload["tck_ns"] * 1000,
+                          "device_name": "ddr3-1600-2gb-x8"}[field]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert store.load(TINY, DDR3) is None
+        assert (store.hits, store.misses) == (0, 1)
+
 
 class TestSpecHashPinned:
     """Store keys are pinned: entries written before the scenario

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -580,6 +582,35 @@ class TestDiskCache:
         cache_dir.mkdir()
         key = spec_hash(DEFAULT_SCENARIO, DRAMArchitecture.DDR3)
         (cache_dir / f"{key}.json").write_text("null", encoding="utf-8")
+        code, out = run_cli(capsys, "dse", "--model", "lenet5",
+                            "--cache-dir", str(cache_dir))
+        assert code == 0
+        assert out == expected
+
+    def test_entry_with_a_foreign_clock_is_recomputed(self, capsys, tmp_path,
+                                                      cold_memory_cache):
+        """A store entry whose ``tck_ns`` is not its device's is a
+        miss: the command recomputes the characterization and prints
+        what it prints without the store."""
+        from repro.dram.architecture import DRAMArchitecture
+        from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
+        from repro.dram.scenario import DEFAULT_SCENARIO
+        from repro.dram.store import spec_hash
+
+        code, expected = run_cli(capsys, "dse", "--model", "lenet5",
+                                 "--no-disk-cache")
+        assert code == 0
+        DEFAULT_CHARACTERIZATION_CACHE.clear()
+        cache_dir = tmp_path / "store"
+        code, _ = run_cli(capsys, "dse", "--model", "lenet5",
+                          "--cache-dir", str(cache_dir))
+        assert code == 0
+        path = cache_dir / (
+            spec_hash(DEFAULT_SCENARIO, DRAMArchitecture.DDR3) + ".json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["tck_ns"] *= 1000
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        DEFAULT_CHARACTERIZATION_CACHE.clear()
         code, out = run_cli(capsys, "dse", "--model", "lenet5",
                             "--cache-dir", str(cache_dir))
         assert code == 0
