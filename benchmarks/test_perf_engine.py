@@ -3,11 +3,11 @@
 The seed implementation walked the Algorithm-1 grid with a bare nested
 loop, recomputing the DRAM traffic, the adaptive-scheme resolution and
 the closed-form transition counts for every one of the ~5000 design
-points.  The exploration engine computes them once per layer in
-batches (the traffic of every tiling, the counts of every policy and
-run length), memoizes each layer's cost tables and serves
-characterizations from an LRU cache, which must make the full-network
-DSE measurably faster at identical output.
+points.  The exploration engine computes them once per network in
+batches (the traffic of every tiling of every distinct layer shape,
+the counts of every policy and run length), memoizes each shape's
+cost tables and serves characterizations from an LRU cache, which
+must make the full-network DSE measurably faster at identical output.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ ofms-dependent loop, partial sums bounce through DRAM).
 
 from __future__ import annotations
 
-import math
+import bisect
+import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Sequence, Tuple
 
 from .layer import ConvLayer
 from .scheduling import (
@@ -192,8 +193,9 @@ def best_concrete_scheme(
 class TrafficBatch(NamedTuple):
     """:func:`layer_traffic_batch`'s result: int64 arrays over tilings.
 
-    Data types run ifms, wghs, ofms (:meth:`LayerTraffic.by_type`
-    order) and schemes in :data:`CONCRETE_SCHEMES` order.
+    Rows are the batch's tilings, layer by layer.  Data types run ifms,
+    wghs, ofms (:meth:`LayerTraffic.by_type` order) and schemes in
+    :data:`CONCRETE_SCHEMES` order.
     """
 
     #: ``[tiling, data type]`` bytes per tile fetch.
@@ -206,23 +208,41 @@ class TrafficBatch(NamedTuple):
     adaptive: Any
 
 
-def _exact_bound(layer: ConvLayer, bounds: Tuple[int, ...]) -> int:
-    """An upper bound on every integer :func:`layer_traffic_batch`
-    forms for ``layer`` with loop ``bounds``: the tile fetches of unit
-    steps (the most any tiling makes) times the bytes of one whole-layer
-    tile of each type, ofms counted twice (read and write)."""
-    whole = TilingConfig(*bounds)
-    most_fetches = math.prod(bounds) * layer.groups * layer.batch
-    return most_fetches * (whole.ifms_tile_bytes(layer)
-                           + whole.wghs_tile_bytes(layer)
-                           + 2 * whole.ofms_tile_bytes(layer))
+def traffic_fits_int64(layer: ConvLayer) -> bool:
+    """Whether every integer :func:`layer_traffic_batch` forms for
+    ``layer`` stays below 2**63.
+
+    The bound is the tile fetches of unit steps (the most any tiling
+    makes) times the bytes of one whole-layer tile of each type, ofms
+    counted twice (read and write).
+    """
+    h, w, j, i = (layer.out_height, layer.out_width,
+                  layer.out_channels_per_group, layer.in_channels_per_group)
+    most_fetches = h * w * j * i * layer.groups * layer.batch
+    return most_fetches * (_ifms_tile_bytes(layer, h, w, i)
+                           + _wghs_tile_bytes(layer, j, i)
+                           + 2 * _ofms_tile_bytes(layer, h, w, j)) < 2 ** 63
 
 
-def layer_traffic_batch(layer: ConvLayer, steps) -> TrafficBatch:
-    """Vectorized :func:`layer_traffic` and :func:`best_concrete_scheme`.
+class _LayerColumns(NamedTuple):
+    """Per-row layer fields, read by the tile-byte helpers."""
 
-    ``steps`` is an integer array of ``(th, tw, tj, ti)`` rows, one
-    tiling each.  Every concrete scheme's tile counts are the
+    kernel_height: Any
+    kernel_width: Any
+    stride: Any
+    bytes_per_element: Any
+
+
+def layer_traffic_batch(layers: Sequence[ConvLayer], steps) -> TrafficBatch:
+    """Vectorized :func:`layer_traffic` and :func:`best_concrete_scheme`
+    over the tilings of several layers at once.
+
+    ``steps[k]`` holds the ``(th, tw, tj, ti)`` rows of ``layers[k]``'s
+    tilings (an integer array or a sequence of 4-tuples); the result
+    has one row per tiling, ``layers[0]``'s first.  Each layer's loop
+    bounds, kernel, stride, element width and ``groups x batch`` scale
+    are per-row columns, so a whole network's tilings are one array
+    program.  Every concrete scheme's tile counts are the
     ``_FETCH_PLANS`` depths of the cumulative products of its permuted
     trip counts, and the adaptive choice is the first minimum of the
     total bytes in :data:`CONCRETE_SCHEMES` order, so ties break as in
@@ -231,30 +251,42 @@ def layer_traffic_batch(layer: ConvLayer, steps) -> TrafficBatch:
     :meth:`TilingConfig.trip_counts`.
 
     The arithmetic is int64, which wraps silently where Python ints
-    grow: a layer whose tile counts or byte totals could reach 2**63
+    grow: if some layer fails :func:`traffic_fits_int64` the call
     raises :class:`OverflowError` instead (the scalar
-    :func:`layer_traffic` prices it exactly).  Requires numpy.
+    :func:`layer_traffic` prices that layer exactly).  Requires numpy.
     """
     import numpy as np
 
-    bounds = (layer.out_height, layer.out_width,
-              layer.out_channels_per_group, layer.in_channels_per_group)
-    steps = np.asarray(steps, dtype=np.int64).reshape(-1, 4)
-    invalid = np.flatnonzero(
-        ((steps <= 0) | (steps > np.array(bounds))).any(axis=1))
+    for layer in layers:
+        if not traffic_fits_int64(layer):
+            raise OverflowError(
+                f"tile counts of {layer.name} could exceed int64")
+    sizes = [len(rows) for rows in steps]
+    steps = np.array(list(itertools.chain.from_iterable(steps)),
+                     dtype=np.int64).reshape(-1, 4)
+    # [tiling, field]: the loop bounds, P, Q, stride, element width and
+    # groups x batch of each row's layer.
+    fields = np.repeat(np.array(
+        [(layer.out_height, layer.out_width, layer.out_channels_per_group,
+          layer.in_channels_per_group, layer.kernel_height,
+          layer.kernel_width, layer.stride, layer.bytes_per_element,
+          layer.groups * layer.batch) for layer in layers],
+        dtype=np.int64).reshape(-1, 9), sizes, axis=0)
+    bounds = fields[:, :4]
+    invalid = np.flatnonzero(((steps <= 0) | (steps > bounds)).any(axis=1))
     if invalid.size:
-        TilingConfig(*steps[invalid[0]].tolist()).validate(layer)
-    if _exact_bound(layer, bounds) >= 2 ** 63:
-        raise OverflowError(
-            f"tile counts of {layer.name} could exceed int64")
+        owner = bisect.bisect_right(
+            list(itertools.accumulate(sizes)), invalid[0])
+        TilingConfig(*steps[invalid[0]].tolist()).validate(layers[owner])
 
     th, tw, tj, ti = steps.T
-    tile_bytes = np.stack([_ifms_tile_bytes(layer, th, tw, ti),
-                           _wghs_tile_bytes(layer, tj, ti),
-                           _ofms_tile_bytes(layer, th, tw, tj)], axis=1)
+    shape = _LayerColumns(*fields[:, 4:8].T)
+    tile_bytes = np.stack([_ifms_tile_bytes(shape, th, tw, ti),
+                           _wghs_tile_bytes(shape, tj, ti),
+                           _ofms_tile_bytes(shape, th, tw, tj)], axis=1)
 
     # [tiling, loop]: n_h, n_w, n_j, n_i
-    trips = -(-np.array(bounds, dtype=np.int64) // steps)
+    trips = -(-bounds // steps)
     positions, depths = map(np.array, zip(
         *(_FETCH_PLANS[scheme] for scheme in CONCRETE_SCHEMES)))
     # visits[s, t, d]: product of the trip counts of scheme s's d
@@ -263,10 +295,12 @@ def layer_traffic_batch(layer: ConvLayer, steps) -> TrafficBatch:
                      dtype=np.int64)
     np.cumprod(trips[:, positions].transpose(1, 0, 2), axis=2,
                out=visits[:, :, 1:])
-    fetches = np.take_along_axis(visits, depths[:, None, :], axis=2)
+    # fetches[s, t, y] = visits[s, t, depths[s, y]]
+    fetches = visits[np.arange(len(depths))[:, None], :, depths] \
+        .transpose(0, 2, 1)
     distinct_ofms = trips[:, 0] * trips[:, 1] * trips[:, 2]
-    scale = layer.groups * layer.batch
-    read_tiles = fetches * scale
+    scale = fields[:, 8]
+    read_tiles = fetches * scale[:, None]
     read_tiles[:, :, 2] = (fetches[:, :, 2] - distinct_ofms) * scale
     write_tiles = np.zeros_like(fetches)
     write_tiles[:, :, 2] = fetches[:, :, 2] * scale

@@ -11,17 +11,20 @@ evaluates the grid in the calling process with:
    :class:`repro.dram.characterize.CharacterizationCache`, keyed on
    ``(scenario, architecture)``, so ``characterize`` runs once per
    device, controller and channel instead of once per design point.
-2. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
-   each layer's dense cost tables for the vector evaluator and, for
-   the scalar reference loop and single-point probes, the
-   policy-independent intermediates of the EDP model: DRAM traffic
-   per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and
-   the closed-form transition counts per ``(policy, organization, run
-   length)``.
-3. **Vectorized evaluation** — each layer's slice of the grid is
-   evaluated as numpy batches through :mod:`repro.core.eval_kernel`
-   (grid decode, the traffic model, Eq. 2/3 counts and the EDP fold
-   all run as array programs), bit-for-bit identical to the scalar
+2. **Work keyed by layer shape** — everything computed for a layer
+   depends on its shape, never its name: the admissible tilings are
+   memoized process-wide per buffers and layer shape, and an
+   :class:`EvaluationCache` memoizes each shape's dense cost tables
+   for the vector evaluator and, for the scalar reference loop and
+   single-point probes, the policy-independent intermediates of the
+   EDP model: DRAM traffic per ``(layer, tiling, scheme)``,
+   adaptive-scheme resolution, and the closed-form transition counts
+   per ``(policy, organization, run length)``.
+3. **Vectorized evaluation** — a network is evaluated as one array
+   program through :mod:`repro.core.eval_kernel`: the traffic model,
+   Eq. 2/3 counts and the EDP fold of every distinct shape run as one
+   batch each, and each shape's points as a few broadcasts whose rows
+   every segment slices, bit-for-bit identical to the scalar
    reference loop, which a poisoned segment falls back to and
    ``eval_model="scalar"`` selects throughout.
 4. **Pluggable search** — each explore call names a registered
@@ -58,6 +61,7 @@ True
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -96,10 +100,19 @@ from .eval_kernel import (
 )
 from .strategies import StrategyRun, get_strategy
 
-#: Process-wide memo of admissible tilings per (layer, buffers): the
-#: buffer-maximal enumeration is pure, so the funnel's two phases and
-#: repeated explorations of a layer enumerate it once.
+#: Process-wide memo of admissible tilings per (buffers, layer shape):
+#: the buffer-maximal enumeration is pure in the buffers and the fields
+#: of :data:`_TILING_SHAPE`, so the funnel's two phases, repeated
+#: explorations and every layer of one shape enumerate it once, at any
+#: batch.  A miss enumerates with the named layer, whose ``DseError``
+#: names it; ``LRUMemo`` caches no exception.
 _ADMISSIBLE_TILINGS_MEMO = LRUMemo(4096)
+
+#: The layer fields :func:`~repro.cnn.tiling.enumerate_tilings` reads.
+_TILING_SHAPE = operator.attrgetter(
+    "out_height", "out_width", "out_channels_per_group",
+    "in_channels_per_group", "kernel_height", "kernel_width", "stride",
+    "bytes_per_element")
 
 
 # ----------------------------------------------------------------------
@@ -124,15 +137,17 @@ class EvaluationCache:
         Their ``hits`` / ``misses`` counters are exposed for tests and
         tuning.
     tables_memo:
-        The vector evaluator's dense per-layer table sets, one lookup
-        per layer and evaluator.
+        The vector evaluator's dense table sets, one per distinct
+        layer shape (the layer but its name, its tilings and the run's
+        grid axes, geometry and costs), one lookup per layer and
+        evaluator: a layer repeating a shape hits.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:
         self.traffic_memo = LRUMemo(maxsize)
         self.counts_memo = LRUMemo(maxsize)
         self.adaptive_memo = LRUMemo(maxsize)
-        #: Dense per-layer table sets of the vector kernel
+        #: Dense per-shape table sets of the vector kernel
         #: (:mod:`repro.core.eval_kernel`); few but large entries.
         self.tables_memo = LRUMemo(128)
 
@@ -315,12 +330,9 @@ def _build_context(
     offset = 0
     per_point = len(architectures) * len(schemes) * len(policies)
     for layer in layers:
-        # Candidate enumeration is pure in (layer, buffers); memoize it
-        # so repeated explorations (and the funnel's two phases)
-        # enumerate once.
         admissible: Tuple[TilingConfig, ...] = \
             _ADMISSIBLE_TILINGS_MEMO.get_or_compute(
-                (layer, buffers),
+                (buffers, _TILING_SHAPE(layer)),
                 lambda: tuple(enumerate_tilings(layer, buffers)))
         grids.append(_LayerGrid(
             layer=layer, tilings=admissible, offset=offset))
@@ -527,8 +539,8 @@ class ExplorationEngine:
         """Yield ``(start, points)`` for the full grid, one per layer.
 
         The exhaustive strategy's executor: each layer's slice of the
-        grid is one shard, which the vector kernel evaluates as one
-        batch.
+        grid is one shard, which the vector kernel returns as its
+        shape's whole-layer columns.
         """
         return self._execute_shards(
             context,
@@ -544,7 +556,7 @@ class ExplorationEngine:
 
         Consecutive indices coalesce into contiguous ``(start, stop)``
         runs, split only at layer boundaries, so the vector kernel
-        evaluates each run as one single-layer batch.
+        returns each run as one row slice of its shape's columns.
         """
         def runs() -> Iterator[Tuple[int, int]]:
             position = 0

@@ -312,8 +312,8 @@ def analytical_scores(context, cache) -> List[float]:
     cost as much as evaluating the whole grid exactly.
 
     ``cache`` is an :class:`repro.core.engine.EvaluationCache`; the
-    scoring pass memoizes its own layer tables there (they fold other
-    costs than the exact phase's), and only a poisoned segment's
+    scoring pass memoizes its own layer-shape tables there (they fold
+    other costs than the exact phase's), and only a poisoned segment's
     scalar fallback touches its traffic and adaptive-scheme memos.
     """
     from ..dram.analytical import analytical_characterization

@@ -695,7 +695,10 @@ class KernelCharacterizer:
                 else self.long_count
             array = synthesize_stream(
                 condition, self.organization, RequestKind.READ, count)
-            single = bool(np.unique(array["subarray"]).size == 1)
+            subarrays = array["subarray"]
+            # Not np.unique: its first call imports numpy.ma.
+            single = bool(subarrays.size) \
+                and bool((subarrays == subarrays[0]).all())
             cached = self._streams[condition] = (
                 array,
                 array["bank"].tolist(),

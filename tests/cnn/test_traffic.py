@@ -160,7 +160,7 @@ def _batch_mismatches(layer, tilings):
     """Where layer_traffic_batch differs from layer_traffic and
     best_concrete_scheme: ``(tiling, scheme, data type index)`` or
     ``(tiling, "adaptive")`` per difference."""
-    batch = layer_traffic_batch(layer, _steps(tilings))
+    batch = layer_traffic_batch([layer], [_steps(tilings)])
     mismatches = []
     for t, tiling in enumerate(tilings):
         for s, scheme in enumerate(CONCRETE_SCHEMES):
@@ -254,7 +254,7 @@ class TestTrafficBatch:
         with pytest.raises(ConfigurationError) as reference:
             layer_traffic(conv2, over, ReuseScheme.OFMS_REUSE)
         with pytest.raises(ConfigurationError) as batch:
-            layer_traffic_batch(conv2, _steps([valid, over]))
+            layer_traffic_batch([conv2], [_steps([valid, over])])
         assert str(batch.value) == str(reference.value)
         assert "exceeds the layer bound" in str(batch.value)
 
@@ -266,7 +266,7 @@ class TestTrafficBatch:
 
         layer = ConvLayer.fully_connected("FC", 4096, 4096, batch=2 ** 44)
         with pytest.raises(OverflowError):
-            layer_traffic_batch(layer, [(1, 1, 1, 1)])
+            layer_traffic_batch([layer], [[(1, 1, 1, 1)]])
 
         def hexes(result):
             return [(point.scheme, point.policy.name, point.tiling,

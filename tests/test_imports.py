@@ -12,10 +12,12 @@ with the standard library's :mod:`ast`:
   and each ``__all__`` entry must be bound or defined in the file.
 
 A third check runs ``import repro.cli`` in a fresh interpreter and
-lists the standard-library modules it must not load, and a fourth
-keeps numpy out of the module-level imports of the exploration
-record and its network analysis, which select on point tables
-through the tables' own methods.
+lists the standard-library modules it must not load, a fourth runs
+cold-store ``dse`` and ``characterize`` commands and checks that they
+never load ``numpy.ma``, and a fifth keeps numpy out of the
+module-level imports of the exploration record and its network
+analysis, which select on point tables through the tables' own
+methods.
 """
 
 import ast
@@ -23,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -147,6 +151,28 @@ def test_cli_import_loads_no_process_pool():
         env=env, capture_output=True, text=True, timeout=60)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dse", "--model", "lenet5", "--no-disk-cache"],
+    ["characterize", "--device", "all", "--no-disk-cache"],
+], ids=["dse", "characterize"])
+def test_cold_cli_commands_load_no_numpy_ma(argv):
+    """A cold-store ``dse`` or ``characterize`` uses no masked arrays,
+    so it never pays for importing ``numpy.ma``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from repro.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = main({argv!r})\n"
+         "print(code, 'numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["0", "False"]
 
 
 #: Modules that must import no numpy when they are imported.
