@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Search-strategy shoot-out: points evaluated vs EDP gap, per device.
+"""Search-strategy comparison: points evaluated vs EDP gap, per device.
 
 Run with::
 
     python examples/strategy_study.py [--model alexnet]
                                       [--devices ddr3-1600-2gb-x8 ddr4-2400 hbm2]
-                                      [--seed 0] [--funnel-topk 5]
+                                      [--funnel-topk 5]
 
 For each device the full Algorithm-1 design space is explored with
-every registered search strategy, and the table reports how many
-design points each strategy evaluated with exact (cycle-accurate)
-characterization, how many it scored with the closed-form analytical
-model, its wall-clock time, and the EDP gap of the optimum it found
-against the exhaustive ground truth.
+both registered search strategies, ``exhaustive`` and ``funnel``, and
+the table reports how many design points each evaluated with exact
+(cycle-accurate) characterization, how many it scored with the
+closed-form analytical model, its wall-clock time, and the EDP gap of
+the optimum it found against the exhaustive ground truth.
 
 The shape to look for: ``funnel`` matches the exhaustive optimum
-(0.00% gap) at a small fraction of the exact evaluations, ``random``
-at the same budget leaves a gap, and ``greedy-refine`` sits in
-between — cheap, usually optimal, but unguarded against local minima.
+(0.00% gap) with a fraction of the exact evaluations, but on the
+default vector backend it is the slower search.  The exhaustive pass
+builds each layer shape's cost tables once and then prices every
+point for next to nothing, while the funnel builds a second set of
+tables on analytical costs and evaluates its survivors as many
+scattered row slices.
 """
 
 import argparse
@@ -43,9 +46,6 @@ def parse_args() -> argparse.Namespace:
         help="registered device profiles to study "
              f"(choices: {', '.join(device_names())})")
     parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the randomized strategies (default: 0)")
-    parser.add_argument(
         "--funnel-topk", type=float, default=5.0,
         help="funnel: percent of each slice re-evaluated exactly")
     return parser.parse_args()
@@ -70,7 +70,7 @@ def main() -> None:
             start = time.perf_counter()
             results[name] = ExplorationEngine().explore_network(
                 network, scenario=scenario, strategy=name,
-                seed=args.seed, strategy_options=options)
+                strategy_options=options)
             timings[name] = time.perf_counter() - start
 
         truth = results["exhaustive"].best().edp_js
@@ -90,8 +90,7 @@ def main() -> None:
              "time [s]", "EDP gap vs exhaustive"],
             rows,
             title=f"{args.model} DSE on {device.name} "
-                  f"({results['exhaustive'].total_points} grid points, "
-                  f"seed {args.seed})"))
+                  f"({results['exhaustive'].total_points} grid points)"))
         print()
 
 

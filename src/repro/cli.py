@@ -16,7 +16,7 @@ Usage::
                         [--batch B] [--bytes-per-element N]
                         [--scheduler NAME] [--row-policy NAME]
                         [--requestors N] [--arbiter NAME]
-                        [--strategy NAME] [--seed S] [--funnel-topk PCT]
+                        [--strategy NAME] [--funnel-topk PCT]
     python -m repro traffic --model alexnet [--device NAME] [--batch B]
                             [--bytes-per-element N]
     python -m repro models [--detail] [--model NAME]
@@ -81,12 +81,12 @@ contention-blind, so it refuses a non-default channel.
     default ``exhaustive`` evaluates every point and its output is
     byte-identical to the pre-strategy CLI; ``funnel`` prunes with
     the closed-form analytical cost model and exactly re-evaluates
-    only the top ``--funnel-topk`` percent per layer (a flag the
-    other strategies refuse); ``random`` / ``greedy-refine`` are
-    seeded heuristics (``--seed``, which the strategies that draw no
-    random numbers refuse).
-    Non-exhaustive runs are tagged in the table title and followed by
-    a one-line evaluation-count summary.
+    only the top ``--funnel-topk`` percent per layer (a flag
+    ``exhaustive`` refuses).  Funnel runs are tagged in the table
+    title and followed by a one-line evaluation-count summary.
+
+The whole network is explored in one engine call, and each table row
+is that exploration's minimum for one layer.
 
 Invalid input — an unknown name, a non-positive count, a layer the
 workload lacks, a configuration the library rejects — exits with
@@ -172,19 +172,12 @@ def _configure_store(args: argparse.Namespace):
 
 
 def _strategy_options(args: argparse.Namespace):
-    """``(strategy, seed, options)`` from the dse flags."""
-    from .core.strategies import get_strategy
-
+    """``(strategy, options)`` from the dse flags."""
     strategy = getattr(args, "strategy", "exhaustive")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not get_strategy(strategy).uses_seed:
-        raise ConfigurationError(
-            f"strategy {strategy} draws no random numbers, so --seed "
-            "would change nothing; drop --seed")
     topk = getattr(args, "funnel_topk", None)
     options = {}
     if topk is None:
-        return strategy, seed, options
+        return strategy, options
     if strategy != "funnel":
         raise ConfigurationError(
             f"--funnel-topk applies to the funnel strategy only, so "
@@ -194,7 +187,7 @@ def _strategy_options(args: argparse.Namespace):
         raise ConfigurationError(
             f"--funnel-topk must be in (0, 100], got {topk}")
     options["top_fraction"] = topk / 100.0
-    return strategy, seed, options
+    return strategy, options
 
 
 def _workload(args: argparse.Namespace):
@@ -334,22 +327,16 @@ def cmd_dse(args: argparse.Namespace) -> int:
     architecture = _architecture(args.arch)
     scenario = _scenario(args)
     scenario.device.require_architecture(architecture)
-    strategy, seed, options = _strategy_options(args)
-    engine = ExplorationEngine()
+    strategy, options = _strategy_options(args)
+    layers = _layers(args)
+    result = ExplorationEngine().explore_network(
+        layers, architectures=(architecture,), scenario=scenario,
+        strategy=strategy, strategy_options=options)
     rows = []
     total = 0.0
-    evaluated = 0
-    scored = 0
-    grid_points = 0
-    for layer in _layers(args):
-        result = engine.explore_layer(
-            layer, architectures=(architecture,), scenario=scenario,
-            strategy=strategy, seed=seed, strategy_options=options)
-        best = result.best()
+    for layer in layers:
+        best = result.best(layer_name=layer.name)
         total += best.edp_js
-        evaluated += result.evaluated_points
-        scored += result.scored_points
-        grid_points += result.total_points
         tiling = best.tiling
         rows.append([
             layer.name, best.policy.name,
@@ -359,8 +346,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
         ])
     rows.append(["TOTAL", "", "", "", f"{total:.3e}"])
     # The default exhaustive strategy keeps the title byte-identical
-    # to the pre-strategy CLI; heuristic runs are tagged and
-    # summarized.
+    # to the pre-strategy CLI; funnel runs are tagged and summarized.
     strategy_suffix = "" if strategy == "exhaustive" \
         else f" [strategy: {strategy}]"
     print(format_table(
@@ -370,12 +356,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     f"({scenario.device.name})" + scenario.tag
                     + strategy_suffix))
     if strategy != "exhaustive":
-        line = (f"strategy {strategy}: {evaluated}/{grid_points} design "
-                f"points evaluated exactly")
-        if scored:
-            line += f", {scored} scored analytically"
-        if seed is not None:
-            line += f", seed {seed}"
+        line = (f"strategy {strategy}: {result.evaluated_points}/"
+                f"{result.total_points} design points evaluated exactly")
+        if result.scored_points:
+            line += f", {result.scored_points} scored analytically"
         print(line)
     return 0
 
@@ -647,11 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search strategy over the design grid (default: "
              "exhaustive, the paper's Algorithm 1; see 'repro "
              "strategies')")
-    p_dse.add_argument(
-        "--seed", type=int, default=None,
-        help="seed of the strategy's randomized choices, for random "
-             "and greedy-refine only (default: the strategy's "
-             "deterministic default, 0)")
     p_dse.add_argument(
         "--funnel-topk", dest="funnel_topk", type=float, default=None,
         help="funnel strategy only: percentage of each layer's grid "

@@ -34,8 +34,6 @@ from .pareto import (
 from .strategies import (
     ExhaustiveStrategy,
     FunnelStrategy,
-    GreedyRefineStrategy,
-    RandomStrategy,
     SearchStrategy,
     StrategyRun,
     analytical_scores,
@@ -72,12 +70,10 @@ __all__ = [
     "ExhaustiveStrategy",
     "ExplorationEngine",
     "FunnelStrategy",
-    "GreedyRefineStrategy",
     "INITIAL_ACCESS_CONDITION",
     "LayerEDP",
     "NetworkEDP",
     "ObjectivePoint",
-    "RandomStrategy",
     "SearchStrategy",
     "StrategyRun",
     "SweepPoint",

@@ -128,14 +128,14 @@ class DseResult:
     """Full exploration record for one layer (or one network layer set).
 
     Besides the evaluated ``points``, the record carries the search
-    provenance: which strategy produced it, under which seed, how
-    large the full grid was (``total_points``), how many points were
-    evaluated with exact characterization (``evaluated_points``) and
-    how many were scored by the closed-form analytical model
-    (``scored_points``; the funnel's phase 1).  Under the default
-    exhaustive strategy ``evaluated_points == total_points`` and
-    ``scored_points == 0``.  Records built by pre-strategy callers
-    (``DseResult()``) default to exhaustive with zero counts.
+    provenance: which strategy produced it, how large the full grid
+    was (``total_points``), how many points were evaluated with exact
+    characterization (``evaluated_points``) and how many were scored
+    by the closed-form analytical model (``scored_points``; the
+    funnel's phase 1).  Under the default exhaustive strategy
+    ``evaluated_points == total_points`` and ``scored_points == 0``.
+    Records built by pre-strategy callers (``DseResult()``) default to
+    exhaustive with zero counts.
 
     ``eval_cache_stats`` reports the
     :class:`~repro.core.engine.EvaluationCache` hit/miss counters the
@@ -156,7 +156,6 @@ class DseResult:
 
     points: Sequence[DsePoint] = field(default_factory=list)
     strategy: str = "exhaustive"
-    seed: Optional[int] = None
     total_points: int = 0
     evaluated_points: int = 0
     scored_points: int = 0
@@ -239,7 +238,6 @@ def explore_layer(
     buffers: BufferConfig = TABLE2_BUFFERS,
     scenario: Scenario = DEFAULT_SCENARIO,
     strategy="exhaustive",
-    seed: Optional[int] = None,
     strategy_options: Optional[dict] = None,
 ) -> DseResult:
     """Algorithm 1 for one layer: evaluate every admissible combination.
@@ -254,16 +252,15 @@ def explore_layer(
         characterizations are measured under (default: the paper's
         Table-II scenario); every requested architecture must be in
         the device's capability set.
-    strategy / seed / strategy_options:
-        Search strategy (a registered name — ``exhaustive``,
-        ``random``, ``greedy-refine``, ``funnel`` — or a
-        :class:`repro.core.strategies.SearchStrategy` instance), the
-        seed of its randomized choices, and its constructor options.
+    strategy / strategy_options:
+        Search strategy (a registered name — ``exhaustive`` or
+        ``funnel`` — or a :class:`repro.core.strategies.SearchStrategy`
+        instance) and its constructor options.
     """
     return _engine().explore_layer(
         layer, architectures=architectures, schemes=schemes,
         policies=policies, buffers=buffers, scenario=scenario,
-        strategy=strategy, seed=seed, strategy_options=strategy_options)
+        strategy=strategy, strategy_options=strategy_options)
 
 
 def explore_network(layers, **kwargs) -> DseResult:

@@ -15,11 +15,11 @@ evaluates the grid in the calling process with:
    depends on its shape, never its name: the admissible tilings are
    memoized process-wide per buffers and layer shape, and an
    :class:`EvaluationCache` memoizes each shape's dense cost tables
-   for the vector evaluator and, for the scalar reference loop and
-   single-point probes, the policy-independent intermediates of the
-   EDP model: DRAM traffic per ``(layer, tiling, scheme)``,
-   adaptive-scheme resolution, and the closed-form transition counts
-   per ``(policy, organization, run length)``.
+   for the vector evaluator and, for the scalar reference loop, the
+   policy-independent intermediates of the EDP model: DRAM traffic per
+   ``(layer, tiling, scheme)``, adaptive-scheme resolution, and the
+   closed-form transition counts per ``(policy, organization, run
+   length)``.
 3. **Vectorized evaluation** — a network is evaluated as one array
    program through :mod:`repro.core.eval_kernel`: the traffic model,
    Eq. 2/3 counts and the EDP fold of every distinct shape run as one
@@ -29,11 +29,11 @@ evaluates the grid in the calling process with:
    ``eval_model="scalar"`` selects throughout.
 4. **Pluggable search** — each explore call names a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
-   ``seed=`` / ``strategy_options=``) instead of hard-coding the grid
-   walk.  The default ``exhaustive`` strategy evaluates the full grid;
-   ``random`` / ``greedy-refine`` / ``funnel`` trade exact coverage
-   for speed on the same executors, and every
-   :class:`~repro.core.dse.DseResult` records its search provenance.
+   ``strategy_options=``) instead of hard-coding the grid walk.  The
+   default ``exhaustive`` strategy evaluates the full grid; ``funnel``
+   prunes with analytical costs and evaluates the survivors on the
+   same executors, and every :class:`~repro.core.dse.DseResult`
+   records its search provenance.
 
 The engine is the only code that searches for a minimum-EDP point:
 :mod:`repro.core.dse`, :mod:`repro.core.sweep` and
@@ -128,14 +128,14 @@ class EvaluationCache:
     Attributes
     ----------
     traffic_memo / counts_memo / adaptive_memo:
-        The scalar path's memos (the reference loop and
-        ``greedy-refine``'s single-point probes): each traffic entry
-        is reused 24x on the Table-II grid (6 policies x 4
-        architectures), and the transition counts collapse to a few
-        hundred distinct keys.  The vector evaluator reads none of
-        them; it computes a layer's traffic and counts in batches.
-        Their ``hits`` / ``misses`` counters are exposed for tests and
-        tuning.
+        The scalar path's memos, read only by the reference loop
+        (``eval_model="scalar"``) and by poisoned segments' fallback:
+        each traffic entry is reused 24x on the Table-II grid (6
+        policies x 4 architectures), and the transition counts
+        collapse to a few hundred distinct keys.  The vector evaluator
+        reads none of them; it computes a layer's traffic and counts
+        in batches.  Their ``hits`` / ``misses`` counters are exposed
+        for tests and tuning.
     tables_memo:
         The vector evaluator's dense table sets, one per distinct
         layer shape (the layer but its name, its tilings and the run's
@@ -278,22 +278,6 @@ class ExplorationContext:
                 self.schemes[scheme_idx], self.policies[policy_idx],
                 grid.tilings[tiling_idx])
 
-    def encode(
-        self,
-        layer_pos: int,
-        arch_idx: int,
-        scheme_idx: int,
-        policy_idx: int,
-        tiling_idx: int,
-    ) -> int:
-        """Flattened grid index of a design point (:meth:`decode` inverse)."""
-        grid = self.layers[layer_pos]
-        local = arch_idx
-        local = local * len(self.schemes) + scheme_idx
-        local = local * len(self.policies) + policy_idx
-        local = local * len(grid.tilings) + tiling_idx
-        return grid.offset + local
-
 
 def _build_context(
     layers,  # Sequence[ConvLayer] or Network
@@ -409,10 +393,9 @@ class ExplorationEngine:
 
     Each explore call picks its search strategy: ``strategy=`` (a
     registered name, see :func:`repro.core.strategies.strategy_names`,
-    or a pre-built :class:`~repro.core.strategies.SearchStrategy`),
-    ``seed=`` and ``strategy_options=`` (e.g.
-    ``{"top_fraction": 0.02}`` for ``funnel``; omit them for a
-    pre-built instance).
+    or a pre-built :class:`~repro.core.strategies.SearchStrategy`) and
+    ``strategy_options=`` (e.g. ``{"top_fraction": 0.02}`` for
+    ``funnel``; omit them for a pre-built instance).
 
     Example
     -------
@@ -455,15 +438,13 @@ class ExplorationEngine:
         buffers: BufferConfig = TABLE2_BUFFERS,
         scenario: Scenario = DEFAULT_SCENARIO,
         strategy="exhaustive",
-        seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
         """Algorithm 1 for one layer; full exploration record."""
         return self.explore_network(
             [layer], architectures=architectures, schemes=schemes,
             policies=policies, buffers=buffers, scenario=scenario,
-            strategy=strategy, seed=seed,
-            strategy_options=strategy_options)
+            strategy=strategy, strategy_options=strategy_options)
 
     def explore_network(
         self,
@@ -474,7 +455,6 @@ class ExplorationEngine:
         buffers: BufferConfig = TABLE2_BUFFERS,
         scenario: Scenario = DEFAULT_SCENARIO,
         strategy="exhaustive",
-        seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
         """Algorithm 1 over all layers; full exploration record.
@@ -486,15 +466,15 @@ class ExplorationEngine:
         channel the characterizations are measured under (default:
         the paper's Table-II scenario); every architecture in
         ``architectures`` must be in the device's capability set.
-        ``strategy`` / ``seed`` / ``strategy_options`` select the
-        search strategy (an unknown name raises
+        ``strategy`` / ``strategy_options`` select the search strategy
+        (an unknown name raises
         :class:`~repro.errors.ConfigurationError`); the returned
         points are in the nested-loop grid order, the full grid under
         the default exhaustive strategy and the evaluated subset under
-        the others.  The result records the strategy, seed,
-        evaluation counts and the evaluation-cache activity of the
-        whole search, a funnel's scoring pass included.  Under the
-        default ``eval_model="auto"`` the points are a read-only
+        the funnel.  The result records the strategy, the evaluation
+        counts and the evaluation-cache activity of the whole search,
+        a funnel's scoring pass included.  Under the default
+        ``eval_model="auto"`` the points are a read-only
         :class:`~repro.core.dse.TablePoints` over one columnar table
         per layer; under ``"scalar"`` they are a list.
         """
@@ -504,7 +484,6 @@ class ExplorationEngine:
             self.characterization_cache)
         run = StrategyRun(
             strategy=search.name,
-            seed=seed,
             total_points=context.total_points,
         )
         shards: Dict[int, Sequence[DsePoint]] = {}
@@ -521,7 +500,6 @@ class ExplorationEngine:
         return DseResult(
             points=points,
             strategy=run.strategy,
-            seed=run.seed,
             total_points=run.total_points,
             evaluated_points=run.exact_points,
             scored_points=run.scored_points,
@@ -583,26 +561,3 @@ class ExplorationEngine:
             partial(_evaluate_range, context, self.evaluation_cache))
         for start, stop in shards:
             yield start, evaluator(start, stop)
-
-    def point_evaluator(self, context: ExplorationContext):
-        """In-process, memoized single-point evaluator.
-
-        Returns ``evaluate(index) -> DsePoint`` with an ``evaluate.cache``
-        dict of every point evaluated so far — the probe primitive of
-        adaptive strategies (``greedy-refine``), which evaluate points
-        one at a time as the search unfolds.  Single-point probes stay
-        on the scalar path regardless of ``eval_model`` (a one-point
-        batch would pay the kernel's table gather for nothing).
-        """
-        cache: Dict[int, DsePoint] = {}
-
-        def evaluate(index: int) -> DsePoint:
-            point = cache.get(index)
-            if point is None:
-                point = _evaluate_range(
-                    context, self.evaluation_cache, index, index + 1)[0]
-                cache[index] = point
-            return point
-
-        evaluate.cache = cache
-        return evaluate

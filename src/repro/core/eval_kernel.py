@@ -30,8 +30,8 @@ layer depends on the layer's shape, never its name):
 3. **Whole-layer columns, once per shape** — each distinct shape's
    points are priced by a few broadcasts over ``[architecture,
    scheme, policy, tiling]`` in grid order, and every segment the
-   engine asks for (a whole layer, a funnel or random run) is a row
-   slice of them, so same-shape layers share their arrays.
+   engine asks for (a whole layer or a run of funnel survivors) is a
+   row slice of them, so same-shape layers share their arrays.
 4. **Columns, not objects** — a segment comes back as a
    :class:`PointTable`: grid-index columns plus the float64 energy,
    cycle and per-type cost columns the fold produced.  A ``DsePoint``
@@ -475,12 +475,14 @@ class PointTable:
             slice(None) if mask is None else np.flatnonzero(mask))
 
 
-def _table_from_points(context, layer_pos: int, indices,
+def _table_from_points(context, layer_pos: int, start: int,
                        points: List[DsePoint]) -> PointTable:
-    """The table of scalar-evaluated points at grid ``indices``."""
+    """The table of scalar-evaluated points at the grid indices from
+    ``start`` on."""
     grid = context.layers[layer_pos]
+    first = start - grid.offset
     columns = np.unravel_index(
-        np.array(indices, dtype=np.int64) - grid.offset,
+        np.arange(first, first + len(points)),
         _grid_shape(context, len(grid.tilings)))
     # Only the cells the points visited are known (and needed).
     resolved = [[None] * len(grid.tilings) for _ in context.schemes]
@@ -531,33 +533,16 @@ def point_tables(context, shards) -> List[PointTable]:
     """One grid-ordered :class:`PointTable` per evaluated layer.
 
     ``shards`` are non-overlapping ``(start, points)`` pairs in
-    ascending ``start`` order.  A :class:`ChunkEvaluator`'s
-    :class:`~repro.core.dse.TablePoints` pass their tables through;
-    plain point lists (a strategy's single-point probes) are converted,
-    each consecutive run of them within a layer at once.  Joining a
-    layer's parts in that order keeps its rows in grid order.
+    ascending ``start`` order, each a :class:`ChunkEvaluator`'s
+    :class:`~repro.core.dse.TablePoints`.  Joining each layer's tables
+    in that order keeps its rows in grid order.
     """
-    # Per layer: tables and (indices, points) runs of plain points.
-    parts: Dict[int, list] = {}
-    for start, points in shards:
-        if isinstance(points, TablePoints):
-            for table in points.tables:
-                parts.setdefault(table.layer_pos, []).append(table)
-            continue
-        for layer_pos, seg_start, seg_stop in iter_layer_segments(
-                context, start, start + len(points)):
-            layer_parts = parts.setdefault(layer_pos, [])
-            if not layer_parts or isinstance(layer_parts[-1], PointTable):
-                layer_parts.append(([], []))
-            indices, run = layer_parts[-1]
-            indices.extend(range(seg_start, seg_stop))
-            run.extend(points[seg_start - start:seg_stop - start])
-    return [
-        _concatenate(context, [
-            part if isinstance(part, PointTable)
-            else _table_from_points(context, layer_pos, *part)
-            for part in layer_parts])
-        for layer_pos, layer_parts in sorted(parts.items())]
+    parts: Dict[int, List[PointTable]] = {}
+    for _start, points in shards:
+        for table in points.tables:
+            parts.setdefault(table.layer_pos, []).append(table)
+    return [_concatenate(context, layer_parts)
+            for _layer_pos, layer_parts in sorted(parts.items())]
 
 
 # ----------------------------------------------------------------------
@@ -763,7 +748,7 @@ class ChunkEvaluator:
             # The scalar loop prices (or refuses) the segment; its
             # points become the segment's table.
             return _table_from_points(
-                context, layer_pos, range(start, stop),
+                context, layer_pos, start,
                 self.scalar_fallback(start, stop))
         indices, energy, cycles, type_costs = self._shape_columns(shape)
         return PointTable(

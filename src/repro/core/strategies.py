@@ -6,15 +6,9 @@ the ``layer x architecture x scheme x policy x tiling`` grid.  This
 module turns the *search algorithm* into a first-class, registered
 component, independent of how the engine evaluates a shard:
 
-* ``exhaustive`` — the default; evaluates every grid point through
-  the engine's full-grid executor and is byte-identical to the
-  pre-strategy engine.
-* ``random`` — seeded uniform sampling of a fraction of the grid;
-  the cheap baseline every smarter strategy must beat.
-* ``greedy-refine`` — multi-restart coordinate-descent hill climbing:
-  from seeded random starting points, repeatedly re-optimize one grid
-  dimension (tiling, mapping policy, scheme, architecture) at a time
-  until no single move improves the EDP.
+* ``exhaustive`` — the default, the paper's Algorithm 1; evaluates
+  every grid point through the engine's full-grid executor and is
+  byte-identical to the pre-strategy engine.
 * ``funnel`` — a two-phase prune→verify search: score **every** grid
   point with its EDP under the closed-form analytical costs of
   :mod:`repro.dram.analytical` (no cycle simulation), computed by the
@@ -24,15 +18,13 @@ component, independent of how the engine evaluates a shard:
   DSE it recovers the same EDP-optimal mapping while cycle-accurately
   evaluating >=10x fewer points.
 
-Strategies yield ``(start_index, points)`` shards exactly like the
-engine's internal sharding, and the engine assembles them into one
-grid-ordered :class:`~repro.core.dse.DseResult` whatever the
-strategy.  Each explore call names its strategy (``strategy=``,
-``seed=``, ``strategy_options=``).  All strategies are deterministic:
-randomized ones (:attr:`SearchStrategy.uses_seed`) derive their
-choices from the run's ``seed`` (default 0), which is recorded —
-together with the strategy name and the evaluation counts — in the
-returned :class:`~repro.core.dse.DseResult`.
+Strategies yield the ``(start_index, points)`` shards of the engine's
+executors, and the engine assembles them into one grid-ordered
+:class:`~repro.core.dse.DseResult` whatever the strategy.  Each
+explore call names its strategy (``strategy=``,
+``strategy_options=``).  Every strategy is deterministic, and the
+returned :class:`~repro.core.dse.DseResult` records the strategy name
+and the evaluation counts.
 
 Example
 -------
@@ -51,26 +43,15 @@ from __future__ import annotations
 
 import math
 import numbers
-import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, Sequence, Tuple, Type
 
 from ..errors import ConfigurationError
 from .dse import DsePoint
 
-#: Default sampled fraction of the ``random`` strategy.
-DEFAULT_RANDOM_FRACTION = 0.05
-
-#: Default restarts of the ``greedy-refine`` strategy.
-DEFAULT_GREEDY_RESTARTS = 4
-
 #: Default exactly-re-evaluated fraction of the ``funnel`` strategy.
 DEFAULT_FUNNEL_TOP_FRACTION = 0.05
-
-#: Floor on the ``random`` strategy's sample size, so small grids are
-#: still meaningfully covered.
-MIN_SAMPLE_POINTS = 32
 
 #: Funnel floor of exact evaluations per (layer, architecture) slice.
 #: Keeping a few candidates in *every* slice guarantees the funnel
@@ -101,7 +82,6 @@ class StrategyRun:
     """
 
     strategy: str
-    seed: Optional[int]
     total_points: int
     #: Exact evaluations (filled by the engine from the shards).
     exact_points: int = 0
@@ -116,9 +96,6 @@ class SearchStrategy:
     name: str = ""
     #: One-line purpose, for ``repro strategies``.
     summary: str = ""
-    #: Whether the search draws random numbers from the run's seed;
-    #: ``repro dse`` refuses ``--seed`` for strategies that do not.
-    uses_seed: bool = False
 
     def shards(
         self,
@@ -128,17 +105,16 @@ class SearchStrategy:
     ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
         """Yield ``(start_index, points)`` shards of evaluated points.
 
-        ``points`` are contiguous in flattened grid order starting at
-        ``start_index``; shards may arrive in any order but must not
-        overlap.  Every yielded point must be an exact evaluation.
-        The engine's executors yield point tables; a list of points
-        (such as a single probe) is converted into the layer's table.
+        Every shard comes from one of the engine's executors —
+        ``engine._shard_results(context)`` for the whole grid,
+        ``engine._evaluate_selected(context, indices)`` for a sorted
+        subset — which evaluate exactly and return ``points`` as the
+        point tables of a :class:`~repro.core.dse.TablePoints` (a
+        list under ``eval_model="scalar"``), contiguous in flattened
+        grid order from ``start_index``.  Shards may arrive in any
+        order but must not overlap.
         """
         raise NotImplementedError
-
-    def _rng(self, run: StrategyRun) -> random.Random:
-        """Deterministic per-run generator (seed defaults to 0)."""
-        return random.Random(0 if run.seed is None else run.seed)
 
 
 class ExhaustiveStrategy(SearchStrategy):
@@ -150,95 +126,6 @@ class ExhaustiveStrategy(SearchStrategy):
 
     def shards(self, engine, context, run):
         return engine._shard_results(context)
-
-
-class RandomStrategy(SearchStrategy):
-    """Seeded uniform sample of the grid.
-
-    Parameters
-    ----------
-    fraction:
-        Sampled fraction of the grid in ``(0, 1]``; at least
-        :data:`MIN_SAMPLE_POINTS` points are drawn (grid permitting).
-    """
-
-    name = "random"
-    summary = "seeded uniform sample of the grid (cheap baseline)"
-    uses_seed = True
-
-    def __init__(self, fraction: float = DEFAULT_RANDOM_FRACTION) -> None:
-        self.fraction = _check_fraction("random fraction", fraction)
-
-    def shards(self, engine, context, run):
-        total = context.total_points
-        count = max(math.ceil(total * self.fraction),
-                    min(MIN_SAMPLE_POINTS, total))
-        indices = sorted(self._rng(run).sample(range(total), count))
-        return engine._evaluate_selected(context, indices)
-
-
-class GreedyRefineStrategy(SearchStrategy):
-    """Multi-restart coordinate-descent hill climbing.
-
-    From each seeded random starting point of each layer's sub-grid,
-    repeatedly sweep one dimension at a time — tiling, mapping policy,
-    scheme, architecture — moving to the best value found, until a
-    full sweep improves nothing.  Every probed point is an exact
-    evaluation; points are probed at most once per run.
-
-    Parameters
-    ----------
-    restarts:
-        Independent starting points per layer.
-    """
-
-    name = "greedy-refine"
-    summary = ("multi-restart coordinate-descent over mapping / "
-               "tiling / scheme / architecture")
-    uses_seed = True
-
-    def __init__(self, restarts: int = DEFAULT_GREEDY_RESTARTS) -> None:
-        if isinstance(restarts, bool) or not isinstance(restarts, int) \
-                or restarts < 1:
-            raise ConfigurationError(
-                f"greedy restarts must be an int >= 1, got {restarts!r}")
-        self.restarts = restarts
-
-    def shards(self, engine, context, run):
-        rng = self._rng(run)
-        evaluate = engine.point_evaluator(context)
-        seen: Dict[int, DsePoint] = evaluate.cache
-
-        def probe(index: int) -> float:
-            return evaluate(index).edp_js
-
-        for layer_pos in range(len(context.layers)):
-            dims = (
-                len(context.architectures),
-                len(context.schemes),
-                len(context.policies),
-                len(context.layers[layer_pos].tilings),
-            )
-            for _ in range(self.restarts):
-                coords = [rng.randrange(extent) for extent in dims]
-                best = probe(context.encode(layer_pos, *coords))
-                improved = True
-                while improved:
-                    improved = False
-                    for axis, extent in enumerate(dims):
-                        for value in range(extent):
-                            if value == coords[axis]:
-                                continue
-                            candidate = list(coords)
-                            candidate[axis] = value
-                            edp = probe(
-                                context.encode(layer_pos, *candidate))
-                            if edp < best:
-                                best = edp
-                                coords = candidate
-                                improved = True
-        for index in sorted(seen):
-            yield index, [seen[index]]
 
 
 class FunnelStrategy(SearchStrategy):
@@ -276,9 +163,11 @@ class FunnelStrategy(SearchStrategy):
             "funnel top_fraction", top_fraction)
 
     def shards(self, engine, context, run):
+        import numpy as np
+
         scores = analytical_scores(context, engine.evaluation_cache)
         run.scored_points = len(scores)
-        indices: List[int] = []
+        kept = []
         for position, grid in enumerate(context.layers):
             layer_points = context.points_in_layer(position)
             # Architecture is the outermost per-layer loop, so each
@@ -288,19 +177,20 @@ class FunnelStrategy(SearchStrategy):
                        min(MIN_EXACT_PER_SLICE, block))
             for arch_idx in range(len(context.architectures)):
                 start = grid.offset + arch_idx * block
-                block_range = range(start, start + block)
-                ranked = sorted(block_range,
-                                key=lambda i: (scores[i], i))
-                indices.extend(ranked[:keep])
-        return engine._evaluate_selected(context, sorted(indices))
+                # A stable sort keeps the lowest grid index on ties.
+                kept.append(start + np.argsort(
+                    scores[start:start + block], kind="stable")[:keep])
+        return engine._evaluate_selected(
+            context, np.sort(np.concatenate(kept)).tolist())
 
 
 # ----------------------------------------------------------------------
 # Analytical scoring of a whole context
 # ----------------------------------------------------------------------
 
-def analytical_scores(context, cache) -> List[float]:
-    """Analytical EDP of every grid point, in grid order.
+def analytical_scores(context, cache):
+    """Analytical EDP of every grid point, in grid order, as one float64
+    array.
 
     A score is the point's EDP in joule-seconds under the closed-form
     per-condition costs of :mod:`repro.dram.analytical` instead of the
@@ -316,6 +206,8 @@ def analytical_scores(context, cache) -> List[float]:
     other costs than the exact phase's), and only a poisoned segment's
     scalar fallback touches its traffic and adaptive-scheme memos.
     """
+    import numpy as np
+
     from ..dram.analytical import analytical_characterization
     from .engine import _evaluate_range
     from .eval_kernel import ChunkEvaluator
@@ -327,8 +219,8 @@ def analytical_scores(context, cache) -> List[float]:
     })
     evaluate = ChunkEvaluator(
         scored, cache, partial(_evaluate_range, scored, cache))
-    return [score for table in evaluate(0, scored.total_points).tables
-            for score in table.edp_js().tolist()]
+    return np.concatenate([
+        table.edp_js() for table in evaluate(0, scored.total_points).tables])
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +249,7 @@ def register_strategy(cls: Type[SearchStrategy],
     return cls
 
 
-for _cls in (ExhaustiveStrategy, RandomStrategy, GreedyRefineStrategy,
-             FunnelStrategy):
+for _cls in (ExhaustiveStrategy, FunnelStrategy):
     register_strategy(_cls)
 del _cls
 
@@ -377,10 +268,9 @@ def get_strategy(name, **options) -> SearchStrategy:
     """Instantiate a registered strategy by name.
 
     ``options`` are forwarded to the strategy constructor (e.g.
-    ``top_fraction=`` for ``funnel``, ``fraction=`` for ``random``,
-    ``restarts=`` for ``greedy-refine``).  A
-    :class:`SearchStrategy` instance passes through unchanged (then
-    ``options`` must be empty).
+    ``top_fraction=`` for ``funnel``).  A :class:`SearchStrategy`
+    instance passes through unchanged (then ``options`` must be
+    empty).
     """
     if isinstance(name, SearchStrategy):
         if options:

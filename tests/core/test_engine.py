@@ -172,7 +172,7 @@ class TestCaching:
         assert checked > 1000
 
     @pytest.mark.parametrize(
-        "strategy", ["exhaustive", "random", "greedy-refine", "funnel"])
+        "strategy", ["exhaustive", "funnel"])
     def test_eval_cache_stats_cover_the_whole_search(self, tiny_layer,
                                                      strategy):
         """The record's cache stats are the engine cache's delta around

@@ -9,18 +9,21 @@ The two load-bearing guarantees:
   least 10x fewer points (pinned acceptance test).
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import best_mapping_per_layer, explore_network
-from repro.core.dse import explore_layer
+from repro.core import dse
+from repro.core.dse import DseResult, best_mapping_per_layer
+from repro.core.dse import explore_layer, explore_network
 from repro.core.engine import ExplorationEngine, _build_context
 from repro.core.strategies import (
     MIN_EXACT_PER_SLICE,
     FunnelStrategy,
-    GreedyRefineStrategy,
-    RandomStrategy,
     SearchStrategy,
+    StrategyRun,
     analytical_scores,
     get_strategy,
     register_strategy,
@@ -47,44 +50,37 @@ def tiny_full(tiny_layer):
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = strategy_names()
-        assert names[0] == "exhaustive"
-        assert set(names) >= {"exhaustive", "random", "greedy-refine",
-                              "funnel"}
+        assert strategy_names() == ("exhaustive", "funnel")
 
     def test_summaries_cover_every_name(self):
         assert set(strategy_summaries()) == set(strategy_names())
 
-    def test_only_randomized_strategies_use_the_seed(self):
-        assert {name for name in strategy_names()
-                if get_strategy(name).uses_seed} \
-            == {"random", "greedy-refine"}
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown search"):
             get_strategy("simulated-annealing")
+
+    @pytest.mark.parametrize("name", ["random", "greedy-refine"])
+    def test_deleted_strategies_are_unknown_names(self, name):
+        """The sampling searches are gone: their names are refused
+        like any unknown one, and the message lists what remains."""
+        with pytest.raises(ConfigurationError,
+                           match="choose from: exhaustive, funnel$"):
+            get_strategy(name)
 
     def test_bad_options_rejected(self):
         with pytest.raises(ConfigurationError, match="invalid options"):
             get_strategy("funnel", not_an_option=1)
         with pytest.raises(ConfigurationError, match="top_fraction"):
             get_strategy("funnel", top_fraction=0.0)
-        with pytest.raises(ConfigurationError, match="fraction"):
-            get_strategy("random", fraction=2.0)
-        with pytest.raises(ConfigurationError, match="restarts"):
-            get_strategy("greedy-refine", restarts=0)
 
     @pytest.mark.parametrize("cls, options", [
-        (GreedyRefineStrategy, {"restarts": 2.5}),
-        (GreedyRefineStrategy, {"restarts": True}),
-        (RandomStrategy, {"fraction": True}),
         (FunnelStrategy, {"top_fraction": True}),
         (FunnelStrategy, {"top_fraction": "0.5"}),
     ])
     def test_options_of_the_wrong_type_rejected(self, tiny_layer, cls,
                                                 options):
-        """A non-int restart count and a bool (or string) fraction are
-        refused by the constructor, not at the first explore call."""
+        """A bool (or string) fraction is refused by the constructor,
+        not at the first explore call."""
         with pytest.raises(ConfigurationError, match=next(iter(options))):
             cls(**options)
         with pytest.raises(ConfigurationError):
@@ -134,11 +130,6 @@ class TestExhaustiveByteIdentity:
         assert tiny_full.scored_points == 0
         assert tiny_full.exact_evaluation_fraction == 1.0
 
-    def test_run_records_strategy_and_seed(self, tiny_layer):
-        result = ExplorationEngine().explore_network(
-            [tiny_layer], strategy="random", seed=11)
-        assert (result.strategy, result.seed) == ("random", 11)
-
     def test_context_dataclass_carries_provenance(self, tiny_layer):
         import pickle
 
@@ -154,10 +145,12 @@ class TestExhaustiveByteIdentity:
         assert clone.scenario == DEFAULT_SCENARIO
         # The search provenance is recorded on the result.
         result = explore_layer(tiny_layer, architectures=(DDR3,),
-                               strategy="funnel", seed=5)
-        assert (result.strategy, result.seed) == ("funnel", 5)
+                               strategy="funnel")
+        assert result.strategy == "funnel"
 
-    def test_encode_inverts_decode(self, tiny_layer):
+    def test_decode_follows_the_nested_loop_order(self, tiny_layer):
+        """Flattened indices walk Algorithm 1's loops, architecture
+        outermost and tiling innermost."""
         from repro.cnn.scheduling import ALL_SCHEMES
         from repro.cnn.tiling import TABLE2_BUFFERS
         from repro.dram.characterize import CharacterizationCache
@@ -166,69 +159,20 @@ class TestExhaustiveByteIdentity:
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
             TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
-        for index in range(context.total_points):
-            layer, arch, scheme, policy, tiling = context.decode(index)
-            encoded = context.encode(
-                0,
-                context.architectures.index(arch),
-                context.schemes.index(scheme),
-                context.policies.index(policy),
-                context.layers[0].tilings.index(tiling))
-            assert encoded == index
-
-
-class TestRandomStrategy:
-    def test_same_seed_same_points(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="random", seed=7)
-        second = explore_layer(tiny_layer, strategy="random", seed=7)
-        assert first.points == second.points
-        assert first.seed == 7
-
-    def test_different_seed_different_sample(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="random", seed=7)
-        second = explore_layer(tiny_layer, strategy="random", seed=8)
-        assert first.points != second.points
-
-    def test_points_are_an_ordered_subset(self, tiny_layer, tiny_full):
-        sampled = explore_layer(tiny_layer, strategy="random", seed=3)
-        assert sampled.evaluated_points == len(sampled.points)
-        assert sampled.evaluated_points < tiny_full.total_points
-        positions = [tiny_full.points.index(point)
-                     for point in sampled.points]
-        assert positions == sorted(positions)
-
-    def test_fraction_controls_sample_size(self, tiny_layer, tiny_full):
-        half = explore_layer(
-            tiny_layer, strategy="random",
-            strategy_options={"fraction": 0.5})
-        assert half.evaluated_points >= tiny_full.total_points // 2
-
-
-class TestGreedyRefine:
-    def test_finds_the_tiny_grid_optimum(self, tiny_layer, tiny_full):
-        greedy = explore_layer(tiny_layer, strategy="greedy-refine")
-        # Equal-EDP ties may resolve to a different (scheme, tiling)
-        # than the exhaustive scan; the achieved optimum is what the
-        # strategy guarantees.
-        assert greedy.best().edp_js == tiny_full.best().edp_js
-        assert greedy.evaluated_points < tiny_full.total_points
-
-    def test_deterministic_per_seed(self, tiny_layer):
-        first = explore_layer(
-            tiny_layer, strategy="greedy-refine", seed=2)
-        second = explore_layer(
-            tiny_layer, strategy="greedy-refine", seed=2)
-        assert first.points == second.points
-
-    def test_probes_are_never_duplicated(self, tiny_layer):
-        greedy = explore_layer(tiny_layer, strategy="greedy-refine")
-        names = [(p.layer_name, p.architecture, p.scheme, p.policy,
-                  p.tiling) for p in greedy.points]
-        assert len(names) == len(set(names))
+        grid = context.layers[0]
+        expected = [(tiny_layer, architecture, scheme, policy, tiling)
+                    for architecture in context.architectures
+                    for scheme in context.schemes
+                    for policy in context.policies
+                    for tiling in grid.tilings]
+        assert [context.decode(index)
+                for index in range(context.total_points)] == expected
 
 
 class TestFunnel:
     def test_analytical_scores_cover_the_grid(self, tiny_layer):
+        import numpy as np
+
         from repro.cnn.scheduling import ALL_SCHEMES
         from repro.cnn.tiling import TABLE2_BUFFERS
         from repro.core.engine import EvaluationCache
@@ -239,8 +183,10 @@ class TestFunnel:
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
             TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
         scores = analytical_scores(context, EvaluationCache())
-        assert len(scores) == context.total_points
-        assert all(score > 0 for score in scores)
+        assert isinstance(scores, np.ndarray)
+        assert scores.dtype == np.float64
+        assert scores.shape == (context.total_points,)
+        assert (scores > 0).all()
 
     def test_funnel_matches_exhaustive_best(self, tiny_layer, tiny_full):
         funnel = explore_layer(tiny_layer, strategy="funnel")
@@ -261,6 +207,101 @@ class TestFunnel:
         for architecture in architectures:
             assert funnel.best(architecture=architecture)
 
+
+
+def _score_pattern(pattern, size):
+    """Analytical scores of one named shape, ties included."""
+    import numpy as np
+
+    index = np.arange(size, dtype=np.float64)
+    return {
+        "all-tied": np.ones(size),
+        "two-levels": index % 2,
+        "descending": size - index,
+        "four-levels": np.random.default_rng(0).integers(
+            0, 4, size).astype(np.float64),
+    }[pattern]
+
+
+class TestFunnelRanking:
+    """The funnel keeps each (layer, architecture) slice's lowest
+    scores, and among equal scores the lowest grid indices: the order
+    of a ``(score, index)`` sort key."""
+
+    @pytest.mark.parametrize(
+        "pattern", ["all-tied", "two-levels", "descending", "four-levels"])
+    def test_kept_indices_follow_score_then_index(self, monkeypatch,
+                                                  pattern):
+        from repro.core import strategies
+
+        layers = get_workload("tiny").lower()
+        seen = {}
+
+        def scores(context, cache):
+            seen["context"] = context
+            seen["scores"] = _score_pattern(pattern, context.total_points)
+            return seen["scores"]
+
+        monkeypatch.setattr(strategies, "analytical_scores", scores)
+        engine = ExplorationEngine()
+        selected = []
+        evaluate = engine._evaluate_selected
+
+        def capture(context, indices):
+            selected.extend(indices)
+            return evaluate(context, indices)
+
+        monkeypatch.setattr(engine, "_evaluate_selected", capture)
+        top_fraction = 0.25
+        result = engine.explore_network(
+            layers, strategy=FunnelStrategy(top_fraction=top_fraction))
+
+        context, score = seen["context"], seen["scores"]
+        expected = []
+        for position, grid in enumerate(context.layers):
+            block = context.points_in_layer(position) \
+                // len(context.architectures)
+            keep = max(math.ceil(block * top_fraction),
+                       min(MIN_EXACT_PER_SLICE, block))
+            for arch_idx in range(len(context.architectures)):
+                start = grid.offset + arch_idx * block
+                expected += sorted(range(start, start + block),
+                                   key=lambda i: (score[i], i))[:keep]
+        assert len(context.layers) == 2
+        assert selected == sorted(expected)
+        assert result.evaluated_points == len(expected)
+        assert result.scored_points == context.total_points
+
+
+class TestNoSeed:
+    """No search draws random numbers, so no explore call takes a seed
+    and no exploration record carries one."""
+
+    @pytest.mark.parametrize("call", [
+        "engine.explore_layer", "engine.explore_network",
+        "dse.explore_layer", "dse.explore_network", "dse.explore_workload",
+    ])
+    def test_explore_calls_refuse_a_seed(self, tiny_layer, call):
+        calls = {
+            "engine.explore_layer": lambda: ExplorationEngine()
+            .explore_layer(tiny_layer, seed=1),
+            "engine.explore_network": lambda: ExplorationEngine()
+            .explore_network([tiny_layer], seed=1),
+            "dse.explore_layer": lambda: dse.explore_layer(
+                tiny_layer, seed=1),
+            "dse.explore_network": lambda: dse.explore_network(
+                [tiny_layer], seed=1),
+            "dse.explore_workload": lambda: dse.explore_workload(
+                "tiny", seed=1),
+        }
+        with pytest.raises(TypeError, match="'seed'"):
+            calls[call]()
+
+    @pytest.mark.parametrize("record", [DseResult, StrategyRun],
+                             ids=lambda cls: cls.__name__)
+    def test_records_have_no_seed_field(self, record):
+        assert "seed" not in {field.name
+                              for field in dataclasses.fields(record)}
 
 class TestFunnelAlexNetPinned:
     """Pinned acceptance: same AlexNet/DDR3 optimum, >=10x fewer exact

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads import workload_names
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,51 @@ def assert_usage_error(capsys, argv, *messages):
     for message in messages:
         assert message in err
 
+
+
+def per_layer_dse_output(model, strategy):
+    """What ``dse --model MODEL --strategy STRATEGY`` prints, rebuilt
+    from one engine exploration per layer on the default DDR3
+    scenario: the reference that the command's single network-wide
+    exploration must reproduce byte for byte."""
+    from repro.core.engine import ExplorationEngine
+    from repro.core.report import format_table
+    from repro.dram.architecture import DRAMArchitecture
+    from repro.dram.scenario import DEFAULT_SCENARIO
+    from repro.workloads import get_workload
+
+    engine = ExplorationEngine()
+    rows = []
+    total = 0.0
+    evaluated = scored = grid_points = 0
+    for layer in get_workload(model).lower():
+        result = engine.explore_layer(
+            layer, architectures=(DRAMArchitecture.DDR3,),
+            strategy=strategy)
+        best = result.best()
+        total += best.edp_js
+        evaluated += result.evaluated_points
+        scored += result.scored_points
+        grid_points += result.total_points
+        tiling = best.tiling
+        rows.append([
+            layer.name, best.policy.name,
+            best.result.resolved_scheme.value,
+            f"{tiling.th}/{tiling.tw}/{tiling.tj}/{tiling.ti}",
+            f"{best.edp_js:.3e}",
+        ])
+    rows.append(["TOTAL", "", "", "", f"{total:.3e}"])
+    suffix = "" if strategy == "exhaustive" else f" [strategy: {strategy}]"
+    out = format_table(
+        ["layer", "mapping", "schedule", "tiling Th/Tw/Tj/Ti",
+         "min EDP [J*s]"],
+        rows, title=f"Algorithm 1 on DDR3 ({DEFAULT_SCENARIO.device.name})"
+                    + DEFAULT_SCENARIO.tag + suffix) + "\n"
+    if strategy != "exhaustive":
+        out += (f"strategy {strategy}: {evaluated}/{grid_points} design "
+                f"points evaluated exactly, {scored} scored "
+                f"analytically\n")
+    return out
 
 class TestCharacterize:
     def test_all_architectures(self, capsys):
@@ -396,8 +442,41 @@ class TestSearchStrategies:
     def test_strategies_listing(self, capsys):
         code, out = run_cli(capsys, "strategies")
         assert code == 0
-        for name in ("exhaustive", "random", "greedy-refine", "funnel"):
-            assert name in out
+        # Title, header and rule, then one row per strategy.
+        rows = out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["exhaustive", "funnel"]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "funnel"])
+    def test_dse_explores_the_network_in_one_call(self, capsys,
+                                                  monkeypatch, strategy):
+        """``dse`` explores every layer in one engine call, so the
+        layers share the network's batched tables."""
+        from repro.core.engine import ExplorationEngine
+
+        calls = []
+        explore = ExplorationEngine.explore_network
+
+        def counting(self, layers, **kwargs):
+            calls.append(len(layers))
+            return explore(self, layers, **kwargs)
+
+        monkeypatch.setattr(ExplorationEngine, "explore_network", counting)
+        code, _out = run_cli(capsys, "dse", "--model", "vgg16",
+                             "--strategy", strategy)
+        assert code == 0
+        assert calls == [16]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "funnel"])
+    @pytest.mark.parametrize("model", workload_names())
+    def test_dse_output_matches_per_layer_explorations(self, capsys,
+                                                       model, strategy):
+        """Exploring the network in one call prints exactly what one
+        exploration per layer does: each row is that layer's own
+        minimum, and the funnel's counts are the layers' sums."""
+        code, out = run_cli(capsys, "dse", "--model", model,
+                            "--strategy", strategy)
+        assert code == 0
+        assert out == per_layer_dse_output(model, strategy)
 
     def test_explicit_exhaustive_output_byte_identical(self, capsys):
         code, default = run_cli(capsys, "dse", "--model", "lenet5",
@@ -431,28 +510,37 @@ class TestSearchStrategies:
                        if line.startswith(("C", "F", "OUTPUT", "TOTAL"))]
         assert funnel_rows == full_rows
 
-    def test_seed_reported_for_random(self, capsys):
-        code, out = run_cli(capsys, "dse", "--model", "lenet5",
-                            "--layer", "C1", "--strategy", "random",
-                            "--seed", "9")
-        assert code == 0
-        assert "seed 9" in out
-
-    def test_seed_refused_where_nothing_is_random(self, capsys):
-        """A seed would change nothing under the deterministic
-        strategies, so the run refuses it instead of reporting it."""
+    def test_seed_is_an_unrecognized_argument(self, capsys):
+        """No search draws random numbers, so ``dse`` has no
+        ``--seed``: it exits 2 as unrecognized, without a traceback,
+        and ``dse --help`` does not list it."""
         for strategy_flags in (["--strategy", "funnel"], []):
-            assert_usage_error(
-                capsys, ["dse", "--model", "lenet5", "--seed", "3"]
-                + strategy_flags, "draws no random numbers", "--seed")
-        code, out = run_cli(capsys, "dse", "--model", "lenet5",
-                            "--strategy", "random", "--seed", "3")
-        assert code == 0
-        assert "seed 3" in out
+            with pytest.raises(SystemExit) as exc:
+                main(["dse", "--model", "lenet5", "--seed", "3"]
+                     + strategy_flags)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --seed 3" in err
+            assert "Traceback" not in err
+        with pytest.raises(SystemExit):
+            main(["dse", "--help"])
+        assert "--seed" not in capsys.readouterr().out
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             main(["dse", "--model", "lenet5", "--strategy", "psychic"])
+
+    @pytest.mark.parametrize("name", ["random", "greedy-refine"])
+    def test_deleted_strategies_are_invalid_choices(self, capsys, name):
+        """The sampling searches are gone: ``--strategy`` refuses their
+        names as argparse choices, exit 2, without a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "--model", "lenet5", "--strategy", name])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{name}'" in err
+        assert "'exhaustive', 'funnel'" in err
+        assert "Traceback" not in err
 
     def test_bad_funnel_topk_rejected(self, capsys):
         for topk in ("0", "101"):
@@ -462,12 +550,10 @@ class TestSearchStrategies:
                 "--funnel-topk must be in (0, 100]")
 
     def test_funnel_topk_refused_outside_funnel(self, capsys):
-        """The percentage changes only the funnel's run, so every
-        other strategy refuses it, whatever its value."""
+        """The percentage changes only the funnel's run, so the
+        exhaustive search refuses it, whatever its value."""
         for strategy_flags, topk in (
-                (["--strategy", "random"], "10"),
-                (["--strategy", "greedy-refine"], "50"),
-                (["--strategy", "random"], "0"),
+                (["--strategy", "exhaustive"], "0"),
                 ([], "5")):
             assert_usage_error(
                 capsys, ["dse", "--model", "lenet5", "--funnel-topk",
