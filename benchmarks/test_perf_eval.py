@@ -40,7 +40,7 @@ from ._timing import interleaved_best_of
 def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
         alexnet_layers):
     """Full AlexNet/DDR3 exhaustive grid, swept in fixed 256-point
-    chunks (the engine itself evaluates one shard per layer)."""
+    chunks (the engine itself evaluates the grid in one call)."""
     context = _build_context(
         alexnet_layers, None, ALL_SCHEMES, TABLE1_MAPPINGS,
         TABLE2_BUFFERS, DEFAULT_SCENARIO,

@@ -5,8 +5,9 @@ analytical model and re-evaluates only the top slice exactly, so on a
 VGG-class DSE it must deliver
 
 * the **same optimum** as the exhaustive Algorithm-1 sweep, and
-* at least a **5x wall-clock speedup** (it measures ~10-12x here:
-  ~20x fewer exact evaluations, minus the analytical scoring pass),
+* at least a **5x wall-clock speedup** (it measures ~16-20x on a
+  2-vCPU host: ~20x fewer exact evaluations, minus the analytical
+  scoring pass),
 
 plus a >=10x reduction in exact (cycle-accurate-characterized)
 evaluations.  Run via ``make bench-gates``.

@@ -8,7 +8,7 @@ Run with::
                                       [--funnel-topk 5]
 
 For each device the full Algorithm-1 design space is explored with
-both registered search strategies, ``exhaustive`` and ``funnel``, and
+both search strategies, ``exhaustive`` and ``funnel``, and
 the table reports how many design points each evaluated with exact
 (cycle-accurate) characterization, how many it scored with the
 closed-form analytical model, its wall-clock time, and the EDP gap of
@@ -28,7 +28,7 @@ import time
 
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
-from repro.core.strategies import strategy_names
+from repro.core.strategies import STRATEGIES
 from repro.dram.characterize import characterize_all
 from repro.dram.device import device_names, get_device
 from repro.dram.scenario import Scenario
@@ -63,7 +63,7 @@ def main() -> None:
 
         results = {}
         timings = {}
-        for name in strategy_names():
+        for name in STRATEGIES:
             options = {}
             if name == "funnel":
                 options["top_fraction"] = args.funnel_topk / 100.0

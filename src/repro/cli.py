@@ -460,12 +460,11 @@ def cmd_arbiters(args: argparse.Namespace) -> int:
 
 
 def cmd_strategies(args: argparse.Namespace) -> int:
-    """List the registered DSE search strategies."""
-    from .core.strategies import strategy_summaries
+    """List the DSE search strategies."""
+    from .core.strategies import STRATEGIES
 
     del args
-    rows = [[name, summary]
-            for name, summary in strategy_summaries().items()]
+    rows = [[name, summary] for name, summary in STRATEGIES.items()]
     print(format_table(
         ["strategy", "purpose"], rows,
         title="Registered DSE search strategies"))
@@ -623,11 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--arch", default="DDR3")
     add_scenario_arguments(p_dse)
     add_cache_arguments(p_dse)
-    from .core.strategies import DEFAULT_FUNNEL_TOP_FRACTION, strategy_names
+    from .core.strategies import DEFAULT_FUNNEL_TOP_FRACTION, STRATEGIES
 
     p_dse.add_argument(
         "--strategy", default="exhaustive",
-        choices=strategy_names(),
+        choices=tuple(STRATEGIES),
         help="search strategy over the design grid (default: "
              "exhaustive, the paper's Algorithm 1; see 'repro "
              "strategies')")

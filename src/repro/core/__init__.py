@@ -31,17 +31,7 @@ from .pareto import (
     points_from_dse,
     project,
 )
-from .strategies import (
-    ExhaustiveStrategy,
-    FunnelStrategy,
-    SearchStrategy,
-    StrategyRun,
-    analytical_scores,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-    strategy_summaries,
-)
+from .strategies import STRATEGIES, analytical_scores
 from .figures import bar_chart, grouped_bar_chart, sparkline
 from .report import (
     format_edp,
@@ -67,15 +57,12 @@ __all__ = [
     "DseResult",
     "EVAL_MODELS",
     "EvaluationCache",
-    "ExhaustiveStrategy",
     "ExplorationEngine",
-    "FunnelStrategy",
     "INITIAL_ACCESS_CONDITION",
     "LayerEDP",
     "NetworkEDP",
     "ObjectivePoint",
-    "SearchStrategy",
-    "StrategyRun",
+    "STRATEGIES",
     "SweepPoint",
     "ZERO_COST",
     "analytical_scores",
@@ -84,9 +71,7 @@ __all__ = [
     "condition_counts",
     "explore_layer",
     "explore_network",
-    "get_strategy",
     "make_chunk_evaluator",
-    "register_strategy",
     "format_edp",
     "format_series",
     "format_table",
@@ -104,8 +89,6 @@ __all__ = [
     "run_cost",
     "series_table",
     "sparkline",
-    "strategy_names",
-    "strategy_summaries",
     "sweep_batch",
     "sweep_buffers",
     "sweep_precision",

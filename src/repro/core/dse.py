@@ -253,9 +253,9 @@ def explore_layer(
         Table-II scenario); every requested architecture must be in
         the device's capability set.
     strategy / strategy_options:
-        Search strategy (a registered name — ``exhaustive`` or
-        ``funnel`` — or a :class:`repro.core.strategies.SearchStrategy`
-        instance) and its constructor options.
+        Search strategy (``exhaustive`` or ``funnel``, see
+        :data:`repro.core.strategies.STRATEGIES`) and its options
+        (``{"top_fraction": x}`` for ``funnel``).
     """
     return _engine().explore_layer(
         layer, architectures=architectures, schemes=schemes,

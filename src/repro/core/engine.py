@@ -27,13 +27,13 @@ evaluates the grid in the calling process with:
    every segment slices, bit-for-bit identical to the scalar
    reference loop, which a poisoned segment falls back to and
    ``eval_model="scalar"`` selects throughout.
-4. **Pluggable search** — each explore call names a registered
-   :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
-   ``strategy_options=``) instead of hard-coding the grid walk.  The
-   default ``exhaustive`` strategy evaluates the full grid; ``funnel``
-   prunes with analytical costs and evaluates the survivors on the
-   same executors, and every :class:`~repro.core.dse.DseResult`
-   records its search provenance.
+4. **A search is a set of grid ranges** — each explore call names
+   its search (``strategy=`` / ``strategy_options=``, see
+   :mod:`repro.core.strategies`) instead of hard-coding the grid walk.
+   The default ``exhaustive`` search evaluates one range, the full
+   grid; ``funnel`` prunes with analytical costs and evaluates the
+   survivors' runs with the same evaluator, and every
+   :class:`~repro.core.dse.DseResult` records its search provenance.
 
 The engine is the only code that searches for a minimum-EDP point:
 :mod:`repro.core.dse`, :mod:`repro.core.sweep` and
@@ -64,9 +64,9 @@ import bisect
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..caching import CacheStats
+from ..caching import CacheStats, LRUMemo
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ALL_SCHEMES, ReuseScheme
 from ..cnn.tiling import (
@@ -75,7 +75,6 @@ from ..cnn.tiling import (
     TilingConfig,
     enumerate_tilings,
 )
-from ..caching import LRUMemo
 from ..cnn.traffic import LayerTraffic, best_concrete_scheme, layer_traffic
 from ..dram.architecture import DRAMArchitecture
 from ..dram.characterize import (
@@ -90,15 +89,14 @@ from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
 from ..workloads.network import as_layers
+from . import strategies
 from .dse import DsePoint, DseResult, TablePoints
 from .edp import layer_edp
 from .eval_kernel import (
-    iter_layer_segments,
     make_chunk_evaluator,
     point_tables,
     validate_eval_model,
 )
-from .strategies import StrategyRun, get_strategy
 
 #: Process-wide memo of admissible tilings per (buffers, layer shape):
 #: the buffer-maximal enumeration is pure in the buffers and the fields
@@ -229,10 +227,10 @@ class _LayerGrid:
 class ExplorationContext:
     """Everything the evaluators need to evaluate any grid index.
 
-    Shards are addressed as plain ``(start, stop)`` ranges over the
-    flattened grid, with the tiling loop innermost and the
-    architecture loop outermost — the nested-loop order of
-    Algorithm 1.
+    Searches and evaluators address the grid as plain ``(start,
+    stop)`` ranges over the flattened grid, with the tiling loop
+    innermost and the architecture loop outermost — the nested-loop
+    order of Algorithm 1.
     """
 
     layers: Tuple[_LayerGrid, ...]
@@ -288,7 +286,7 @@ def _build_context(
     scenario: Scenario,
     characterization_cache: CharacterizationCache,
 ) -> ExplorationContext:
-    """Validate the grid and pre-compute everything shards share.
+    """Validate the grid and pre-compute everything evaluators share.
 
     The context carries the :class:`~repro.dram.scenario.Scenario`
     the characterizations were measured under, so evaluators read the
@@ -338,7 +336,7 @@ def _build_context(
 
 
 # ----------------------------------------------------------------------
-# Scalar shard evaluation
+# Scalar reference evaluation
 # ----------------------------------------------------------------------
 
 def _evaluate_range(
@@ -381,21 +379,20 @@ class ExplorationEngine:
         LRU cache for Fig.-1 characterizations; defaults to the
         process-wide shared cache.
     eval_model:
-        ``"auto"`` (default) evaluates each shard with the vectorized
-        kernel of :mod:`repro.core.eval_kernel`, falling back to the
-        scalar loop per poisoned segment; ``"scalar"`` selects the
-        reference per-point loop throughout, for differential tests
-        and ratio gates.  Results are bit-for-bit identical.
+        ``"auto"`` (default) evaluates each grid range with the
+        vectorized kernel of :mod:`repro.core.eval_kernel`, falling
+        back to the scalar loop per poisoned segment; ``"scalar"``
+        selects the reference per-point loop throughout, for
+        differential tests and ratio gates.  Results are bit-for-bit
+        identical.
     jobs:
         Must be ``1``: the grid is evaluated in the calling process,
         and any other value raises
         :class:`~repro.errors.ConfigurationError`.
 
-    Each explore call picks its search strategy: ``strategy=`` (a
-    registered name, see :func:`repro.core.strategies.strategy_names`,
-    or a pre-built :class:`~repro.core.strategies.SearchStrategy`) and
-    ``strategy_options=`` (e.g. ``{"top_fraction": 0.02}`` for
-    ``funnel``; omit them for a pre-built instance).
+    Each explore call picks its search: ``strategy=`` (a name in
+    :data:`repro.core.strategies.STRATEGIES`) and ``strategy_options=``
+    (e.g. ``{"top_fraction": 0.02}`` for ``funnel``).
 
     Example
     -------
@@ -466,98 +463,50 @@ class ExplorationEngine:
         channel the characterizations are measured under (default:
         the paper's Table-II scenario); every architecture in
         ``architectures`` must be in the device's capability set.
-        ``strategy`` / ``strategy_options`` select the search strategy
-        (an unknown name raises
-        :class:`~repro.errors.ConfigurationError`); the returned
-        points are in the nested-loop grid order, the full grid under
-        the default exhaustive strategy and the evaluated subset under
-        the funnel.  The result records the strategy, the evaluation
-        counts and the evaluation-cache activity of the whole search,
-        a funnel's scoring pass included.  Under the default
+        ``strategy`` / ``strategy_options`` select the search (an
+        unknown name or option raises
+        :class:`~repro.errors.ConfigurationError` before any grid
+        work); the returned points are in the nested-loop grid order,
+        the full grid under the default exhaustive strategy and the
+        evaluated subset under the funnel.  The result records the
+        strategy, the evaluation counts and the evaluation-cache
+        activity of the whole search, a funnel's scoring pass
+        included.  Under the default
         ``eval_model="auto"`` the points are a read-only
         :class:`~repro.core.dse.TablePoints` over one columnar table
         per layer; under ``"scalar"`` they are a list.
         """
-        search = get_strategy(strategy, **(strategy_options or {}))
+        top_fraction = strategies.funnel_top_fraction(
+            strategy, strategy_options)
         context = _build_context(
             layers, architectures, schemes, policies, buffers, scenario,
             self.characterization_cache)
-        run = StrategyRun(
-            strategy=search.name,
-            total_points=context.total_points,
-        )
-        shards: Dict[int, Sequence[DsePoint]] = {}
         before = self.evaluation_cache.stats
-        for start, points in search.shards(self, context, run):
-            run.exact_points += len(points)
-            shards[start] = points
+        runs = [(0, context.total_points)]
+        scored_points = 0
+        if top_fraction is not None:
+            # Looked up on the module, so a wrapper installed there (a
+            # tracer, a test double) is the one that scores.
+            scores = strategies.analytical_scores(
+                context, self.evaluation_cache)
+            scored_points = len(scores)
+            runs = strategies.funnel_runs(context, scores, top_fraction)
+        evaluate = make_chunk_evaluator(
+            context, self.evaluation_cache, self.eval_model,
+            partial(_evaluate_range, context, self.evaluation_cache))
+        results = [evaluate(start, stop) for start, stop in runs]
         after = self.evaluation_cache.stats
-        ordered = [(start, shards[start]) for start in sorted(shards)]
         if self.eval_model == "scalar":
-            points = [point for _start, shard in ordered for point in shard]
+            points = [point for result in results for point in result]
         else:
-            points = TablePoints(point_tables(context, ordered))
+            points = TablePoints(point_tables(context, results))
         return DseResult(
             points=points,
-            strategy=run.strategy,
-            total_points=run.total_points,
-            evaluated_points=run.exact_points,
-            scored_points=run.scored_points,
+            strategy=strategy,
+            total_points=context.total_points,
+            evaluated_points=sum(map(len, results)),
+            scored_points=scored_points,
             eval_cache_stats=CacheStats(
                 hits=after.hits - before.hits,
                 misses=after.misses - before.misses),
         )
-
-    # -- executors -----------------------------------------------------
-
-    def _shard_results(
-        self,
-        context: ExplorationContext,
-    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
-        """Yield ``(start, points)`` for the full grid, one per layer.
-
-        The exhaustive strategy's executor: each layer's slice of the
-        grid is one shard, which the vector kernel returns as its
-        shape's whole-layer columns.
-        """
-        return self._execute_shards(
-            context,
-            ((start, stop) for _position, start, stop
-             in iter_layer_segments(context, 0, context.total_points)))
-
-    def _evaluate_selected(
-        self,
-        context: ExplorationContext,
-        indices: Sequence[int],
-    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
-        """Yield shards covering exactly ``indices`` (sorted, unique).
-
-        Consecutive indices coalesce into contiguous ``(start, stop)``
-        runs, split only at layer boundaries, so the vector kernel
-        returns each run as one row slice of its shape's columns.
-        """
-        def runs() -> Iterator[Tuple[int, int]]:
-            position = 0
-            while position < len(indices):
-                stop = position + 1
-                while stop < len(indices) \
-                        and indices[stop] == indices[stop - 1] + 1:
-                    stop += 1
-                for _position, seg_start, seg_stop in iter_layer_segments(
-                        context, indices[position], indices[stop - 1] + 1):
-                    yield seg_start, seg_stop
-                position = stop
-
-        return self._execute_shards(context, runs())
-
-    def _execute_shards(
-        self,
-        context: ExplorationContext,
-        shards: Iterator[Tuple[int, int]],
-    ) -> Iterator[Tuple[int, Sequence[DsePoint]]]:
-        """Evaluate ``(start, stop)`` shards in order, in this process."""
-        evaluator = make_chunk_evaluator(
-            context, self.evaluation_cache, self.eval_model,
-            partial(_evaluate_range, context, self.evaluation_cache))
-        for start, stop in shards:
-            yield start, evaluator(start, stop)

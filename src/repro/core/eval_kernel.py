@@ -29,9 +29,10 @@ layer depends on the layer's shape, never its name):
    one pass share them.
 3. **Whole-layer columns, once per shape** — each distinct shape's
    points are priced by a few broadcasts over ``[architecture,
-   scheme, policy, tiling]`` in grid order, and every segment the
-   engine asks for (a whole layer or a run of funnel survivors) is a
-   row slice of them, so same-shape layers share their arrays.
+   scheme, policy, tiling]`` in grid order, and every layer segment of
+   a range the engine asks for (the whole grid, or a run of funnel
+   survivors) is a row slice of them, so same-shape layers share their
+   arrays.
 4. **Columns, not objects** — a segment comes back as a
    :class:`PointTable`: grid-index columns plus the float64 energy,
    cycle and per-type cost columns the fold produced.  A ``DsePoint``
@@ -130,8 +131,8 @@ from .edp import LayerEDP
 #: selects the reference loop.
 EVAL_MODELS = ("auto", "scalar")
 
-#: ``Callable[[start, stop], Sequence[DsePoint]]`` — what the engine's
-#: shard executors call per shard.
+#: ``Callable[[start, stop], Sequence[DsePoint]]`` — what the engine
+#: calls per grid range of its search.
 ChunkFn = Callable[[int, int], Sequence[DsePoint]]
 
 #: A tiling's ``(th, tw, tj, ti)`` steps.
@@ -529,16 +530,16 @@ def _concatenate(context, parts: List[PointTable]) -> PointTable:
         join(part.type_costs for part in parts))
 
 
-def point_tables(context, shards) -> List[PointTable]:
+def point_tables(context, results) -> List[PointTable]:
     """One grid-ordered :class:`PointTable` per evaluated layer.
 
-    ``shards`` are non-overlapping ``(start, points)`` pairs in
-    ascending ``start`` order, each a :class:`ChunkEvaluator`'s
-    :class:`~repro.core.dse.TablePoints`.  Joining each layer's tables
-    in that order keeps its rows in grid order.
+    ``results`` are a :class:`ChunkEvaluator`'s
+    :class:`~repro.core.dse.TablePoints` of non-overlapping ranges, in
+    ascending grid order.  Joining each layer's tables in that order
+    keeps its rows in grid order.
     """
     parts: Dict[int, List[PointTable]] = {}
-    for _start, points in shards:
+    for points in results:
         for table in points.tables:
             parts.setdefault(table.layer_pos, []).append(table)
     return [_concatenate(context, layer_parts)

@@ -25,7 +25,7 @@ from repro.core.dse import (
     min_edp_series,
 )
 from repro.core.engine import ExplorationEngine
-from repro.core.strategies import SearchStrategy
+from repro.core.eval_kernel import iter_layer_segments
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import get_device
 from repro.dram.scenario import DEFAULT_SCENARIO, Scenario
@@ -221,40 +221,40 @@ class TestStrategies:
         _assert_selections_match(columnar, scalar, alexnet)
 
 
-class _SplitShards(SearchStrategy):
-    """Every point of the grid, odd layers first, each layer as three
-    selected runs out of grid order: the points between its first
-    scheme-and-policy row of tilings and its last third, then the last
-    third, then that first row."""
+class TestSplitRuns:
+    def test_split_layers_join_in_grid_order(self, alexnet, monkeypatch):
+        """Each layer evaluated as three row slices, in grid order (its
+        first scheme-and-policy row of tilings, the rows up to its last
+        third, the last third), joins into one table whose rows and
+        resolved schemes follow the grid."""
+        make = engine_module.make_chunk_evaluator
+        runs = []
 
-    name = "split-shards-test"
+        def splitting(context, cache, eval_model, scalar_fallback):
+            evaluate = make(context, cache, eval_model, scalar_fallback)
 
-    def shards(self, engine, context, run):
-        order = sorted(range(len(context.layers)),
-                       key=lambda position: (position % 2 == 0, position))
-        for position in order:
-            grid = context.layers[position]
-            start = grid.offset
-            stop = start + context.points_in_layer(position)
-            head = start + len(grid.tilings)
-            tail = stop - (stop - start) // 3
-            for run_start, run_stop in ((head, tail), (tail, stop),
-                                        (start, head)):
-                yield from engine._evaluate_selected(
-                    context, range(run_start, run_stop))
+            def call(start, stop):
+                tables = []
+                for position, first, last in iter_layer_segments(
+                        context, start, stop):
+                    head = first + len(context.layers[position].tilings)
+                    tail = last - (last - first) // 3
+                    for run in ((first, head), (head, tail), (tail, last)):
+                        runs.append(run)
+                        tables += evaluate(*run).tables
+                return TablePoints(tables)
 
+            return call
 
-class TestSplitShards:
-    def test_split_layers_join_in_grid_order(self, alexnet):
-        """A custom strategy's out-of-order row slices of a layer join
-        into one table whose rows and resolved schemes follow the
-        grid."""
-        strategy = _SplitShards()
-        columnar, scalar = _explore(alexnet, strategy=strategy)
-        exhaustive = ExplorationEngine(eval_model="scalar") \
+        monkeypatch.setattr(engine_module, "make_chunk_evaluator",
+                            splitting)
+        columnar = ExplorationEngine().explore_network(alexnet)
+        monkeypatch.undo()
+        scalar = ExplorationEngine(eval_model="scalar") \
             .explore_network(alexnet)
-        assert len(columnar.points.tables) == 8
-        assert scalar.points == exhaustive.points
+        assert len(runs) == 3 * 8
+        assert [table.layer_name for table in columnar.points.tables] \
+            == [layer.name for layer in alexnet.lower()]
         _assert_sequence_matches(columnar, scalar)
         _assert_selections_match(columnar, scalar, alexnet)
 

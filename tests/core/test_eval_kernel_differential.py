@@ -27,7 +27,11 @@ from repro.core.eval_kernel import (
     validate_eval_model,
 )
 from repro.core.pareto import pareto_front, points_from_dse
-from repro.core.strategies import analytical_scores
+from repro.core import strategies
+from repro.core.strategies import (
+    DEFAULT_FUNNEL_TOP_FRACTION,
+    analytical_scores,
+)
 from repro.dram.analytical import analytical_characterization
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
@@ -40,6 +44,28 @@ from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
 from repro.mapping.dims import Dim
 from repro.workloads import get_workload
+
+
+def _recorded_evaluator_calls(monkeypatch):
+    """Wrap the engine's ``make_chunk_evaluator`` the way a tracer does,
+    with its four positional arguments; the returned list collects
+    ``(start, stop, points)`` of every call of the evaluators it
+    makes."""
+    calls = []
+    make = engine_module.make_chunk_evaluator
+
+    def recording(context, cache, eval_model, scalar_fallback):
+        evaluate = make(context, cache, eval_model, scalar_fallback)
+
+        def call(start, stop):
+            points = evaluate(start, stop)
+            calls.append((start, stop, points))
+            return points
+
+        return call
+
+    monkeypatch.setattr(engine_module, "make_chunk_evaluator", recording)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +248,7 @@ class TestCapacityBoundary:
 class TestReducedAndPareto:
     """Exploration record and Pareto front under the vector backend."""
 
-    def test_parallel_vector_reduced_equals_serial_scalar(
-            self, conv1, scalar_reference):
+    def test_vector_result_equals_scalar(self, conv1, scalar_reference):
         """Counts, points and the Pareto front equal the scalar run's,
         compared bit for bit."""
         vector = ExplorationEngine(eval_model="auto").explore_network(conv1)
@@ -336,23 +361,45 @@ class TestEvalModelKnob:
         assert straddling == [(0, boundary - 3, boundary),
                               (1, boundary, boundary + 3)]
 
-    def test_engine_chunks_are_layer_aligned(self, conv1, tiny_layer):
-        """The full-grid executor yields one shard per layer, starting
-        at the layer's offset; together they cover the grid."""
-        engine = ExplorationEngine()
+    def test_engine_chunks_are_layer_aligned(self, conv1, tiny_layer,
+                                             monkeypatch):
+        """An exhaustive exploration makes one evaluator call, over the
+        whole grid, and gets one table per layer in layer order."""
+        layers = conv1 + [tiny_layer]
         context = _build_context(
-            conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, DEFAULT_SCENARIO,
-            DEFAULT_CHARACTERIZATION_CACHE)
-        shards = list(engine._shard_results(context))
-        assert [start for start, _ in shards] == list(context.offsets)
-        assert [len(points) for _, points in shards] \
+            layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
+            DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
+        calls = _recorded_evaluator_calls(monkeypatch)
+        result = ExplorationEngine().explore_network(layers)
+        ((start, stop, points),) = calls
+        assert (start, stop) == (0, context.total_points)
+        assert [table.layer_name for table in points.tables] \
+            == [layer.name for layer in layers]
+        assert [len(table) for table in points.tables] \
             == [context.points_in_layer(position)
-                for position in range(len(context.layers))]
-        assert sum(len(points) for _, points in shards) \
-            == context.total_points
+                for position in range(len(layers))]
+        assert result.points.tables == points.tables
 
-    def test_cache_stats_surfaced_serial_and_parallel(self, tiny_layer):
+    def test_funnel_evaluates_each_kept_run_once(self, conv1, tiny_layer,
+                                                 monkeypatch):
+        """A funnel exploration makes one evaluator call per kept run,
+        and the calls' points are the points it evaluated."""
+        layers = conv1 + [tiny_layer]
+        context = _build_context(
+            layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
+            DEFAULT_SCENARIO, DEFAULT_CHARACTERIZATION_CACHE)
+        runs = strategies.funnel_runs(
+            context, analytical_scores(context, EvaluationCache()),
+            DEFAULT_FUNNEL_TOP_FRACTION)
+        calls = _recorded_evaluator_calls(monkeypatch)
+        result = ExplorationEngine().explore_network(
+            layers, strategy="funnel")
+        assert len(runs) > len(layers)
+        assert [(start, stop) for start, stop, _ in calls] == runs
+        assert sum(len(points) for _, _, points in calls) \
+            == result.evaluated_points == len(result.points)
+
+    def test_cache_stats_surfaced(self, tiny_layer):
         result = ExplorationEngine(eval_model="auto") \
             .explore_network([tiny_layer])
         assert result.eval_cache_stats is not None

@@ -133,10 +133,9 @@ class TestSharedColumns:
             partial(engine_module._evaluate_range, context, cache))
         size = context.total_points
         whole = evaluate(0, size)
-        (shared,) = eval_kernel.point_tables(context, [(0, whole)])
+        (shared,) = eval_kernel.point_tables(context, [whole])
         assert shared is whole.tables[0]
-        (part,) = eval_kernel.point_tables(
-            context, [(10, evaluate(10, 20))])
+        (part,) = eval_kernel.point_tables(context, [evaluate(10, 20)])
         assert not np.shares_memory(part.energy, shared.energy)
         assert all(not np.shares_memory(mine, theirs)
                    for mine, theirs in zip(part.type_costs,

@@ -1,4 +1,4 @@
-"""Tests for the pluggable search-strategy layer.
+"""Tests for the two search strategies.
 
 The two load-bearing guarantees:
 
@@ -10,25 +10,23 @@ The two load-bearing guarantees:
 """
 
 import dataclasses
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cnn.scheduling import ReuseScheme
 from repro.core import dse
+from repro.core import engine as engine_module
 from repro.core.dse import DseResult, best_mapping_per_layer
 from repro.core.dse import explore_layer, explore_network
 from repro.core.engine import ExplorationEngine, _build_context
 from repro.core.strategies import (
     MIN_EXACT_PER_SLICE,
-    FunnelStrategy,
-    SearchStrategy,
-    StrategyRun,
+    STRATEGIES,
     analytical_scores,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-    strategy_summaries,
 )
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.scenario import DEFAULT_SCENARIO
@@ -50,71 +48,72 @@ def tiny_full(tiny_layer):
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert strategy_names() == ("exhaustive", "funnel")
+        assert tuple(STRATEGIES) == ("exhaustive", "funnel")
 
     def test_summaries_cover_every_name(self):
-        assert set(strategy_summaries()) == set(strategy_names())
+        """Every search has a one-line summary for ``repro
+        strategies``."""
+        for summary in STRATEGIES.values():
+            assert isinstance(summary, str) and summary
+            assert "\n" not in summary
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown search"):
-            get_strategy("simulated-annealing")
+    def test_unknown_name_rejected(self, tiny_layer):
+        """An unknown name is refused, and so is a value that is no
+        name at all, with the same message rather than a
+        ``TypeError``."""
+        for name in ("simulated-annealing", None, 3, ["funnel"]):
+            with pytest.raises(ConfigurationError,
+                               match="unknown search strategy"):
+                explore_layer(tiny_layer, strategy=name)
 
     @pytest.mark.parametrize("name", ["random", "greedy-refine"])
-    def test_deleted_strategies_are_unknown_names(self, name):
+    def test_deleted_strategies_are_unknown_names(self, tiny_layer, name):
         """The sampling searches are gone: their names are refused
         like any unknown one, and the message lists what remains."""
         with pytest.raises(ConfigurationError,
                            match="choose from: exhaustive, funnel$"):
-            get_strategy(name)
+            explore_layer(tiny_layer, strategy=name)
 
-    def test_bad_options_rejected(self):
+    def test_bad_options_rejected(self, tiny_layer):
         with pytest.raises(ConfigurationError, match="invalid options"):
-            get_strategy("funnel", not_an_option=1)
+            explore_layer(tiny_layer, strategy="funnel",
+                          strategy_options={"not_an_option": 1})
+        with pytest.raises(ConfigurationError, match="invalid options"):
+            explore_layer(tiny_layer, strategy="exhaustive",
+                          strategy_options={"top_fraction": 0.5})
         with pytest.raises(ConfigurationError, match="top_fraction"):
-            get_strategy("funnel", top_fraction=0.0)
+            explore_layer(tiny_layer, strategy="funnel",
+                          strategy_options={"top_fraction": 0.0})
 
-    @pytest.mark.parametrize("cls, options", [
-        (FunnelStrategy, {"top_fraction": True}),
-        (FunnelStrategy, {"top_fraction": "0.5"}),
+    @pytest.mark.parametrize("options", [
+        {"top_fraction": True},
+        {"top_fraction": "0.5"},
     ])
-    def test_options_of_the_wrong_type_rejected(self, tiny_layer, cls,
+    def test_options_of_the_wrong_type_rejected(self, tiny_layer,
                                                 options):
-        """A bool (or string) fraction is refused by the constructor,
-        not at the first explore call."""
-        with pytest.raises(ConfigurationError, match=next(iter(options))):
-            cls(**options)
-        with pytest.raises(ConfigurationError):
-            explore_layer(tiny_layer, strategy=cls.name,
+        """A bool (or string) fraction is refused by name."""
+        with pytest.raises(ConfigurationError,
+                           match="top_fraction must be a number"):
+            explore_layer(tiny_layer, strategy="funnel",
                           strategy_options=options)
 
-    def test_instance_passes_through(self):
-        instance = FunnelStrategy(top_fraction=0.5)
-        assert get_strategy(instance) is instance
-        with pytest.raises(ConfigurationError):
-            get_strategy(instance, top_fraction=0.1)
+    def test_engine_rejects_unknown_strategy_eagerly(self, tiny_layer,
+                                                     monkeypatch):
+        """Each refusal comes before any grid work: no tiling is
+        enumerated and nothing is characterized."""
+        def no_grid_work(*args, **kwargs):
+            raise AssertionError("grid built before the search checks")
 
-    def test_custom_registration(self):
-        class Probe(SearchStrategy):
-            name = "probe-everything"
-            summary = "test double"
-
-            def shards(self, engine, context, run):
-                return engine._shard_results(context)
-
-        register_strategy(Probe)
-        try:
-            assert "probe-everything" in strategy_names()
-            with pytest.raises(ConfigurationError,
-                               match="already registered"):
-                register_strategy(Probe)
-        finally:
-            from repro.core import strategies as module
-
-            del module._STRATEGIES["probe-everything"]
-
-    def test_engine_rejects_unknown_strategy_eagerly(self, tiny_layer):
-        with pytest.raises(ConfigurationError):
-            ExplorationEngine().explore_layer(tiny_layer, strategy="nope")
+        monkeypatch.setattr(engine_module, "_build_context", no_grid_work)
+        for strategy, options, message in (
+                ("nope", None, "unknown search strategy"),
+                ("funnel", {"k": 1}, "invalid options for strategy"),
+                ("funnel", {"top_fraction": 2.0},
+                 "top_fraction must be a number")):
+            with pytest.raises(ConfigurationError, match=message):
+                ExplorationEngine().explore_layer(
+                    tiny_layer, strategy=strategy,
+                    strategy_options=options)
 
 
 class TestExhaustiveByteIdentity:
@@ -207,6 +206,27 @@ class TestFunnel:
         for architecture in architectures:
             assert funnel.best(architecture=architecture)
 
+    def test_full_fraction_keeps_every_point(self, tiny_layer, tiny_full):
+        """A top fraction of 1 keeps the whole grid as one run, and the
+        funnel's points are the exhaustive ones."""
+        from repro.cnn.scheduling import ALL_SCHEMES
+        from repro.cnn.tiling import TABLE2_BUFFERS
+        from repro.core.engine import EvaluationCache
+        from repro.core.strategies import funnel_runs
+        from repro.dram.characterize import CharacterizationCache
+        from repro.mapping.catalog import TABLE1_MAPPINGS
+
+        context = _build_context(
+            [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
+            TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
+        scores = analytical_scores(context, EvaluationCache())
+        assert funnel_runs(context, scores, 1.0) \
+            == [(0, context.total_points)]
+        funnel = explore_layer(tiny_layer, strategy="funnel",
+                               strategy_options={"top_fraction": 1.0})
+        assert funnel.points == tiny_full.points
+        assert funnel.evaluated_points == funnel.scored_points \
+            == tiny_full.total_points
 
 
 def _score_pattern(pattern, size):
@@ -242,19 +262,13 @@ class TestFunnelRanking:
             seen["scores"] = _score_pattern(pattern, context.total_points)
             return seen["scores"]
 
+        # The engine finds the scores on the module, so the patterns
+        # are what it ranks.
         monkeypatch.setattr(strategies, "analytical_scores", scores)
-        engine = ExplorationEngine()
-        selected = []
-        evaluate = engine._evaluate_selected
-
-        def capture(context, indices):
-            selected.extend(indices)
-            return evaluate(context, indices)
-
-        monkeypatch.setattr(engine, "_evaluate_selected", capture)
         top_fraction = 0.25
-        result = engine.explore_network(
-            layers, strategy=FunnelStrategy(top_fraction=top_fraction))
+        result = ExplorationEngine().explore_network(
+            layers, strategy="funnel",
+            strategy_options={"top_fraction": top_fraction})
 
         context, score = seen["context"], seen["scores"]
         expected = []
@@ -267,10 +281,71 @@ class TestFunnelRanking:
                 start = grid.offset + arch_idx * block
                 expected += sorted(range(start, start + block),
                                    key=lambda i: (score[i], i))[:keep]
+        expected.sort()
         assert len(context.layers) == 2
-        assert selected == sorted(expected)
+        runs = strategies.funnel_runs(context, score, top_fraction)
+        assert [index for start, stop in runs
+                for index in range(start, stop)] == expected
+        # The runs are maximal: no two of them touch.
+        assert all(stop < start for (_, stop), (start, _)
+                   in zip(runs, runs[1:]))
         assert result.evaluated_points == len(expected)
         assert result.scored_points == context.total_points
+        assert [(point.layer_name, point.architecture, point.scheme,
+                 point.policy, point.tiling)
+                for point in result.points] == [
+            (layer.name, *rest) for layer, *rest
+            in map(context.decode, expected)]
+
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 6),
+           top_fraction=st.floats(0.0, 1.0, exclude_min=True))
+    def test_runs_are_each_slices_lowest_scores(self, seed, levels,
+                                                top_fraction):
+        """Any scores, ties included, and any fraction: the runs are
+        ascending and maximal, and each slice keeps its quota of
+        lowest ``(score, index)`` points."""
+        import numpy as np
+
+        from repro.core.strategies import funnel_runs
+
+        context = _tiny_network_context()
+        scores = np.random.default_rng(seed).integers(
+            0, levels, context.total_points).astype(np.float64)
+        runs = funnel_runs(context, scores, top_fraction)
+        assert all(start < stop for start, stop in runs)
+        assert all(stop < start for (_, stop), (start, _)
+                   in zip(runs, runs[1:]))
+        kept = {index for start, stop in runs
+                for index in range(start, stop)}
+        slices = 0
+        for position, grid in enumerate(context.layers):
+            block = context.points_in_layer(position) \
+                // len(context.architectures)
+            keep = max(math.ceil(block * top_fraction),
+                       min(MIN_EXACT_PER_SLICE, block))
+            for arch_idx in range(len(context.architectures)):
+                start = grid.offset + arch_idx * block
+                expected = sorted(range(start, start + block),
+                                  key=lambda i: (scores[i], i))[:keep]
+                assert kept & set(range(start, start + block)) \
+                    == set(expected)
+                slices += len(expected)
+        assert len(kept) == slices
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_network_context():
+    """The grid of the two-layer ``tiny`` network, built once."""
+    from repro.cnn.scheduling import ALL_SCHEMES
+    from repro.cnn.tiling import TABLE2_BUFFERS
+    from repro.dram.characterize import CharacterizationCache
+    from repro.mapping.catalog import TABLE1_MAPPINGS
+
+    return _build_context(
+        get_workload("tiny").lower(), None, ALL_SCHEMES, TABLE1_MAPPINGS,
+        TABLE2_BUFFERS, DEFAULT_SCENARIO, CharacterizationCache())
 
 
 class TestNoSeed:
@@ -297,11 +372,9 @@ class TestNoSeed:
         with pytest.raises(TypeError, match="'seed'"):
             calls[call]()
 
-    @pytest.mark.parametrize("record", [DseResult, StrategyRun],
-                             ids=lambda cls: cls.__name__)
-    def test_records_have_no_seed_field(self, record):
+    def test_dse_result_has_no_seed_field(self):
         assert "seed" not in {field.name
-                              for field in dataclasses.fields(record)}
+                              for field in dataclasses.fields(DseResult)}
 
 class TestFunnelAlexNetPinned:
     """Pinned acceptance: same AlexNet/DDR3 optimum, >=10x fewer exact
