@@ -442,7 +442,7 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_policies(args: argparse.Namespace) -> int:
-    """List the registered memory-controller policies."""
+    """List the memory-controller policies."""
     from .core.report import policies_table
 
     del args
@@ -451,7 +451,7 @@ def cmd_policies(args: argparse.Namespace) -> int:
 
 
 def cmd_arbiters(args: argparse.Namespace) -> int:
-    """List the registered channel arbiters."""
+    """List the channel arbiters."""
     from .core.report import arbiters_table
 
     del args
@@ -532,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
         ``--device``, the ``--scheduler``/``--row-policy`` controller
         pair and the ``--requestors``/``--arbiter`` channel pair.
-        Scheduler, row-policy and arbiter choices derive from their
-        registries, so new policies appear without touching the CLI.
+        Scheduler, row-policy and arbiter choices are the names of
+        their config enums.
         """
         subparser.add_argument("--device", default=None,
                                help=device_help)

@@ -135,7 +135,7 @@ def series_table(
 
 
 def policies_table() -> str:
-    """Tabulate the registered memory-controller policies.
+    """Tabulate the memory-controller policies.
 
     One row per scheduler and per row-buffer policy, with the default
     (Table-II) configuration flagged — the ``repro policies`` listing.
@@ -168,7 +168,7 @@ def policies_table() -> str:
 
 
 def arbiters_table() -> str:
-    """Tabulate the registered channel arbiters.
+    """Tabulate the channel arbiters.
 
     One row per arbitration policy and per stream-assignment scheme,
     with the single-requestor default flagged — the ``repro arbiters``

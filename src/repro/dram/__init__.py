@@ -41,7 +41,6 @@ from .contention import (
     arbiter_names,
     assignment_names,
     contention_config,
-    get_arbiter,
     per_requestor_stats,
     resolve_contention,
     split_stream,
@@ -80,8 +79,6 @@ from .policies import (
     SchedulerKind,
     all_controller_configs,
     controller_config,
-    get_row_policy,
-    get_scheduler,
     resolve_controller,
     row_policy_names,
     scheduler_names,
@@ -168,10 +165,7 @@ __all__ = [
     "default_device",
     "device_names",
     "spec_hash",
-    "get_arbiter",
     "get_device",
-    "get_row_policy",
-    "get_scheduler",
     "per_requestor_stats",
     "register_device",
     "read_command_trace",

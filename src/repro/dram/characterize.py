@@ -503,7 +503,7 @@ class CharacterizationCache:
         the architecture-invariant micro-experiment runs instead of
         paying per-architecture setup.
         """
-        from .kernel import characterize_batch, kernel_supported
+        from .kernel import characterize_batch, kernel_ineligibility
 
         architectures = tuple(architectures)
         for architecture in architectures:
@@ -512,8 +512,8 @@ class CharacterizationCache:
         need = [
             architecture for architecture in architectures
             if self._memo.peek((scenario, architecture)) is None
-        ] if kernel_supported(scenario.controller,
-                              scenario.contention) else []
+        ] if kernel_ineligibility(scenario.controller,
+                                  scenario.contention) is None else []
         # Only worth (and only safe to) front-run the per-key miss path
         # when at least two keys would otherwise compute: once the
         # store pass runs here, every remaining miss must also resolve

@@ -1,13 +1,13 @@
-"""Multi-requestor channel contention: configuration and arbiters.
+"""Multi-requestor channel contention: configuration and arbitration.
 
 The paper evaluates every mapping on an *uncontended* channel — one
 accelerator owns the DRAM.  Real deployments share the channel between
 N requestors (accelerator cores, concurrent tenant jobs), and a front
 end must arbitrate among their streams before the memory controller
-ever sees a request.  This module provides the configuration value and
-the pluggable arbitration policies for that front end
-(:class:`repro.dram.crossbar.Crossbar`), registered exactly like the
-controller policies of :mod:`repro.dram.policies`:
+ever sees a request.  This module provides the configuration value for
+that front end (:class:`repro.dram.crossbar.Crossbar`), an enum-field
+config like :class:`repro.dram.policies.ControllerConfig`, and the
+:func:`arbitrate` function the crossbar calls at every grant:
 
 * **Arbiters** decide which backlogged requestor's head-of-queue
   request is forwarded to the controller next.
@@ -51,6 +51,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from .commands import Request, ServicedRequest
+from .policies import _check_positive_int, _parse
 
 #: Default soft in-flight cap per requestor: arbitration prefers
 #: requestors with fewer outstanding requests at the controller.  Eight
@@ -114,10 +115,7 @@ class ContentionConfig:
     age_limit: int = DEFAULT_AGE_LIMIT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.requestors, int) or self.requestors < 1:
-            raise ConfigurationError(
-                f"requestors must be a positive integer, got "
-                f"{self.requestors!r}")
+        _check_positive_int("requestors", self.requestors)
         if not isinstance(self.arbiter, ArbiterKind):
             raise ConfigurationError(
                 f"arbiter must be an ArbiterKind, got {self.arbiter!r}")
@@ -125,15 +123,8 @@ class ContentionConfig:
             raise ConfigurationError(
                 f"assignment must be an AssignmentKind, got "
                 f"{self.assignment!r}")
-        if not isinstance(self.in_flight_limit, int) \
-                or self.in_flight_limit < 1:
-            raise ConfigurationError(
-                f"in_flight_limit must be a positive integer, got "
-                f"{self.in_flight_limit!r}")
-        if not isinstance(self.age_limit, int) or self.age_limit < 1:
-            raise ConfigurationError(
-                f"age_limit must be a positive integer, got "
-                f"{self.age_limit!r}")
+        _check_positive_int("in_flight_limit", self.in_flight_limit)
+        _check_positive_int("age_limit", self.age_limit)
         # Canonicalize inactive knobs so behaviourally identical
         # configs are equal (mirroring ControllerConfig): with one
         # requestor there is nothing to arbitrate, so every knob is
@@ -163,25 +154,13 @@ class ContentionConfig:
         """True for the paper's uncontended single-requestor channel."""
         return self == DEFAULT_CONTENTION_CONFIG
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        if self.requestors == 1:
-            return "requestors=1 (uncontended channel)"
-        parts = [f"requestors={self.requestors}",
-                 f"arbiter={self.arbiter.value}",
-                 f"assignment={self.assignment.value}",
-                 f"in-flight={self.in_flight_limit}"]
-        if self.arbiter is ArbiterKind.AGE_BASED:
-            parts.append(f"age-limit={self.age_limit}")
-        return ", ".join(parts)
-
 
 # ----------------------------------------------------------------------
-# Arbiter policies
+# Arbitration
 # ----------------------------------------------------------------------
 
 class RequestorView(NamedTuple):
-    """Snapshot of one backlogged requestor handed to the arbiter.
+    """Snapshot of one backlogged requestor handed to :func:`arbitrate`.
 
     A named tuple rather than a frozen dataclass: the crossbar builds
     one per candidate per grant, and a tuple is the cheapest immutable
@@ -206,98 +185,47 @@ class RequestorView(NamedTuple):
     in_flight: int
 
 
-class ArbiterPolicy:
-    """Arbitration decision: which backlogged requestor goes next."""
-
-    kind: ArbiterKind
-
-    def select(self, candidates: Sequence[RequestorView],
-               last_grant: int, config: ContentionConfig) -> int:
-        """Requestor :attr:`RequestorView.index` granted next.
-
-        ``candidates`` is non-empty; ``last_grant`` is the previously
-        granted requestor index (-1 before the first grant).
-        """
-        raise NotImplementedError
+def _oldest(views: Sequence[RequestorView]) -> RequestorView:
+    """The view that has waited longest, the lower index on a tie."""
+    return max(views, key=lambda view: (view.waited, -view.index))
 
 
-class RoundRobinArbiter(ArbiterPolicy):
-    """Rotate over backlogged requestors: starvation-free.
+def arbitrate(candidates: Sequence[RequestorView], last_grant: int,
+              config: ContentionConfig) -> int:
+    """Requestor :attr:`RequestorView.index` granted next.
 
-    The next backlogged index after ``last_grant`` (cyclically) wins,
-    so a backlogged requestor is granted within N-1 grants.
+    ``candidates`` is non-empty; ``last_grant`` is the previously
+    granted requestor index (-1 before the first grant).  The rule is
+    ``config.arbiter``'s:
+
+    * ``round-robin`` — the next backlogged index after ``last_grant``
+      (cyclically) wins, so a backlogged requestor is granted within
+      N-1 grants.
+    * ``fixed-priority`` — the lowest index wins; models a
+      latency-critical core that owns the channel whenever it has
+      traffic, so lower-priority requestors may starve.
+    * ``age-based`` — heads that would hit their requestor's own row
+      state overtake non-hits (oldest hit first), mirroring FR-FCFS at
+      the channel level; but once any head has waited ``age_limit``
+      grants the oldest head wins unconditionally, bounding every
+      requestor's wait by ``age_limit + N - 1`` grants.
     """
-
-    kind = ArbiterKind.ROUND_ROBIN
-
-    def select(self, candidates: Sequence[RequestorView],
-               last_grant: int, config: ContentionConfig) -> int:
-        present = {view.index for view in candidates}
-        for offset in range(1, config.requestors + 1):
-            index = (last_grant + offset) % config.requestors
-            if index in present:
-                return index
-        raise AssertionError(
-            "no candidate present")  # pragma: no cover - unreachable
-
-    def describe(self) -> str:
-        return "cyclic rotation, bounded wait of N-1 grants"
-
-
-class FixedPriorityArbiter(ArbiterPolicy):
-    """Lowest requestor index first: deliberately unfair.
-
-    Models a latency-critical core that owns the channel whenever it
-    has traffic; lower-priority requestors may starve.
-    """
-
-    kind = ArbiterKind.FIXED_PRIORITY
-
-    def select(self, candidates: Sequence[RequestorView],
-               last_grant: int, config: ContentionConfig) -> int:
+    if config.arbiter is ArbiterKind.FIXED_PRIORITY:
         return min(view.index for view in candidates)
-
-    def describe(self) -> str:
-        return "lowest index wins; lower priorities may starve"
-
-
-class AgeBasedArbiter(ArbiterPolicy):
-    """FR-FCFS-aware aging: row hits first, bounded by the age escape.
-
-    Heads that would hit their requestor's own row state overtake
-    non-hits (oldest hit first), mirroring FR-FCFS at the channel
-    level — but once any head has waited ``age_limit`` grants, the
-    oldest head wins unconditionally, bounding every requestor's wait
-    by ``age_limit + N - 1`` grants.
-    """
-
-    kind = ArbiterKind.AGE_BASED
-
-    @staticmethod
-    def _oldest(views: Sequence[RequestorView]) -> RequestorView:
-        return max(views, key=lambda view: (view.waited, -view.index))
-
-    def select(self, candidates: Sequence[RequestorView],
-               last_grant: int, config: ContentionConfig) -> int:
-        oldest = self._oldest(candidates)
+    if config.arbiter is ArbiterKind.AGE_BASED:
+        oldest = _oldest(candidates)
         if oldest.waited >= config.age_limit:
             return oldest.index
         hits = [view for view in candidates if view.would_hit]
-        return self._oldest(hits or candidates).index
+        return _oldest(hits or candidates).index
+    present = {view.index for view in candidates}
+    for offset in range(1, config.requestors + 1):
+        index = (last_grant + offset) % config.requestors
+        if index in present:
+            return index
+    raise AssertionError(
+        "no candidate present")  # pragma: no cover - unreachable
 
-    def describe(self) -> str:
-        return "row-hit-first with an age escape (bounded wait)"
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_ARBITERS: Dict[ArbiterKind, ArbiterPolicy] = {
-    ArbiterKind.ROUND_ROBIN: RoundRobinArbiter(),
-    ArbiterKind.FIXED_PRIORITY: FixedPriorityArbiter(),
-    ArbiterKind.AGE_BASED: AgeBasedArbiter(),
-}
 
 #: One-line purpose of each arbiter, for the CLI listing.
 ARBITER_SUMMARIES: Dict[ArbiterKind, str] = {
@@ -318,32 +246,14 @@ ASSIGNMENT_SUMMARIES: Dict[AssignmentKind, str] = {
 }
 
 
-def _parse(kind_cls, value, what: str):
-    """Normalize a name or enum member to the enum member."""
-    if isinstance(value, kind_cls):
-        return value
-    try:
-        return kind_cls(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in kind_cls)
-        raise ConfigurationError(
-            f"unknown {what} {value!r}; choose from: {choices}"
-        ) from None
-
-
 def arbiter_names() -> Tuple[str, ...]:
-    """Registered arbiter names, round-robin first."""
+    """Arbiter names, round-robin first."""
     return tuple(kind.value for kind in ArbiterKind)
 
 
 def assignment_names() -> Tuple[str, ...]:
-    """Registered stream-assignment names, interleave first."""
+    """Stream-assignment names, interleave first."""
     return tuple(kind.value for kind in AssignmentKind)
-
-
-def get_arbiter(kind: Union[str, ArbiterKind]) -> ArbiterPolicy:
-    """Arbiter policy object for ``kind`` (name or enum member)."""
-    return _ARBITERS[_parse(ArbiterKind, kind, "arbiter")]
 
 
 def contention_config(

@@ -4,7 +4,7 @@ This is the "ramulator-lite" scheduler.  By default it services
 requests strictly in order (FCFS, matching Table II's controller
 policy) and keeps rows open after use (open-row policy), issuing each
 command at the earliest cycle that satisfies every JEDEC constraint
-tracked by :mod:`repro.dram.bank`.  Both decisions are pluggable via
+tracked by :mod:`repro.dram.bank`.  Both decisions are fields of
 :class:`repro.dram.policies.ControllerConfig`:
 
 * the **scheduler** (``fcfs`` / ``fr-fcfs``) picks which pending
@@ -53,8 +53,8 @@ from .commands import (
 )
 from .policies import (
     ControllerConfig,
-    get_row_policy,
-    get_scheduler,
+    RowPolicyKind,
+    SchedulerKind,
     resolve_controller,
 )
 from .spec import DRAMOrganization
@@ -112,13 +112,14 @@ class MemoryController:
         self.architecture = architecture
         self.behavior: ArchitectureBehavior = behavior_of(architecture)
         self.refresh_enabled = refresh_enabled
-        self.config = resolve_controller(config)
-        self._scheduler = get_scheduler(self.config.scheduler)
-        self._row_policy = get_row_policy(self.config.row_policy)
-        self._window_size = self._scheduler.window_size(self.config)
+        self.config = config = resolve_controller(config)
+        self._window_size = config.reorder_window \
+            if config.scheduler is SchedulerKind.FR_FCFS else 1
         self._close_after_access = \
-            self._row_policy.close_after_access(self.config)
-        self._idle_limit = self._row_policy.idle_limit(self.config)
+            config.row_policy is RowPolicyKind.CLOSED
+        #: Idle cycles after which an open row closes (None: never).
+        self._idle_limit = config.timeout_cycles \
+            if config.row_policy is RowPolicyKind.TIMEOUT else None
         self._banks: Dict[Tuple, BankState] = {}
         self._ranks: Dict[Tuple, RankState] = {}
         self._commands: List[Command] = []
@@ -163,9 +164,11 @@ class MemoryController:
     def run(self, requests: Iterable[Request]) -> CommandTrace:
         """Service ``requests`` and return the command trace.
 
-        The configured scheduler picks the next request from a bounded
-        lookahead window (depth 1 under FCFS — strict order); the
-        window refills from the request stream as entries drain.
+        The next request comes from a bounded lookahead window (depth
+        1 under FCFS — strict order).  FR-FCFS services the oldest
+        windowed request that would be a row hit, else the oldest, so
+        relative order holds among hits and among non-hits; the window
+        refills from the request stream as entries drain.
         """
         if self._window_size == 1:
             # FCFS fast path: no window bookkeeping.
@@ -179,9 +182,9 @@ class MemoryController:
             # the oldest request (index 0) whenever no row hit is
             # pending, and a list.pop(0) there made long reordered
             # traces quadratic-ish.  Removal must preserve arrival
-            # order for the remaining entries — the scheduler's
-            # tie-break is "oldest first" — so a swap-pop would be
-            # wrong; del-by-index handles the (rarer) mid-window hits.
+            # order for the remaining entries — the tie-break is
+            # "oldest first" — so a swap-pop would be wrong;
+            # del-by-index handles the (rarer) mid-window hits.
             iterator = iter(requests)
             window: Deque[Request] = deque()
             exhausted = False
@@ -193,18 +196,18 @@ class MemoryController:
                     except StopIteration:
                         exhausted = True
                     else:
-                        # Checked on entry, so the scheduler's hit
-                        # probes may read the bank state unchecked.
+                        # Checked on entry, so the hit probes below
+                        # may read the bank state unchecked.
                         self._check_range(request.coordinate)
                         window.append(request)
                 if not window:
                     break
-                index = self._scheduler.select(window, self._would_hit)
-                if index == 0:
-                    request = window.popleft()
+                for index, request in enumerate(window):
+                    if self._would_hit(request):
+                        del window[index]
+                        break
                 else:
-                    request = window[index]
-                    del window[index]
+                    request = window.popleft()
                 self._service(request)
         return CommandTrace(
             commands=tuple(self._commands),
@@ -381,7 +384,7 @@ class MemoryController:
         return len(bank.open_subarrays) >= budget
 
     def _would_hit(self, request: Request) -> bool:
-        """Hit predicate for the scheduler's row-hit-first selection.
+        """Hit predicate of FR-FCFS's row-hit-first selection.
 
         A plain read of the *current* bank state, true exactly when
         the request would classify as a hit if serviced next: its

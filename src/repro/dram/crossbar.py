@@ -15,14 +15,15 @@ published so far.  With one requestor the merged stream is the input
 stream itself, so N=1 is command-for-command identical to running the
 bare controller (golden-pinned in ``tests/dram/test_trace_golden.py``).
 
-Arbitration (:mod:`repro.dram.contention`) happens in two steps:
+Arbitration happens in two steps:
 
 1. Backlogged requestors under their soft in-flight limit form the
    candidate pool; when *every* backlogged requestor is over the
    limit the pool falls back to all of them (the limit throttles, it
    never deadlocks — and under the FCFS controller at most one
    request is outstanding, so the limit is invisible there).
-2. The configured arbiter picks one candidate.
+2. :func:`repro.dram.contention.arbitrate` picks one candidate by
+   the rule of the configured arbiter.
 
 Every grant is appended to :attr:`Crossbar.grant_log` with the wait it
 ended, so fairness invariants (round-robin starvation-freedom,
@@ -40,7 +41,7 @@ from .commands import CommandTrace, Request
 from .contention import (
     ContentionConfig,
     RequestorView,
-    get_arbiter,
+    arbitrate,
     requestor_tag,
     resolve_contention,
     split_stream,
@@ -137,7 +138,6 @@ class Crossbar:
                  contention: Optional[ContentionConfig] = None) -> None:
         self.controller = controller
         self.config = resolve_contention(contention)
-        self._arbiter = get_arbiter(self.config.arbiter)
         self._last_grant = -1
         self._completions_seen = 0
         self._tag_owner: Dict[str, int] = {}
@@ -200,8 +200,7 @@ class Crossbar:
                      if state.in_flight < limit]
             pool = under or backlogged
             views = [state.view() for state in pool]
-            choice = self._arbiter.select(
-                views, self._last_grant, self.config)
+            choice = arbitrate(views, self._last_grant, self.config)
             winner = states[choice]
             request = winner.queue.popleft()
             winner.bank_machine.observe(request)

@@ -224,14 +224,6 @@ def kernel_ineligibility(
     return None
 
 
-def kernel_supported(
-    controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG,
-    contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG,
-) -> bool:
-    """True when the kernel reproduces this configuration bit-for-bit."""
-    return kernel_ineligibility(controller, contention) is None
-
-
 # ----------------------------------------------------------------------
 # Exact evaluation walks
 #
@@ -916,7 +908,8 @@ def characterize_batch(
             continue
         profile = scenario.device
         profile.require_architecture(architecture)
-        if kernel_supported(scenario.controller, scenario.contention):
+        if kernel_ineligibility(scenario.controller,
+                                scenario.contention) is None:
             engine = characterizers.get(scenario)
             if engine is None:
                 engine = characterizers[scenario] = \

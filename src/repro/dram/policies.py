@@ -1,10 +1,13 @@
-"""Pluggable memory-controller policies: scheduling and row buffer.
+"""Memory-controller configuration: scheduling and row buffer.
 
 The paper fixes one controller configuration — FCFS scheduling with an
 open-row policy (Table II) — but its central claim (the mapping policy
 dominates EDP) is only credible if it survives controller variation.
 Ramulator-style simulators treat the scheduler and the row-buffer
-policy as first-class axes; this module makes them first-class here:
+policy as first-class axes; here each is an enum field of the frozen
+:class:`ControllerConfig`, and
+:class:`repro.dram.controller.MemoryController` reads the fields
+directly:
 
 * **Schedulers** decide which pending request to service next.
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ..errors import ConfigurationError
 
@@ -88,6 +91,19 @@ class RowPolicyKind(enum.Enum):
         return self.value
 
 
+def _check_positive_int(name: str, value) -> None:
+    """Refuse anything but a positive ``int`` field value.
+
+    A bool is an ``int`` to Python, but ``True`` would equal ``1`` in
+    the config's equality and hash while the store's spec hash
+    serializes it as ``true``, so one configuration would get two
+    store keys.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(
+            f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """One memory-controller configuration.
@@ -119,16 +135,8 @@ class ControllerConfig:
             raise ConfigurationError(
                 f"row_policy must be a RowPolicyKind, got "
                 f"{self.row_policy!r}")
-        if not isinstance(self.reorder_window, int) \
-                or self.reorder_window < 1:
-            raise ConfigurationError(
-                f"reorder_window must be a positive integer, got "
-                f"{self.reorder_window!r}")
-        if not isinstance(self.timeout_cycles, int) \
-                or self.timeout_cycles < 1:
-            raise ConfigurationError(
-                f"timeout_cycles must be a positive integer, got "
-                f"{self.timeout_cycles!r}")
+        _check_positive_int("reorder_window", self.reorder_window)
+        _check_positive_int("timeout_cycles", self.timeout_cycles)
         # Canonicalize inactive knobs so behaviourally identical
         # configs are equal: an fcfs config's reorder_window and a
         # non-timeout config's timeout_cycles affect nothing, and
@@ -151,131 +159,6 @@ class ControllerConfig:
         """True for the paper's Table-II configuration."""
         return self == DEFAULT_CONTROLLER_CONFIG
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        parts = [f"scheduler={self.scheduler.value}",
-                 f"row-policy={self.row_policy.value}"]
-        if self.scheduler is SchedulerKind.FR_FCFS:
-            parts.append(f"window={self.reorder_window}")
-        if self.row_policy is RowPolicyKind.TIMEOUT:
-            parts.append(f"timeout={self.timeout_cycles}cy")
-        return ", ".join(parts)
-
-
-# ----------------------------------------------------------------------
-# Scheduler policies
-# ----------------------------------------------------------------------
-
-#: Predicate the controller hands to the scheduler: "would this request
-#: be a row-buffer hit right now?"
-HitPredicate = Callable[[object], bool]
-
-
-class SchedulerPolicy:
-    """Scheduling decision: which windowed request is serviced next."""
-
-    kind: SchedulerKind
-
-    def window_size(self, config: ControllerConfig) -> int:
-        """Reorder-window depth under ``config``."""
-        raise NotImplementedError
-
-    def select(self, window: Sequence[object],
-               is_row_hit: HitPredicate) -> int:
-        """Index of the window entry to service next."""
-        raise NotImplementedError
-
-
-class FcfsScheduler(SchedulerPolicy):
-    """Strict first-come first-served: no reordering at all."""
-
-    kind = SchedulerKind.FCFS
-
-    def window_size(self, config: ControllerConfig) -> int:
-        return 1
-
-    def select(self, window: Sequence[object],
-               is_row_hit: HitPredicate) -> int:
-        return 0
-
-
-class FrFcfsScheduler(SchedulerPolicy):
-    """First-ready FCFS: oldest row-hit first, else oldest request.
-
-    Relative order is preserved among hits and among non-hits — the
-    only reordering is a ready hit overtaking older non-hits, which is
-    the classic FR-FCFS row-hit-first rule at request granularity.
-    """
-
-    kind = SchedulerKind.FR_FCFS
-
-    def window_size(self, config: ControllerConfig) -> int:
-        return config.reorder_window
-
-    def select(self, window: Sequence[object],
-               is_row_hit: HitPredicate) -> int:
-        for index, request in enumerate(window):
-            if is_row_hit(request):
-                return index
-        return 0
-
-
-# ----------------------------------------------------------------------
-# Row-buffer policies
-# ----------------------------------------------------------------------
-
-class RowBufferPolicy:
-    """Row-buffer decision: what happens to a row after the access."""
-
-    kind: RowPolicyKind
-
-    def close_after_access(self, config: ControllerConfig) -> bool:
-        """True when every access auto-precharges its row."""
-        return False
-
-    def idle_limit(self, config: ControllerConfig):
-        """Idle cycles after which an open row is closed (None: never)."""
-        return None
-
-
-class OpenRowPolicy(RowBufferPolicy):
-    """Rows stay open until a conflict evicts them (Table II)."""
-
-    kind = RowPolicyKind.OPEN
-
-
-class ClosedRowPolicy(RowBufferPolicy):
-    """Auto-precharge: the row closes at the earliest legal cycle."""
-
-    kind = RowPolicyKind.CLOSED
-
-    def close_after_access(self, config: ControllerConfig) -> bool:
-        return True
-
-
-class TimeoutRowPolicy(RowBufferPolicy):
-    """Hybrid: open rows are closed after ``timeout_cycles`` idle."""
-
-    kind = RowPolicyKind.TIMEOUT
-
-    def idle_limit(self, config: ControllerConfig):
-        return config.timeout_cycles
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_SCHEDULERS: Dict[SchedulerKind, SchedulerPolicy] = {
-    SchedulerKind.FCFS: FcfsScheduler(),
-    SchedulerKind.FR_FCFS: FrFcfsScheduler(),
-}
-
-_ROW_POLICIES: Dict[RowPolicyKind, RowBufferPolicy] = {
-    RowPolicyKind.OPEN: OpenRowPolicy(),
-    RowPolicyKind.CLOSED: ClosedRowPolicy(),
-    RowPolicyKind.TIMEOUT: TimeoutRowPolicy(),
-}
 
 #: One-line purpose of each scheduler, for the CLI listing.
 SCHEDULER_SUMMARIES: Dict[SchedulerKind, str] = {
@@ -310,27 +193,13 @@ def _parse(kind_cls, value, what: str):
 
 
 def scheduler_names() -> Tuple[str, ...]:
-    """Registered scheduler names, FCFS first."""
+    """Scheduler names, FCFS first."""
     return tuple(kind.value for kind in SchedulerKind)
 
 
 def row_policy_names() -> Tuple[str, ...]:
-    """Registered row-policy names, open first."""
+    """Row-policy names, open first."""
     return tuple(kind.value for kind in RowPolicyKind)
-
-
-def get_scheduler(
-    kind: Union[str, SchedulerKind],
-) -> SchedulerPolicy:
-    """Scheduler policy object for ``kind`` (name or enum member)."""
-    return _SCHEDULERS[_parse(SchedulerKind, kind, "scheduler")]
-
-
-def get_row_policy(
-    kind: Union[str, RowPolicyKind],
-) -> RowBufferPolicy:
-    """Row-buffer policy object for ``kind`` (name or enum member)."""
-    return _ROW_POLICIES[_parse(RowPolicyKind, kind, "row policy")]
 
 
 def controller_config(
@@ -367,18 +236,8 @@ def resolve_controller(config=None) -> ControllerConfig:
 DEFAULT_CONTROLLER_CONFIG = ControllerConfig()
 
 
-def all_controller_configs(
-    reorder_window: int = DEFAULT_REORDER_WINDOW,
-    timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES,
-) -> Tuple[ControllerConfig, ...]:
+def all_controller_configs() -> Tuple[ControllerConfig, ...]:
     """Every scheduler x row-policy combination, defaults first."""
-    configs: List[ControllerConfig] = []
-    for scheduler in SchedulerKind:
-        for row_policy in RowPolicyKind:
-            configs.append(ControllerConfig(
-                scheduler=scheduler,
-                row_policy=row_policy,
-                reorder_window=reorder_window,
-                timeout_cycles=timeout_cycles,
-            ))
-    return tuple(configs)
+    return tuple(ControllerConfig(scheduler, row_policy)
+                 for scheduler in SchedulerKind
+                 for row_policy in RowPolicyKind)

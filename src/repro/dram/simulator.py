@@ -30,7 +30,7 @@ from .contention import ContentionConfig, resolve_contention
 from .controller import MemoryController
 from .crossbar import Crossbar
 from .energy import EnergyAccountant, TraceEnergy
-from .policies import ControllerConfig, resolve_controller
+from .policies import ControllerConfig, SchedulerKind, resolve_controller
 from .power import CurrentParameters, DDR3_1600_2GB_X8_CURRENTS, EnergyModel
 from .spec import DRAMOrganization
 from .timing import DDR3_1600_TIMINGS, TimingParameters
@@ -146,15 +146,13 @@ class DRAMSimulator:
         """True when :meth:`run_split` is valid for this configuration.
 
         Prefix accounting requires strictly sequential service: the
-        depth-1 (FCFS) scheduler on an uncontended channel.  A
-        reordering window drains differently at a stream's end, and
-        the crossbar's arbitration depends on the full stream, so for
-        those the prefix of a long run is *not* the short run.
+        FCFS scheduler on an uncontended channel.  A reordering window
+        drains differently at a stream's end, and the crossbar's
+        arbitration depends on the full stream, so for those the
+        prefix of a long run is *not* the short run.
         """
-        from .policies import get_scheduler
         return (self.contention.requestors == 1
-                and get_scheduler(self.controller.scheduler)
-                .window_size(self.controller) == 1)
+                and self.controller.scheduler is SchedulerKind.FCFS)
 
     def run_split(
         self, requests: List[Request], checkpoint: int,

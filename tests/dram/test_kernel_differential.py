@@ -28,7 +28,6 @@ from repro.dram.kernel import (
     KernelCharacterizer,
     characterize_batch,
     kernel_ineligibility,
-    kernel_supported,
 )
 from repro.dram.policies import controller_config
 from repro.dram.scenario import Scenario
@@ -203,7 +202,6 @@ class TestEligibility:
     ], ids=["fr-fcfs", "closed", "timeout"])
     def test_non_default_controller_raises(self, config):
         assert kernel_ineligibility(config) is not None
-        assert not kernel_supported(config)
         with pytest.raises(ConfigurationError, match="kernel"):
             KernelCharacterizer.from_profile(TINY_DEVICE, controller=config)
 
@@ -246,8 +244,8 @@ class TestEligibility:
         characterize(DRAMArchitecture.DDR3, device=scenario.device,
                      controller=scenario.controller,
                      contention=scenario.contention)
-        eligible = kernel_supported(scenario.controller,
-                                    scenario.contention)
+        eligible = kernel_ineligibility(scenario.controller,
+                                        scenario.contention) is None
         assert set(calls) == ({"kernel"} if eligible else {"simulator"})
 
     def test_direct_construction_rejects_ineligible_config(self):

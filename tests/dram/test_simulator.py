@@ -1,11 +1,17 @@
 """Tests for the DRAMSimulator facade."""
 
+import itertools
+
 import pytest
 
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.characterize import _STREAMS
 from repro.dram.commands import RequestKind
-from repro.dram.device import default_device
+from repro.dram.contention import DEFAULT_CONTENTION_CONFIG, contention_config
+from repro.dram.device import TINY_DEVICE, default_device
+from repro.dram.policies import SchedulerKind, all_controller_configs
 from repro.dram.simulator import DRAMSimulator
+from repro.errors import ConfigurationError
 
 
 class TestRun:
@@ -83,3 +89,41 @@ class TestStreamGenerators:
         stream = ddr3_sim.round_robin_bank_reads(count=10)
         banks = [r.coordinate.bank for r in stream]
         assert banks == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
+
+
+class TestSplitRun:
+    """``run_split`` is one controller walk accounted at a checkpoint
+    and at the end, as characterization measures every non-default
+    FCFS controller; it must equal two independent runs wherever
+    ``supports_split_run`` allows it, and refuse everywhere else."""
+
+    @pytest.mark.parametrize(
+        "channel", [DEFAULT_CONTENTION_CONFIG,
+                    contention_config(requestors=2)],
+        ids=lambda channel: channel.label)
+    @pytest.mark.parametrize(
+        "controller", all_controller_configs(),
+        ids=lambda controller: controller.label)
+    def test_split_equals_two_runs_or_refuses(self, controller, channel):
+        splittable = controller.scheduler is SchedulerKind.FCFS \
+            and channel.requestors == 1
+        for architecture in TINY_DEVICE.supported_architectures:
+            simulator = DRAMSimulator.from_profile(
+                TINY_DEVICE, architecture, controller=controller,
+                contention=channel)
+            assert simulator.supports_split_run is splittable
+            for stream, kind in itertools.product(
+                    _STREAMS.values(), RequestKind):
+                requests = stream(TINY_DEVICE.organization, kind, 320)
+                if not splittable:
+                    with pytest.raises(ConfigurationError,
+                                       match="run_split"):
+                        simulator.run_split(requests, 64)
+                    continue
+                prefix, full = simulator.run_split(requests, 64)
+                for split, alone in (
+                        (prefix, simulator.run(requests[:64])),
+                        (full, simulator.run(requests))):
+                    assert split.total_cycles == alone.total_cycles
+                    assert split.energy == alone.energy
+                    assert split.trace.serviced == alone.trace.serviced

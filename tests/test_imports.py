@@ -17,8 +17,10 @@ cold-store ``dse`` and ``characterize`` commands and checks that they
 never load ``numpy.ma``, and a fifth keeps numpy out of the
 module-level imports of the modules in ``NUMPY_FREE``: among them the
 exploration record and its network analysis, which select on point
-tables through the tables' own methods, and the search strategies,
-whose funnel imports numpy inside the functions that rank.
+tables through the tables' own methods, the search strategies,
+whose funnel imports numpy inside the functions that rank, and the
+object simulator with its controller, crossbar and their configs,
+which characterize every non-default configuration in plain Python.
 """
 
 import ast
@@ -178,7 +180,9 @@ def test_cold_cli_commands_load_no_numpy_ma(argv):
 
 #: Modules that must import no numpy when they are imported.
 NUMPY_FREE = ("core/dse.py", "core/strategies.py", "workloads/analysis.py",
-              "cnn/traffic.py", "mapping/counts.py")
+              "cnn/traffic.py", "mapping/counts.py", "dram/policies.py",
+              "dram/contention.py", "dram/crossbar.py", "dram/controller.py",
+              "dram/simulator.py")
 
 
 def _module_level_imports(tree):
